@@ -18,7 +18,7 @@ extracted sequence, so the tests freeze prefixes of both.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import sexpr
 from .dyadics import Dyadic, ZERO, ONE, from_fraction, is_dyadic_fraction
@@ -276,7 +276,6 @@ class Sigma2Predicate:
     def c(self):
         return Fraction(self.param)
 
-    @lru_cache(maxsize=None)
     def _threshold(self, x0):
         gap = Fraction(1, 1 << x0)
         return self.c + gap if self.side == RIGHT else self.c - gap
@@ -350,15 +349,6 @@ def transform_R1(pred):
 # -------------------------------------------------------- staged extraction
 
 
-@lru_cache(maxsize=None)
-def _unit_dyadic_entry(i):
-    """q_i as a Dyadic when it lies in (0,1) and is dyadic, else None."""
-    q = ENUM.q(i)
-    if is_dyadic_fraction(q) and 0 < q < 1:
-        return from_fraction(q)
-    return None
-
-
 class StagedReal:
     """A real exposed through stage approximations approx(t)."""
 
@@ -379,72 +369,81 @@ class SequenceExtraction:
     (0,1), so every approximation is a Dyadic and grows toward r_n from
     below. The left side mirrors everything: infima, running maxima,
     approximations falling from above.
+
+    The stage values have a closed form. At stage s the search takes in
+    q_{s-1}, and a find d with least refuting witness wb arrives at stage
+    max(s, wb + 1). The dyadics of (0,1) are exactly the q_i with odd i,
+    in refinement order, so at stage t the first K = t // 2 of them are in
+    play: L = bit_length(K + 1) - 1 complete levels (every a/2^L with
+    0 < a < 2^L) and the first p = K - (2^L - 1) odd numerators
+    1, 3, ..., 2p - 1 over 2^(L+1). With (e, j) = unpair(m), R1's guard
+    refutes every d beyond q_j (d < q_j on the right, d > q_j on the left)
+    with x1 = 0, so those arrive when they enter. Every other d waits for
+    core_wb = neg_witness(e, q_j): all of them have arrived once
+    core_wb < t, and none ever does when core_wb is None. Hence s_approx(m,
+    t) is the base (0 right, 1 left) for t < 2; the extremum of the
+    dyadics in play once core_wb < t (1 - 2^-L on the right, 2^-(L+1) when
+    p > 0 else 2^-L on the left); and otherwise the nearest dyadic in play
+    strictly beyond q_j, or the base when there is none. Each case is a
+    floor or ceiling of q_j on the grids 2^-L and 2^-(L+1).
     """
 
     def __init__(self, pred):
         self.pred = pred
-        self.r1 = TransformedR1(pred)
         self.side = pred.side
         self._base = ZERO if self.side == RIGHT else ONE
-        self._rows = {}      # m -> list of s-approximations by stage
-        self._pending = {}   # m -> {witness bound -> [Dyadic]}
-        self._best = {}      # m -> current extremum
+        self._consts = {}    # m -> (q_j, core_wb), constant along the row
         self._prefix = {}    # t -> list of prefix extrema over m
+        self._limits = []    # prefix extrema of the exact limits s_m
 
-    def _extend_row(self, m, t):
-        row = self._rows.setdefault(m, [self._base])
-        if len(row) > t:
-            return
-        pend = self._pending.setdefault(m, {})
-        # everything but the guard against q_j is constant along the row
-        e, j = unpair(m)
-        qj = ENUM.q(j)
-        qj_num, qj_den = qj.numerator, qj.denominator
-        core_wb = self.pred.neg_witness(e, qj)
-        right = self.side == RIGHT
-        best = self._best.get(m, self._base)
-        while len(row) <= t:
-            stage = len(row)  # appending the value at this stage
-            arrivals = pend.pop(stage - 1, None)
-            d = _unit_dyadic_entry(stage - 1)  # rational entering the search
-            if d is not None:
-                lhs = d.num * qj_den
-                rhs = qj_num << d.exp
-                if right:
-                    wb = core_wb if lhs >= rhs else 0  # q < q_j refutes the guard
-                else:
-                    wb = 0 if lhs > rhs else core_wb
-                if wb is not None:
-                    if wb < stage:
-                        if arrivals is None:
-                            arrivals = [d]
-                        else:
-                            arrivals.append(d)
-                    else:
-                        pend.setdefault(wb, []).append(d)
-            if arrivals:
-                for found in arrivals:
-                    if (found > best) if right else (found < best):
-                        best = found
-            row.append(best)
-        self._best[m] = best
+    def _row(self, m):
+        consts = self._consts.get(m)
+        if consts is None:
+            e, j = unpair(m)
+            qj = ENUM.q(j)
+            consts = self._consts[m] = (qj, self.pred.neg_witness(e, qj))
+        return consts
 
     def s_approx(self, m, t):
-        """Stage-t approximation of s_m, as a Dyadic."""
-        self._extend_row(m, t)
-        return self._rows[m][t]
+        """Stage-t approximation of s_m, as a Dyadic (closed form above)."""
+        k = t // 2
+        if k == 0:
+            return self._base
+        qj, core_wb = self._row(m)
+        right = self.side == RIGHT
+        if core_wb is not None and core_wb < t:
+            # every dyadic in play has arrived: the edge of (0,1) replaces q_j
+            num, den = (1, 1) if right else (0, 1)
+        else:
+            num, den = qj.numerator, qj.denominator
+        lvl = (k + 1).bit_length() - 1
+        odd_top = 2 * (k + 1 - (1 << lvl)) - 1  # last odd numerator in play
+        scale = lvl + 1
+        if right:
+            # largest a/2^lvl and odd c/2^scale in play below num/den
+            a = min(-((-num << lvl) // den) - 1, (1 << lvl) - 1)
+            c = min(-((-num << scale) // den) - 1, odd_top)
+            c -= 1 - c % 2
+            return Dyadic(max(2 * a, c, 0), scale)
+        # smallest a/2^lvl and odd c/2^scale in play above num/den
+        top = 1 << scale
+        a = max((num << lvl) // den + 1, 1)
+        c = max((num << scale) // den + 1, 1)
+        c += 1 - c % 2
+        return Dyadic(min(2 * a, c if c <= odd_top else top, top), scale)
+
+    def _running(self, prefix, n, value):
+        """Running extremum of value(0..n), memoized in the list prefix."""
+        pick = min if self.side == RIGHT else max
+        while len(prefix) <= n:
+            v = value(len(prefix))
+            prefix.append(pick(prefix[-1], v) if prefix else v)
+        return prefix[n]
 
     def r_approx(self, n, t):
         """Stage-t approximation of r_n = prefix extremum of s_0..s_n."""
-        prefix = self._prefix.setdefault(t, [])
-        while len(prefix) <= n:
-            value = self.s_approx(len(prefix), t)
-            if prefix:
-                head = prefix[-1]
-                value = min(head, value) if self.side == RIGHT else \
-                    max(head, value)
-            prefix.append(value)
-        return prefix[n]
+        return self._running(self._prefix.setdefault(t, []), n,
+                             lambda m: self.s_approx(m, t))
 
     def staged(self, n):
         direction = FROM_BELOW if self.side == RIGHT else FROM_ABOVE
@@ -453,15 +452,13 @@ class SequenceExtraction:
     # exact limits, by direct evaluation of the defining sets
 
     def limit_s(self, m):
-        e, j = unpair(m)
-        qj = ENUM.q(j)
-        if self.pred.neg_witness(e, qj) is not None:
+        qj, core_wb = self._row(m)
+        if core_wb is not None:
             return Fraction(1) if self.side == RIGHT else Fraction(0)
         return clamp01(qj)
 
     def limit_r(self, n):
-        vals = [self.limit_s(m) for m in range(n + 1)]
-        return min(vals) if self.side == RIGHT else max(vals)
+        return self._running(self._limits, n, self.limit_s)
 
 
 _EXTRACTIONS = {}

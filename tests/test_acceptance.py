@@ -46,7 +46,8 @@ def test_criterion_3_sandwich_convergence(results):
 
 
 def _check_staged_side(name, param, target, first_index):
-    # fresh extraction: the ~25k rows built here must not outlive the test
+    # a fresh extraction, not the shared one, so the ~25k row constants and
+    # prefix entries memoized here go away with the test
     ext = SequenceExtraction(sigma2_predicate(name, param))
     rising = ext.side == RIGHT
     tol = Fraction(1, 256)

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals.dyadics import Dyadic
+from numerals.dyadics import Dyadic, from_fraction, is_dyadic_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (ENUM, FROM_ABOVE, FROM_BELOW, LEFT, RIGHT,
                             BuiltinSource, ConstantSource, GeometricSource,
-                            LeveledSource, RealSourceError, Sigma2Source,
-                            StagedChildSource, builtin_real,
+                            LeveledSource, RealSourceError, SequenceExtraction,
+                            Sigma2Source, StagedChildSource, builtin_real,
                             extract_seq_left_sigma2, extract_seq_right_sigma2,
                             get_cut, get_extraction, lift_successor,
                             limit_decomposition, pair, parse_real_source,
@@ -211,6 +211,60 @@ def test_staged_values_left():
     assert ex.limit_r(11) == F(1, 2)
     assert ex.r_approx(32, 1024) == Dyadic(257, 9)
     assert ex.staged(11).direction == FROM_ABOVE
+
+
+def _entering(t):
+    """The find each stage 1..t takes in: q_{s-1} as a Dyadic when it is a
+    dyadic of (0,1), else None."""
+    qs = [ENUM.q(i) for i in range(t)]
+    return [from_fraction(q) if is_dyadic_fraction(q) and 0 < q < 1 else None
+            for q in qs]
+
+
+def _simulated_row(pred, m, entering):
+    """s_approx(m, 0..t) by simulating witness arrivals stage by stage.
+
+    The reference for the closed form in SequenceExtraction: at stage s the
+    search takes in q_{s-1}; a dyadic find d of (0,1) whose least witness
+    refuting R1(m, x1, d) is wb arrives at stage max(s, wb + 1), and never
+    when R1 holds for every x1. The row is the running extremum of the
+    arrivals, seeded with 0 on the right and 1 on the left.
+    """
+    right = pred.side == RIGHT
+    e, j = unpair(m)
+    qj = ENUM.q(j)
+    core_wb = pred.neg_witness(e, qj)
+    best = Dyadic(0) if right else Dyadic(1)
+    row = [best]
+    pending = {}  # stage -> finds arriving at it
+    for stage, d in enumerate(entering, 1):
+        if d is not None:
+            # TransformedR1.neg_witness(m, d), with the row constant hoisted
+            lhs, rhs = d.num * qj.denominator, qj.numerator << d.exp
+            wb = 0 if ((lhs < rhs) if right else (lhs > rhs)) else core_wb
+            if wb is not None:
+                pending.setdefault(max(stage, wb + 1), []).append(d)
+        for found in pending.pop(stage, ()):
+            if (found > best) if right else (found < best):
+                best = found
+        row.append(best)
+    return row
+
+
+@pytest.mark.parametrize("name,param", [
+    (name, param)
+    for name, inner in [("geometric-above", "1/3"), ("lagged-above", "2/7"),
+                        ("geometric-below", "2/3"), ("lagged-below", "5/7")]
+    for param in ("0", inner, "1")])
+def test_closed_form_matches_simulation(name, param):
+    # t up to 520 crosses the level boundary K = 2^8 - 1 (t = 510, 511)
+    # and every lagged threshold core_wb = e + 1 for m < 200
+    pred = sigma2_predicate(name, param)
+    ex = SequenceExtraction(pred)
+    entering = _entering(520)
+    for m in range(200):
+        row = _simulated_row(pred, m, entering)
+        assert [ex.s_approx(m, t) for t in range(521)] == row, m
 
 
 def test_prefix_extremum_monotone_in_n():
