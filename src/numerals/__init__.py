@@ -16,7 +16,7 @@ from .engine import (Engine, EngineError, SandwichError, TruncationSchedule,
                      VerificationReport)
 from .formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                        FormulaError, GeneratedFamily, Half, InfQ, Neg, Rank,
-                       SupQ, classify, parse, register_generator, serialize)
+                       SupQ, classify, parse, register_generator)
 from .ordinals import OMEGA, OrdinalCNF, parse_ordinal
 from .reals import (LEFT, RIGHT, RealSourceError, builtin_real,
                     parse_real_source, parse_target, sigma2_predicate)
@@ -31,7 +31,7 @@ __all__ = [
     "VerificationReport",
     "Atomic", "CInf", "CSup", "DotMinus", "ExplicitFamily", "FormulaError",
     "GeneratedFamily", "Half", "InfQ", "Neg", "Rank", "SupQ", "classify",
-    "parse", "register_generator", "serialize",
+    "parse", "register_generator",
     "OMEGA", "OrdinalCNF", "parse_ordinal",
     "LEFT", "RIGHT", "RealSourceError", "builtin_real", "parse_real_source",
     "parse_target", "sigma2_predicate",

@@ -17,8 +17,7 @@ from functools import lru_cache
 from . import reals, sexpr
 from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit
 from .formulas import (Atomic, CInf, CSup, ExplicitFamily, GeneratedFamily, Half,
-                       InfQ, Neg, SupQ, family_member, free_vars,
-                       register_generator)
+                       InfQ, Neg, SupQ, free_vars, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .reals import LEFT, RIGHT, LEVEL_ONE
 
@@ -165,18 +164,11 @@ def successor_numeral(side, family):
     probe = range(family.known_size) if family.known_size is not None \
         else range(3)
     for n in probe:
-        fv = free_vars(family_member(family, n))
+        fv = free_vars(family.member(n))
         if fv:
             raise BuildError("family member %d has free variables %s"
                              % (n, sorted(fv)))
     return CInf(family) if side == RIGHT else CSup(family)
-
-
-def fundamental_sequence(alpha):
-    """The canonical cofinal sequence of a limit ordinal, as a map."""
-    if not alpha.is_limit():
-        raise BuildError("%s is not a limit ordinal" % alpha)
-    return alpha.fundamental
 
 
 @lru_cache(maxsize=None)

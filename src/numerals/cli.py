@@ -14,7 +14,7 @@ from . import acceptance
 from .builders import BuildError, dyadic_numeral, parse_recipe
 from .dyadics import parse_dyadic
 from .engine import Engine, EngineError, TruncationSchedule
-from .formulas import FormulaError, classify, parse, serialize
+from .formulas import FormulaError, classify, parse
 from .reals import RealSourceError
 from .sexpr import SexprError, quote
 from .spaces import (SpaceFormatError, SpaceValidationError, builtin_suite,
@@ -84,13 +84,13 @@ def _enclosure_text(enc, fmt):
 
 def _cmd_dyadic(args):
     phi = dyadic_numeral(parse_dyadic(args.value), args.flavor)
-    print(serialize(phi))
+    print(phi.code)
     return 0
 
 
 def _cmd_build(args):
     recipe = parse_recipe(" ".join(args.recipe))
-    print(serialize(recipe.build()))
+    print(recipe.build().code)
     return 0
 
 

@@ -1,16 +1,31 @@
 """Evaluation and verification.
 
-Finitary formulas evaluate exactly (every truth value is dyadic). An
-infinitary node under a truncation schedule yields a certified one-sided
-enclosure: a truncated CInf is [0, min of member upper bounds], a truncated
-CSup is [max of member lower bounds, 1]; the tail of the family is never
-guessed, so two-sided intervals come only from sandwiching dual numerals.
-Separately, truncation_value computes the exact value of the truncated
-formula itself, which serves as the active estimate in convergence reports.
+Finitary formulas evaluate exactly (every truth value is dyadic). Under a
+truncation schedule every formula gets a pair from one memoized walk: a
+certified enclosure and an estimate. A truncated CInf is [0, min of member
+upper bounds], a truncated CSup is [max of member lower bounds, 1]; the
+tail of the family is never guessed, so two-sided intervals come only from
+sandwiching dual numerals. The estimate is the exact value of the
+truncated formula itself, the active estimate in convergence reports.
+
+The monotone shortcut: a generated family whose generator declares the
+direction of its member values ("nonincreasing" or "nondecreasing" in n)
+is not scanned when its prefix has at least four members and members 0,
+count // 2 and count - 1 have point enclosures in the declared order. The
+end member where the declared extremum sits then gives both outputs: the
+enclosure bound and, as the estimate, its own value. Otherwise one full
+prefix scan gives both.
+- The bound is attained by a sampled member, so it stays certified
+  whatever the declaration says.
+- A wrong declaration only costs tightness, and it makes the estimate the
+  end member's value rather than the prefix extremum.
+- The builtin declarations hold: staged-approx members are the dyadic
+  numerals of r_approx(n, t), monotone in t, and successor and limit
+  members follow the child direction they declare.
 
 All evaluation is memoized on (formula code, space, environment, schedule
-tail); family generation is pure, so member formulas with equal codes share
-results.
+tail); finitary nodes drop the tail. Family generation is pure, so member
+formulas with equal codes share results.
 """
 
 from dataclasses import dataclass
@@ -18,9 +33,9 @@ from fractions import Fraction
 
 from .dyadics import (Dyadic, Enclosure, ZERO, ONE, dotminus, enclosure_apply,
                       half, neg, point)
-from .formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
-                       GeneratedFamily, Half, InfQ, Neg, PI, Rank, SIGMA, SupQ,
-                       classify, family_member, free_vars, get_generator)
+from .formulas import (Atomic, CInf, CSup, DotMinus, GeneratedFamily, Half,
+                       InfQ, Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
+                       get_generator)
 from .reals import RIGHT
 
 
@@ -95,10 +110,14 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class IndependenceReport:
     entries: tuple           # (space name, Enclosure)
     agreement: tuple         # (name, name, bool) for every pair
     agreement_ok: bool
+
+
+@dataclass(frozen=True)
+class VerificationReport(IndependenceReport):
     convergence: tuple       # ConvergenceRow ladder
     monotone_ok: bool
     tolerance_ok: bool
@@ -115,8 +134,7 @@ class VerificationReport:
 class Engine:
     def __init__(self):
         self._exact = {}
-        self._encl = {}
-        self._value = {}
+        self._pairs = {}
         self._finitary = {}
         self._space_tokens = {}
         self._pinned_spaces = []
@@ -178,142 +196,79 @@ class Engine:
         self._exact[key] = val
         return val
 
-    # -------------------------------------------------- enclosure evaluation
+    # ------------------------------------------------- truncated evaluation
 
     def eval_enclosure(self, phi, space, schedule, env=None):
         """A certified enclosure of the formula's value under the schedule."""
-        return self._encl_eval(phi, space, self._token(space), _freeze_env(env),
-                               schedule.depths)
-
-    def _encl_eval(self, phi, space, tok, env, tail):
-        if self._is_finitary(phi):
-            return point(self._exact_eval(phi, space, tok, env))
-        key = (phi.code, tok, env, tail)
-        hit = self._encl.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(phi, Neg):
-            out = enclosure_apply("neg", [self._encl_eval(phi.body, space, tok,
-                                                          env, tail)])
-        elif isinstance(phi, Half):
-            out = enclosure_apply("half", [self._encl_eval(phi.body, space, tok,
-                                                           env, tail)])
-        elif isinstance(phi, DotMinus):
-            out = enclosure_apply("dotminus",
-                                  [self._encl_eval(phi.left, space, tok, env, tail),
-                                   self._encl_eval(phi.right, space, tok, env, tail)])
-        elif isinstance(phi, InfQ):
-            out = enclosure_apply("min",
-                                  [self._encl_eval(phi.body, space, tok,
-                                                   _bind(env, phi.var, p), tail)
-                                   for p in range(space.size)])
-        elif isinstance(phi, SupQ):
-            out = enclosure_apply("max",
-                                  [self._encl_eval(phi.body, space, tok,
-                                                   _bind(env, phi.var, p), tail)
-                                   for p in range(space.size)])
-        elif isinstance(phi, CInf):
-            out = self._family_encl(phi.family, space, tok, env, tail, True)
-        elif isinstance(phi, CSup):
-            out = self._family_encl(phi.family, space, tok, env, tail, False)
-        else:
-            raise EngineError("not a formula: %r" % (phi,))
-        self._encl[key] = out
-        return out
-
-    def _prefix_count(self, family, depth):
-        if family.known_size is not None:
-            return min(depth, family.known_size)
-        return depth
-
-    def _family_encl(self, family, space, tok, env, tail, is_inf):
-        depth = tail[0]
-        inner = tail[1:] if len(tail) > 1 else tail
-        count = self._prefix_count(family, depth)
-        short = self._monotone_shortcut(family, space, tok, env, inner, count,
-                                        is_inf)
-        if short is not None:
-            return short
-        if is_inf:
-            best = min(self._encl_eval(family_member(family, n), space, tok,
-                                       env, inner).hi
-                       for n in range(count))
-            return Enclosure(ZERO, best)
-        best = max(self._encl_eval(family_member(family, n), space, tok,
-                                   env, inner).lo
-                   for n in range(count))
-        return Enclosure(best, ONE)
-
-    def _monotone_shortcut(self, family, space, tok, env, inner, count, is_inf):
-        """Skip the full prefix scan when the generator declares a value
-        direction: the prefix extremum then sits at a known end. The claim
-        is spot-checked on sampled members and must see degenerate member
-        enclosures; anything else falls back to the full scan."""
-        if not isinstance(family, GeneratedFamily) or count < 4:
-            return None
-        direction = get_generator(family.generator).monotone(family.params)
-        if direction not in ("nonincreasing", "nondecreasing"):
-            return None
-        picks = sorted({0, count // 2, count - 1})
-        encls = [self._encl_eval(family_member(family, n), space, tok, env, inner)
-                 for n in picks]
-        if not all(e.is_point() for e in encls):
-            return None
-        vals = [e.lo for e in encls]
-        if direction == "nonincreasing":
-            ordered = all(a >= b for a, b in zip(vals, vals[1:]))
-            low, high = vals[-1], vals[0]
-        else:
-            ordered = all(a <= b for a, b in zip(vals, vals[1:]))
-            low, high = vals[0], vals[-1]
-        if not ordered:
-            return None
-        if is_inf:
-            return Enclosure(ZERO, low)
-        return Enclosure(high, ONE)
-
-    # --------------------------------------------------- truncation diagonal
+        return self._walk(phi, space, self._token(space), _freeze_env(env),
+                          schedule.depths)[0]
 
     def truncation_value(self, phi, space, schedule, env=None):
         """Exact value of the schedule-truncated formula (the active
         estimate; not a certified bound on the untruncated value)."""
-        return self._value_eval(phi, space, self._token(space), _freeze_env(env),
-                                schedule.depths)
+        return self._walk(phi, space, self._token(space), _freeze_env(env),
+                          schedule.depths)[1]
 
-    def _value_eval(self, phi, space, tok, env, tail):
+    def _walk(self, phi, space, tok, env, tail):
+        """(enclosure, estimate) of the formula truncated by tail."""
         if self._is_finitary(phi):
-            return self._exact_eval(phi, space, tok, env)
+            val = self._exact_eval(phi, space, tok, env)
+            return point(val), val
         key = (phi.code, tok, env, tail)
-        hit = self._value.get(key)
+        hit = self._pairs.get(key)
         if hit is not None:
             return hit
-        if isinstance(phi, Neg):
-            out = neg(self._value_eval(phi.body, space, tok, env, tail))
-        elif isinstance(phi, Half):
-            out = half(self._value_eval(phi.body, space, tok, env, tail))
-        elif isinstance(phi, DotMinus):
-            out = dotminus(self._value_eval(phi.left, space, tok, env, tail),
-                           self._value_eval(phi.right, space, tok, env, tail))
-        elif isinstance(phi, InfQ):
-            out = min(self._value_eval(phi.body, space, tok,
-                                       _bind(env, phi.var, p), tail)
-                      for p in range(space.size))
-        elif isinstance(phi, SupQ):
-            out = max(self._value_eval(phi.body, space, tok,
-                                       _bind(env, phi.var, p), tail)
-                      for p in range(space.size))
-        elif isinstance(phi, (CInf, CSup)):
-            depth = tail[0]
-            inner = tail[1:] if len(tail) > 1 else tail
-            count = self._prefix_count(phi.family, depth)
-            vals = (self._value_eval(family_member(phi.family, n), space, tok,
-                                     env, inner)
-                    for n in range(count))
-            out = min(vals) if isinstance(phi, CInf) else max(vals)
+        if isinstance(phi, (CInf, CSup)):
+            out = self._family(phi.family, space, tok, env, tail,
+                               isinstance(phi, CInf))
         else:
-            raise EngineError("not a formula: %r" % (phi,))
-        self._value[key] = out
+            if isinstance(phi, (InfQ, SupQ)):
+                conn = "min" if isinstance(phi, InfQ) else "max"
+                parts = [self._walk(phi.body, space, tok,
+                                    _bind(env, phi.var, p), tail)
+                         for p in range(space.size)]
+                val = (min if conn == "min" else max)(v for _, v in parts)
+            elif isinstance(phi, DotMinus):
+                conn = "dotminus"
+                parts = [self._walk(phi.left, space, tok, env, tail),
+                         self._walk(phi.right, space, tok, env, tail)]
+                val = dotminus(parts[0][1], parts[1][1])
+            elif isinstance(phi, (Neg, Half)):
+                conn = "neg" if isinstance(phi, Neg) else "half"
+                parts = [self._walk(phi.body, space, tok, env, tail)]
+                val = (neg if conn == "neg" else half)(parts[0][1])
+            else:
+                raise EngineError("not a formula: %r" % (phi,))
+            out = (enclosure_apply(conn, [e for e, _ in parts]), val)
+        self._pairs[key] = out
         return out
+
+    def _family(self, family, space, tok, env, tail, is_inf):
+        """The truncated CInf / CSup step: the declared end member when the
+        monotone shortcut applies (module docstring), else the prefix."""
+        count = tail[0]
+        if family.known_size is not None:
+            count = min(count, family.known_size)
+        inner = tail[1:] or tail
+        pairs = None
+        if isinstance(family, GeneratedFamily) and count >= 4:
+            direction = get_generator(family.generator).monotone(family.params)
+            falling = direction == "nonincreasing"
+            if direction in ("nonincreasing", "nondecreasing"):
+                picks = [self._walk(family.member(n), space, tok, env, inner)
+                         for n in (0, count // 2, count - 1)]
+                vals = [e.lo for e, _ in picks]
+                if all(e.is_point() for e, _ in picks) \
+                        and vals == sorted(vals, reverse=falling):
+                    pairs = [picks[-1] if is_inf == falling else picks[0]]
+        if pairs is None:
+            pairs = [self._walk(family.member(n), space, tok, env, inner)
+                     for n in range(count)]
+        if is_inf:
+            return (Enclosure(ZERO, min(e.hi for e, _ in pairs)),
+                    min(v for _, v in pairs))
+        return (Enclosure(max(e.lo for e, _ in pairs), ONE),
+                max(v for _, v in pairs))
 
     # ------------------------------------------------------------- harness
 
@@ -337,9 +292,8 @@ class Engine:
                 agreement.append((entries[i][0], entries[j][0],
                                   entries[i][1] == entries[j][1]))
         agreement = tuple(agreement)
-        ok = all(flag for _, _, flag in agreement)
-        return VerificationReport(entries, agreement, ok, (), True, True,
-                                  None, None, True)
+        return IndependenceReport(entries, agreement,
+                                  all(flag for _, _, flag in agreement))
 
     def classification_check(self, recipe, phi):
         expected = Rank(SIGMA if recipe.side == RIGHT else PI, recipe.level)
@@ -352,26 +306,35 @@ class Engine:
         nonincreasing, for Pi-rooted the lower endpoints nondecreasing.
         truth, when given as a Fraction, adds signed estimate distances.
         """
+        rows, problem = self._convergence_rows(phi, space, depths)
+        if problem is not None:
+            raise EngineError(problem)
+        if truth is not None:
+            rows = tuple(ConvergenceRow(r.depth, r.enclosure, r.estimate,
+                                        r.estimate.as_fraction() - truth)
+                         for r in rows)
+        return rows
+
+    def _convergence_rows(self, phi, space, depths):
+        """Convergence rows and the first fault of the sound endpoint's
+        monotonicity, or None."""
         rank = classify(phi)
         rows = []
         for n in depths:
             sched = TruncationSchedule.default(n)
             rows.append(ConvergenceRow(n, self.eval_enclosure(phi, space, sched),
                                        self.truncation_value(phi, space, sched)))
+        rows = tuple(rows)
         for prev, cur in zip(rows, rows[1:]):
             if rank.flavor == SIGMA and cur.enclosure.hi > prev.enclosure.hi:
-                raise EngineError(
+                return rows, (
                     "upper bound rose from %s to %s between depths %d and %d"
                     % (prev.enclosure.hi, cur.enclosure.hi, prev.depth, cur.depth))
             if rank.flavor == PI and cur.enclosure.lo < prev.enclosure.lo:
-                raise EngineError(
+                return rows, (
                     "lower bound fell from %s to %s between depths %d and %d"
                     % (prev.enclosure.lo, cur.enclosure.lo, prev.depth, cur.depth))
-        if truth is not None:
-            rows = [ConvergenceRow(r.depth, r.enclosure, r.estimate,
-                                   r.estimate.as_fraction() - truth)
-                    for r in rows]
-        return tuple(rows)
+        return rows, None
 
     def verify_recipe(self, recipe, spaces, depth, tol_exp):
         """The full harness: independence, convergence, classification."""
@@ -379,17 +342,7 @@ class Engine:
         sched = TruncationSchedule.default(depth)
         indep = self.independence_check(phi, spaces, sched)
         ladder = sorted({max(1, depth // 16), max(1, depth // 4), depth})
-        monotone_ok = True
-        try:
-            rows = self.convergence_report(phi, spaces[0], ladder)
-        except EngineError:
-            monotone_ok = False
-            rows = tuple(
-                ConvergenceRow(n, self.eval_enclosure(
-                    phi, spaces[0], TruncationSchedule.default(n)),
-                    self.truncation_value(phi, spaces[0],
-                                          TruncationSchedule.default(n)))
-                for n in ladder)
+        rows, problem = self._convergence_rows(phi, spaces[0], ladder)
         tol = Fraction(1, 1 << tol_exp)
         est = rows[-1].estimate.as_fraction()
         tolerance_ok = (recipe.source.cmp_to(est - tol) >= 0
@@ -402,6 +355,6 @@ class Engine:
             actual = "error: %s" % err
             classification_ok = False
         return VerificationReport(indep.entries, indep.agreement,
-                                  indep.agreement_ok, rows, monotone_ok,
+                                  indep.agreement_ok, rows, problem is None,
                                   tolerance_ok, expected, actual,
                                   classification_ok)

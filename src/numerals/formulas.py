@@ -196,15 +196,6 @@ Formula = Atomic | Neg | DotMinus | Half | InfQ | SupQ | CInf | CSup
 FamilySpec = ExplicitFamily | GeneratedFamily
 
 
-def family_member(family, n):
-    """The n-th member formula; pure in (family, n)."""
-    return family.member(n)
-
-
-def serialize(phi):
-    return phi.code
-
-
 # ---------------------------------------------------------- generator registry
 #
 # A generator is any object with three methods, each pure in its arguments:
@@ -213,6 +204,14 @@ def serialize(phi):
 #   monotone(params) -> str | None       "nonincreasing" / "nondecreasing"
 #                                        declared value direction of members
 # The level bound is trusted but spot-checked on a short prefix by classify.
+# The direction feeds the engine's monotone shortcut, which stands the end
+# member of a prefix in for the whole prefix when three sampled members
+# agree with it. That bound is attained by a sampled member, so it stays
+# certified whatever the declaration says; a wrong declaration only costs
+# tightness, and makes the estimate the end member's value rather than the
+# prefix extremum. The builtin declarations hold: staged-approx members are
+# r_approx(n, t), monotone in t, and successor and limit members follow the
+# child direction they declare.
 
 _GENERATORS = {}
 
@@ -326,7 +325,7 @@ def free_vars(phi):
             out |= free_vars(m)
         return out
     # members of a generated family share their free variables
-    return free_vars(family_member(fam, 0))
+    return free_vars(fam.member(0))
 
 
 # ------------------------------------------------------------- classification

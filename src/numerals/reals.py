@@ -27,10 +27,6 @@ from .ordinals import OrdinalCNF, from_int, parse_ordinal
 RIGHT = "right"
 LEFT = "left"
 
-FROM_BELOW = "from-below"
-FROM_ABOVE = "from-above"
-LIMIT_DIR = "limit"
-
 
 class RealSourceError(Exception):
     pass
@@ -79,7 +75,6 @@ class RationalEnumeration:
     def __init__(self):
         self._cw_nondyadic = []
         self._cw_last = Fraction(1)
-        self._cw_drawn = 1
         self._memo = [Fraction(0)]
 
     def _cw_extend(self, upto):
@@ -89,7 +84,6 @@ class RationalEnumeration:
             x = self._cw_last
             x = 1 / (2 * (x.numerator // x.denominator) - x + 1)
             self._cw_last = x
-            self._cw_drawn += 1
             if not is_dyadic_fraction(x):
                 self._cw_nondyadic.append(x)
 
@@ -184,7 +178,6 @@ class CutEnumerator:
         self._seed = Fraction(2) if side == RIGHT else Fraction(-1)
         self._elements = []      # padded stream, grown on demand
         self._hits = []          # dyadic cut members in (0,1), in stage order
-        self._hit_stages = []    # the stage each hit appeared at
         self._pos = 0            # consumer cursor for next()
 
     def raw(self, i):
@@ -201,10 +194,8 @@ class CutEnumerator:
             q = self.raw(i)
             if q is None:
                 q = self._elements[-1] if self._elements else self._seed
-            else:
-                if is_dyadic_fraction(q) and 0 < q < 1:
-                    self._hits.append(from_fraction(q))
-                    self._hit_stages.append(i)
+            elif is_dyadic_fraction(q) and 0 < q < 1:
+                self._hits.append(from_fraction(q))
             self._elements.append(q)
 
     def element(self, i):
@@ -342,22 +333,7 @@ class TransformedR1:
         return self.pred.neg_witness(e, qj)
 
 
-def transform_R1(pred):
-    return TransformedR1(pred)
-
-
 # -------------------------------------------------------- staged extraction
-
-
-class StagedReal:
-    """A real exposed through stage approximations approx(t)."""
-
-    def __init__(self, direction, fn):
-        self.direction = direction
-        self._fn = fn
-
-    def approx(self, t):
-        return self._fn(t)
 
 
 class SequenceExtraction:
@@ -445,10 +421,6 @@ class SequenceExtraction:
         return self._running(self._prefix.setdefault(t, []), n,
                              lambda m: self.s_approx(m, t))
 
-    def staged(self, n):
-        direction = FROM_BELOW if self.side == RIGHT else FROM_ABOVE
-        return StagedReal(direction, lambda t: self.r_approx(n, t))
-
     # exact limits, by direct evaluation of the defining sets
 
     def limit_s(self, m):
@@ -469,18 +441,6 @@ def get_extraction(pred):
     if key not in _EXTRACTIONS:
         _EXTRACTIONS[key] = SequenceExtraction(pred)
     return _EXTRACTIONS[key]
-
-
-def extract_seq_right_sigma2(pred):
-    if pred.side != RIGHT:
-        raise RealSourceError("predicate %s is not right-sided" % pred.name)
-    return get_extraction(pred)
-
-
-def extract_seq_left_sigma2(pred):
-    if pred.side != LEFT:
-        raise RealSourceError("predicate %s is not left-sided" % pred.name)
-    return get_extraction(pred)
 
 
 # --------------------------------------------------------------- real sources
@@ -626,10 +586,6 @@ class StagedChildSource:
         # children sit on the opposite side of the parent predicate
         return LEFT if self.pred.side == RIGHT else RIGHT
 
-    @property
-    def staged(self):
-        return get_extraction(self.pred).staged(self.index)
-
     def cmp_to(self, q):
         d = get_extraction(self.pred).limit_r(self.index) - q
         return (d > 0) - (d < 0)
@@ -749,38 +705,19 @@ class SuccessorChildren:
         return self.child(n)
 
 
-def _running_cut_extremum(source, side, n):
-    # r_n = min{1, s_0..s_n} over the right cut, max{0, ...} over the left
-    cut = get_cut(source.text if isinstance(source, BuiltinSource)
-                  else str(source.value), side)
-    vals = [cut.element(i) for i in range(n + 1)]
-    if side == RIGHT:
-        return min([Fraction(1)] + vals)
-    return max([Fraction(0)] + vals)
-
-
 def lift_successor(source, side):
     """The child sequence one level down that converges to the source real.
 
     side is the recipe side of the parent numeral; children land on the
-    opposite side at the predecessor level. At level 1 the children are the
-    running extrema of the cut enumeration itself (plain rationals at level
-    0, no longer buildable as numerals; exposed for direct inspection).
+    opposite side at the predecessor level, which must be at least 1: a
+    level-1 source has no child numerals.
     """
     if source.side is not None and source.side != side:
         raise RealSourceError("source is %s-sided, recipe says %s"
                               % (source.side, side))
     level = source.level
-    if level.is_zero():
-        raise RealSourceError("nothing to lift at level 0")
-    if level == LEVEL_ONE:
-        if isinstance(source, (BuiltinSource, ConstantSource)):
-            zero = from_int(0)
-            def child(n, _src=source, _side=side):
-                return ConstantSource(_running_cut_extremum(_src, _side, n), zero)
-            return SuccessorChildren(
-                child, "nonincreasing" if side == RIGHT else "nondecreasing")
-        raise RealSourceError("cannot lift %s at level 1" % type(source).__name__)
+    if level <= LEVEL_ONE:
+        raise RealSourceError("nothing to lift at level %s" % level)
     if not level.is_successor():
         raise RealSourceError("level %s is a limit; use limit_decomposition" % level)
     down = level.predecessor()

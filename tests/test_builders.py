@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numerals.builders import (EXISTS, FORALL, BuildError, base_numeral,
-                               build_numeral, dyadic_numeral,
-                               fundamental_sequence, other_flavor, other_side,
-                               parse_recipe, staged_child_numeral,
+                               build_numeral, dyadic_numeral, other_flavor,
+                               other_side, parse_recipe, staged_child_numeral,
                                strip_double_neg, successor_numeral)
 from numerals.dyadics import Dyadic, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
 from numerals.formulas import (Atomic, CInf, CSup, GeneratedFamily, Neg,
-                               family_member, free_vars, serialize)
+                               free_vars)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, RIGHT, ConstantSource, RealSourceError,
                             Sigma2Source, get_cut, get_extraction,
@@ -27,7 +26,7 @@ units = st.integers(0, 8).flatmap(
 
 
 def code(r, flavor):
-    return serialize(dyadic_numeral(r, flavor))
+    return dyadic_numeral(r, flavor).code
 
 
 def test_dyadic_numeral_base_shapes():
@@ -64,7 +63,7 @@ def test_dyadic_numeral_value(r, flavor):
 def test_dyadic_numeral_duality(r):
     mirror = strip_double_neg(Neg(dyadic_numeral(ONE - r, FORALL)))
     if r != Dyadic(1, 1):
-        assert serialize(mirror) == code(r, EXISTS)
+        assert mirror.code == code(r, EXISTS)
     else:
         eng = Engine()
         point = builtin_suite()[0]
@@ -87,30 +86,30 @@ def test_upper_cut_family_members():
     fam = GeneratedFamily("dyadic-upper-cut", "1/3")
     hits = [Dyadic(1, 1), Dyadic(3, 2), Dyadic(3, 3)]
     for k, hit in enumerate(hits):
-        assert serialize(family_member(fam, 2 * k)) == code(hit, EXISTS)
+        assert fam.member(2 * k).code == code(hit, EXISTS)
     for n in (1, 3, 5):
-        assert serialize(family_member(fam, n)) == code(ONE, EXISTS)
+        assert fam.member(n).code == code(ONE, EXISTS)
 
 
 def test_lower_cut_family_members():
     fam = GeneratedFamily("dyadic-lower-cut", "1/3")
-    assert serialize(family_member(fam, 0)) == code(Dyadic(1, 2), FORALL)
-    assert serialize(family_member(fam, 1)) == code(ZERO, FORALL)
+    assert fam.member(0).code == code(Dyadic(1, 2), FORALL)
+    assert fam.member(1).code == code(ZERO, FORALL)
 
 
 def test_trivial_cuts_use_endpoints_only():
     upper_one = GeneratedFamily("dyadic-upper-cut", "1")
     lower_zero = GeneratedFamily("dyadic-lower-cut", "0")
     for n in range(8):
-        assert serialize(family_member(upper_one, n)) == code(ONE, EXISTS)
-        assert serialize(family_member(lower_zero, n)) == NU_A0
+        assert upper_one.member(n).code == code(ONE, EXISTS)
+        assert lower_zero.member(n).code == NU_A0
 
 
 def test_base_numeral_shapes():
     phi = base_numeral(RIGHT, get_cut("1/3", RIGHT))
-    assert serialize(phi) == '(cinf (gen dyadic-upper-cut "1/3"))'
+    assert phi.code == '(cinf (gen dyadic-upper-cut "1/3"))'
     psi = base_numeral(LEFT, get_cut("sqrt-half", LEFT))
-    assert serialize(psi) == '(csup (gen dyadic-lower-cut "sqrt-half"))'
+    assert psi.code == '(csup (gen dyadic-lower-cut "sqrt-half"))'
     with pytest.raises(BuildError):
         base_numeral(LEFT, get_cut("1/3", RIGHT))
 
@@ -119,12 +118,12 @@ def test_staged_child_numeral_members():
     pred = sigma2_predicate("geometric-above", "1/3")
     kids = lift_successor(Sigma2Source(pred), RIGHT)
     phi = staged_child_numeral(kids(11))
-    assert serialize(phi) == \
+    assert phi.code == \
         '(csup (gen staged-approx "(stage geometric-above \\"1/3\\" 11)"))'
     ex = get_extraction(pred)
     for t in (1, 16, 64):
-        member = family_member(phi.family, t)
-        assert serialize(member) == code(ex.r_approx(11, t), FORALL)
+        member = phi.family.member(t)
+        assert member.code == code(ex.r_approx(11, t), FORALL)
 
 
 def test_successor_numeral_explicit():
@@ -138,16 +137,16 @@ def test_successor_numeral_explicit():
 
 
 def test_fundamental_sequence_map():
-    seq = fundamental_sequence(OMEGA)
-    assert seq(5) == from_int(5)
-    assert fundamental_sequence(parse_ordinal("w^2"))(3) == parse_ordinal("w*3")
-    with pytest.raises(BuildError):
-        fundamental_sequence(from_int(3))
+    assert OMEGA.fundamental(5) == from_int(5)
+    assert parse_ordinal("w^2").fundamental(3) == parse_ordinal("w*3")
+    assert not from_int(3).is_limit()
+    with pytest.raises(ValueError):
+        from_int(3).fundamental(0)
 
 
 def test_build_level_one():
     phi = build_numeral(RIGHT, from_int(1), ConstantSource(F(1, 2), from_int(1)))
-    assert serialize(phi) == '(cinf (gen dyadic-upper-cut "1/2"))'
+    assert phi.code == '(cinf (gen dyadic-upper-cut "1/2"))'
 
 
 def test_build_level_one_left_half_value():
@@ -163,7 +162,7 @@ def test_build_level_two():
     phi = build_numeral(RIGHT, from_int(2), src)
     assert isinstance(phi, CInf)
     assert phi.family.generator == "successor-members"
-    child = family_member(phi.family, 0)
+    child = phi.family.member(0)
     assert isinstance(child, CSup)
     assert child.family.generator == "staged-approx"
 
@@ -172,9 +171,9 @@ def test_build_limit_level():
     phi = build_numeral(RIGHT, OMEGA, ConstantSource(F(1, 2), OMEGA))
     assert isinstance(phi, CInf)
     assert phi.family.generator == "limit-members"
-    first = family_member(phi.family, 0)
-    assert serialize(first) == '(cinf (gen dyadic-upper-cut "1/2"))'
-    third = family_member(phi.family, 3)
+    first = phi.family.member(0)
+    assert first.code == '(cinf (gen dyadic-upper-cut "1/2"))'
+    third = phi.family.member(3)
     assert isinstance(third, CInf)
     assert third.family.generator == "successor-members"
 
@@ -203,7 +202,7 @@ def test_recipe_round_trip():
 
 def test_recipe_build_matches_driver():
     recipe = parse_recipe('(numeral right 1 (real builtin "1/3"))')
-    assert serialize(recipe.build()) == '(cinf (gen dyadic-upper-cut "1/3"))'
+    assert recipe.build().code == '(cinf (gen dyadic-upper-cut "1/3"))'
 
 
 def test_recipe_rejects():

@@ -103,6 +103,15 @@ def test_eval_missing_file_is_part_of_code(capsys):
     assert code == 2  # joined into the code and rejected as syntax
 
 
+def test_eval_successor_of_level_one_rejected(capsys):
+    # a level-1 real has no child numerals to lift
+    code, _, err = run(capsys, "eval",
+                       '(cinf (gen successor-members '
+                       '"(succ right 1 (real builtin \\"1/3\\"))"))')
+    assert code == 2
+    assert "nothing to lift at level 1" in err
+
+
 def test_verify_passes_level_one(capsys):
     code, out, _ = run(capsys, "verify",
                        '(numeral right 1 (real builtin "1/3"))')

@@ -1,19 +1,18 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from numerals.dyadics import Dyadic, from_fraction, is_dyadic_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (ENUM, FROM_ABOVE, FROM_BELOW, LEFT, RIGHT,
-                            BuiltinSource, ConstantSource, GeometricSource,
-                            LeveledSource, RealSourceError, SequenceExtraction,
-                            Sigma2Source, StagedChildSource, builtin_real,
-                            extract_seq_left_sigma2, extract_seq_right_sigma2,
-                            get_cut, get_extraction, lift_successor,
+from numerals.reals import (ENUM, LEFT, RIGHT, BuiltinSource, ConstantSource,
+                            GeometricSource, LeveledSource, RealSourceError,
+                            SequenceExtraction, Sigma2Source, StagedChildSource,
+                            TransformedR1, builtin_real, get_cut,
+                            get_extraction, lift_successor,
                             limit_decomposition, pair, parse_real_source,
-                            parse_target, sigma2_predicate, transform_R1,
-                            unpair)
+                            parse_target, sigma2_predicate, unpair)
 
 F = Fraction
 
@@ -143,13 +142,13 @@ def test_predicate_rejects():
 
 
 def test_transform_guard_sides():
-    tr = transform_R1(sigma2_predicate("geometric-above", "1/3"))
+    tr = TransformedR1(sigma2_predicate("geometric-above", "1/3"))
     # x0 = 11 decodes to e = 3, j = 1, so q_j = 1/2 and the guard is q >= 1/2
     assert tr.holds(11, 0, F(1, 2))
     assert not tr.holds(11, 0, F(1, 4))
     assert tr.neg_witness(11, F(1, 4)) == 0
     assert tr.neg_witness(11, F(1, 2)) is None
-    tl = transform_R1(sigma2_predicate("geometric-below", "2/3"))
+    tl = TransformedR1(sigma2_predicate("geometric-below", "2/3"))
     assert tl.holds(11, 0, F(1, 2))
     assert not tl.holds(11, 0, F(3, 4))
 
@@ -158,7 +157,7 @@ def test_transform_guard_sides():
     ("geometric-above", "1/3"), ("lagged-above", "2/7"),
     ("geometric-below", "2/3"), ("lagged-below", "5/7")])
 def test_transform_witness_matches_brute_force(name, param):
-    tr = transform_R1(sigma2_predicate(name, param))
+    tr = TransformedR1(sigma2_predicate(name, param))
     qs = [F(0), F(1, 3), F(11, 24), F(1, 2), F(2, 3), F(1)]
     for x0 in range(40):
         for q in qs:
@@ -168,7 +167,7 @@ def test_transform_witness_matches_brute_force(name, param):
 
 
 def test_transform_monotone_in_q():
-    tr = transform_R1(sigma2_predicate("geometric-above", "1/3"))
+    tr = TransformedR1(sigma2_predicate("geometric-above", "1/3"))
     qs = sorted([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)])
     for x0 in range(30):
         for x1 in range(5):
@@ -178,7 +177,7 @@ def test_transform_monotone_in_q():
 
 
 def test_staged_values_right():
-    ex = extract_seq_right_sigma2(sigma2_predicate("geometric-above", "1/3"))
+    ex = get_extraction(sigma2_predicate("geometric-above", "1/3"))
     grid = (1, 4, 16, 64, 256, 1024)
     assert [ex.s_approx(11, t) for t in grid] == \
         [Dyadic(0, 0), Dyadic(1, 2), Dyadic(3, 3), Dyadic(15, 5),
@@ -192,13 +191,14 @@ def test_staged_values_right():
     assert ex.limit_r(10) == F(1)
     assert ex.limit_r(11) == F(1, 2)
     assert ex.r_approx(32, 1024) == Dyadic(255, 9)
-    staged = ex.staged(11)
-    assert staged.direction == FROM_BELOW
-    assert staged.approx(64) == ex.r_approx(11, 64)
+    # r_n's approximations rise from below
+    vals = [ex.r_approx(11, t) for t in grid]
+    assert vals == sorted(vals)
+    assert vals[3] == Dyadic(15, 5)
 
 
 def test_staged_values_left():
-    ex = extract_seq_left_sigma2(sigma2_predicate("geometric-below", "2/3"))
+    ex = get_extraction(sigma2_predicate("geometric-below", "2/3"))
     grid = (1, 4, 16, 64, 256, 1024)
     assert [ex.s_approx(11, t) for t in grid] == \
         [Dyadic(1, 0), Dyadic(1, 0), Dyadic(5, 3), Dyadic(17, 5),
@@ -210,7 +210,9 @@ def test_staged_values_left():
     assert ex.limit_r(10) == F(0)
     assert ex.limit_r(11) == F(1, 2)
     assert ex.r_approx(32, 1024) == Dyadic(257, 9)
-    assert ex.staged(11).direction == FROM_ABOVE
+    # r_n's approximations fall from above
+    vals = [ex.r_approx(11, t) for t in grid]
+    assert vals == sorted(vals, reverse=True)
 
 
 def _entering(t):
@@ -268,21 +270,16 @@ def test_closed_form_matches_simulation(name, param):
 
 
 def test_prefix_extremum_monotone_in_n():
-    ex = extract_seq_right_sigma2(sigma2_predicate("geometric-above", "1/3"))
+    ex = get_extraction(sigma2_predicate("geometric-above", "1/3"))
     vals = [ex.r_approx(n, 256) for n in range(33)]
     assert vals == sorted(vals, reverse=True)
-    exl = extract_seq_left_sigma2(sigma2_predicate("geometric-below", "2/3"))
+    exl = get_extraction(sigma2_predicate("geometric-below", "2/3"))
     vals = [exl.r_approx(n, 256) for n in range(33)]
     assert vals == sorted(vals)
 
 
 def test_extraction_side_guards():
     right = sigma2_predicate("geometric-above", "1/3")
-    left = sigma2_predicate("geometric-below", "2/3")
-    with pytest.raises(RealSourceError):
-        extract_seq_right_sigma2(left)
-    with pytest.raises(RealSourceError):
-        extract_seq_left_sigma2(right)
     assert get_extraction(right) is get_extraction(right)
 
 
@@ -331,18 +328,21 @@ def test_source_rejects():
 
 
 def test_lift_level_one_running_extrema():
-    kids = lift_successor(BuiltinSource("1/3"), RIGHT)
-    assert kids.direction == "nonincreasing"
-    vals = [kids(n).value for n in range(25)]
+    # a level-1 source has no child numerals; the running extrema of its
+    # cut enumeration still close in on the real from the cut's side
+    with pytest.raises(RealSourceError):
+        lift_successor(BuiltinSource("1/3"), LEFT)
+    right = get_cut("1/3", RIGHT)
+    vals = list(accumulate((right.element(n) for n in range(25)), min,
+                           initial=F(1)))[1:]
     assert vals[0] == F(1)
     assert vals[1] == F(1, 2)
     assert vals[9] == F(3, 8)
     assert vals == sorted(vals, reverse=True)
     assert all(v >= F(1, 3) for v in vals)
-    assert kids(0).level.is_zero()
-    low = lift_successor(BuiltinSource("1/3"), LEFT)
-    assert low.direction == "nondecreasing"
-    lvals = [low(n).value for n in range(25)]
+    left = get_cut("1/3", LEFT)
+    lvals = list(accumulate((left.element(n) for n in range(25)), max,
+                            initial=F(0)))[1:]
     assert lvals == sorted(lvals)
     assert all(F(0) <= v <= F(1, 3) for v in lvals)
     assert lvals[3] == F(1, 4)
@@ -358,7 +358,8 @@ def test_lift_successor_sigma2():
     assert child.level == from_int(1)
     assert child.cmp_to(F(1, 2)) == 0
     assert kids(10).cmp_to(F(1, 2)) == 1
-    assert child.staged.approx(1024) == Dyadic(255, 9)
+    assert get_extraction(child.pred).r_approx(child.index, 1024) == \
+        Dyadic(255, 9)
 
 
 def test_lift_successor_geometric():
@@ -377,6 +378,8 @@ def test_lift_guards():
                        LEFT)
     with pytest.raises(RealSourceError):
         lift_successor(ConstantSource(F(1, 2), from_int(0)), RIGHT)
+    with pytest.raises(RealSourceError):
+        lift_successor(BuiltinSource("1/3"), RIGHT)  # level 1 has no children
     with pytest.raises(RealSourceError):
         lift_successor(ConstantSource(F(1, 2), OMEGA), RIGHT)
 
