@@ -306,7 +306,8 @@ class Engine:
         nonincreasing, for Pi-rooted the lower endpoints nondecreasing.
         truth, when given as a Fraction, adds signed estimate distances.
         """
-        rows, problem = self._convergence_rows(phi, space, depths)
+        rows, problem = self._convergence_rows(phi, space, depths,
+                                               classify(phi))
         if problem is not None:
             raise EngineError(problem)
         if truth is not None:
@@ -315,10 +316,9 @@ class Engine:
                          for r in rows)
         return rows
 
-    def _convergence_rows(self, phi, space, depths):
+    def _convergence_rows(self, phi, space, depths, rank):
         """Convergence rows and the first fault of the sound endpoint's
-        monotonicity, or None."""
-        rank = classify(phi)
+        monotonicity (which endpoint follows from phi's rank), or None."""
         rows = []
         for n in depths:
             sched = TruncationSchedule.default(n)
@@ -342,16 +342,17 @@ class Engine:
         sched = TruncationSchedule.default(depth)
         indep = self.independence_check(phi, spaces, sched)
         ladder = sorted({max(1, depth // 16), max(1, depth // 4), depth})
-        rows, problem = self._convergence_rows(phi, spaces[0], ladder)
+        rank = classify(phi)
+        rows, problem = self._convergence_rows(phi, spaces[0], ladder, rank)
         tol = Fraction(1, 1 << tol_exp)
         est = rows[-1].estimate.as_fraction()
         tolerance_ok = (recipe.source.cmp_to(est - tol) >= 0
                         and recipe.source.cmp_to(est + tol) <= 0)
         expected = Rank(SIGMA if recipe.side == RIGHT else PI, recipe.level)
+        actual = rank
         try:
-            actual = classify(phi)
-            classification_ok = actual == expected and not free_vars(phi)
-        except Exception as err:  # classification errors are a verdict here
+            classification_ok = rank == expected and not free_vars(phi)
+        except Exception as err:  # a member that fails to build is a verdict
             actual = "error: %s" % err
             classification_ok = False
         return VerificationReport(indep.entries, indep.agreement,

@@ -368,23 +368,28 @@ def sigma_level(rank):
 _SPOT_CHECK = 3
 
 
-def _classify_family(family, flavor, member_level):
+def _classify_family(family, flavor, member_level, memo):
     if isinstance(family, ExplicitFamily):
         top = ZERO_ORD
         for m in family.members:
-            lvl = member_level(classify(m))
+            lvl = member_level(_classify(m, memo))
             if lvl > top:
                 top = lvl
         return Rank(flavor, top + from_int(1))
+    key = (family.generator, family.params, flavor)
+    rank = memo.get(key)
+    if rank is not None:
+        return rank
     gen = get_generator(family.generator)
     alpha = gen.level_bound(family.params)
     for n in range(_SPOT_CHECK):
-        lvl = member_level(classify(family.member(n)))
+        lvl = member_level(_classify(family.member(n), memo))
         if not lvl < alpha:
             raise ClassificationError(
                 "family %s member %d has level %s, not below declared bound %s"
                 % (family.generator, n, lvl, alpha))
-    return Rank(flavor, alpha)
+    rank = memo[key] = Rank(flavor, alpha)
+    return rank
 
 
 def classify(phi):
@@ -393,24 +398,32 @@ def classify(phi):
     CInf forms Sigma levels and CSup forms Pi levels; negation swaps the
     flavor; half and the point quantifiers are rank-neutral. DotMinus is
     only supported over finitary operands.
+
+    A generated family is spot-checked once per (generator, params,
+    flavor) in one call, so the checks grow with the number of distinct
+    families, not 3 per nesting level.
     """
+    return _classify(phi, {})
+
+
+def _classify(phi, memo):
     if isinstance(phi, Atomic):
         return Rank(FINITARY, ZERO_ORD)
     if isinstance(phi, Neg):
-        r = classify(phi.body)
+        r = _classify(phi.body, memo)
         if r.flavor == FINITARY:
             return r
         return Rank(PI if r.flavor == SIGMA else SIGMA, r.level)
     if isinstance(phi, (Half, InfQ, SupQ)):
-        return classify(phi.body)
+        return _classify(phi.body, memo)
     if isinstance(phi, DotMinus):
-        a = classify(phi.left)
-        b = classify(phi.right)
+        a = _classify(phi.left, memo)
+        b = _classify(phi.right, memo)
         if a.flavor != FINITARY or b.flavor != FINITARY:
             raise ClassificationError("dotminus over infinitary operands")
         return Rank(FINITARY, ZERO_ORD)
     if isinstance(phi, CInf):
-        return _classify_family(phi.family, SIGMA, pi_level)
+        return _classify_family(phi.family, SIGMA, pi_level, memo)
     if isinstance(phi, CSup):
-        return _classify_family(phi.family, PI, sigma_level)
+        return _classify_family(phi.family, PI, sigma_level, memo)
     raise TypeError("not a formula: %r" % (phi,))

@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals.builders import (EXISTS, FORALL, BuildError, base_numeral,
+from numerals.builders import (EXISTS, FORALL, BuildError,
+                               SuccessorMembersGenerator, base_numeral,
                                build_numeral, dyadic_numeral, other_flavor,
                                other_side, parse_recipe, staged_child_numeral,
                                strip_double_neg, successor_numeral)
-from numerals.dyadics import Dyadic, ONE, ZERO
+from numerals.dyadics import Dyadic, HALF, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
-from numerals.formulas import (Atomic, CInf, CSup, GeneratedFamily, Neg,
-                               free_vars)
+from numerals.formulas import (Atomic, CInf, CSup, GeneratedFamily, Half,
+                               InfQ, Neg, SupQ, classify, free_vars)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, RIGHT, ConstantSource, RealSourceError,
                             Sigma2Source, get_cut, get_extraction,
@@ -37,6 +38,32 @@ def test_dyadic_numeral_base_shapes():
     assert code(Dyadic(1, 1), EXISTS) == "(half (neg %s))" % NU_A0
     assert code(Dyadic(3, 2), EXISTS) == \
         "(neg (half (half (neg %s))))" % NU_E0
+
+
+def recursive_numeral(r, flavor):
+    """The defining recursion of dyadic numerals, building a fresh tree top
+    down: the oracle for the shared bottom-up table."""
+    if r == ZERO:
+        body = Atomic(0, 0)
+        return InfQ(0, body) if flavor == EXISTS else SupQ(0, body)
+    if r > HALF:
+        return Neg(recursive_numeral(ONE - r, other_flavor(flavor)))
+    return Half(recursive_numeral(r + r, flavor))
+
+
+def test_dyadic_numeral_matches_recursive_definition():
+    for m in range(2 ** 10 + 1):
+        r = Dyadic(m, 10)
+        for flavor in (EXISTS, FORALL):
+            assert code(r, flavor) == recursive_numeral(r, flavor).code
+
+
+def test_dyadic_numerals_are_shared():
+    r = Dyadic(5, 9)
+    for flavor in (EXISTS, FORALL):
+        assert dyadic_numeral(r, flavor) is dyadic_numeral(r, flavor)
+    eighth = dyadic_numeral(Dyadic(1, 3), EXISTS)
+    assert eighth.body is dyadic_numeral(Dyadic(1, 2), EXISTS)
 
 
 def test_dyadic_numeral_rejects():
@@ -134,6 +161,29 @@ def test_successor_numeral_explicit():
     assert isinstance(successor_numeral(LEFT, members), CSup)
     with pytest.raises(BuildError):
         successor_numeral(RIGHT, [Atomic(0, 1)])
+
+
+def test_successor_members_requested_once(monkeypatch):
+    # building a successor member must not build members of its own family,
+    # and classify must spot-check each family once: either would make the
+    # member requests grow as 3^k at nesting depth k
+    calls = []
+    member = SuccessorMembersGenerator.member
+
+    def counting(self, params, n):
+        calls.append((params, n))
+        return member(self, params, n)
+
+    monkeypatch.setattr(SuccessorMembersGenerator, "member", counting)
+    phi = parse_recipe('(numeral right w+1 (real constant "1/2" w+1))').build()
+    sched = TruncationSchedule.default(2)
+    eng = Engine()
+    eng.eval_enclosure(phi, builtin_suite()[0], sched)
+    eng.truncation_value(phi, builtin_suite()[0], sched)
+    assert calls and len(calls) <= 2 * len(set(calls))
+    calls.clear()
+    assert str(classify(phi)) == "Sigma w+1"
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_fundamental_sequence_map():

@@ -21,6 +21,13 @@ def test_dyadic_forall_zero(capsys):
     assert out.strip() == "(sup x0 (dist x0 x0))"
 
 
+def test_dyadic_deep(capsys):
+    code, out, _ = run(capsys, "dyadic", "1/2^600", "exists")
+    assert code == 0
+    assert out.strip() == \
+        "(half " * 600 + "(neg (sup x0 (dist x0 x0)))" + ")" * 600
+
+
 def test_dyadic_rejects_non_dyadic(capsys):
     code, _, err = run(capsys, "dyadic", "5/3", "exists")
     assert code == 2
