@@ -8,11 +8,15 @@ successor level wraps the opposite-side numerals of the lifted child
 sequence; a limit level wraps same-side numerals along the fundamental
 sequence. Infinite families are realized as registered generators so the
 whole construction serializes to a finite code.
+
+Generators take typed params (a cut target, a StagedChildSource, or the
+StepParams of a successor or limit step), handed over as values; the reader
+registered with each makes the same value from the text of a code.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from . import reals, sexpr
 from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit
@@ -98,7 +102,8 @@ def strip_double_neg(phi):
 
 
 class DyadicCutGenerator:
-    """Members of the level-1 family for one side of a cut.
+    """Members of the level-1 family for one side of a cut; params are the
+    target.
 
     Even indices carry the dyadic cut members in (0,1) in the order the
     fixed enumeration finds them; odd indices repeat the endpoint constant
@@ -110,22 +115,18 @@ class DyadicCutGenerator:
         self.side = side
         self.flavor = EXISTS if side == RIGHT else FORALL
         self.endpoint = ONE if side == RIGHT else ZERO
+        self.probe = Fraction(1) if side == RIGHT else Fraction(0)
 
-    def _trivial(self, params):
-        target = reals.parse_target(params)
-        probe = Fraction(1) if self.side == RIGHT else Fraction(0)
-        return target.cmp_to(probe) == 0
-
-    def member(self, params, n):
-        if n % 2 == 1 or self._trivial(params):
+    def member(self, target, n):
+        if n % 2 == 1 or target.cmp_to(self.probe) == 0:
             return dyadic_numeral(self.endpoint, self.flavor)
-        hit = reals.get_cut(params, self.side).hit(n // 2)
+        hit = reals.get_cut(target.text, self.side).hit(n // 2)
         return dyadic_numeral(hit, self.flavor)
 
-    def level_bound(self, params):
+    def level_bound(self, target):
         return from_int(1)
 
-    def monotone(self, params):
+    def monotone(self, target):
         return None
 
 
@@ -135,48 +136,44 @@ def base_numeral(side, enumerator):
         raise BuildError("enumerator is %s-sided, wanted %s"
                          % (enumerator.side, side))
     name = "dyadic-upper-cut" if side == RIGHT else "dyadic-lower-cut"
-    family = GeneratedFamily(name, enumerator.target.text)
+    family = GeneratedFamily(name, enumerator.target)
     return CInf(family) if side == RIGHT else CSup(family)
 
 
 class StagedApproxGenerator:
-    """Level-1 family for one extracted limit r_n, known only by stages.
+    """Level-1 family for one extracted limit r_n, known only by stages;
+    params are the StagedChildSource of r_n.
 
     Member t is the dyadic numeral of the stage-t approximation; for a
     right-sided predicate these rise from below and the wrapping CSup is
     the left child numeral, mirrored on the other side.
     """
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _parse(params):
-        node = sexpr.read(params)
-        if not isinstance(node, sexpr.Group) or len(node) != 4 \
-                or node[0] != "stage":
-            raise BuildError('staged-approx params must be '
-                             '(stage pred-name "param" index)')
-        pred = reals.sigma2_predicate(str(node[1]), str(node[2]))
-        index = int(str(node[3]))
-        return pred, index
-
-    def member(self, params, t):
-        pred, index = self._parse(params)
-        value = reals.get_extraction(pred).r_approx(index, t)
-        flavor = FORALL if pred.side == RIGHT else EXISTS
+    def member(self, source, t):
+        value = reals.get_extraction(source.pred).r_approx(source.index, t)
+        flavor = FORALL if source.pred.side == RIGHT else EXISTS
         return dyadic_numeral(value, flavor)
 
-    def level_bound(self, params):
+    def level_bound(self, source):
         return from_int(1)
 
-    def monotone(self, params):
-        pred, _ = self._parse(params)
-        return "nondecreasing" if pred.side == RIGHT else "nonincreasing"
+    def monotone(self, source):
+        return "nondecreasing" if source.pred.side == RIGHT else "nonincreasing"
+
+
+def read_stage(text):
+    """Staged-approx params from their text (stage pred-name "param" index)."""
+    node = sexpr.read(text)
+    if not isinstance(node, sexpr.Group) or len(node) != 4 \
+            or node[0] != "stage":
+        raise BuildError('staged-approx params must be '
+                         '(stage pred-name "param" index)')
+    pred = reals.sigma2_predicate(str(node[1]), str(node[2]))
+    return reals.StagedChildSource(pred, int(str(node[3])))
 
 
 def staged_child_numeral(source):
-    params = "(stage %s %s %d)" % (source.pred.name,
-                                   sexpr.quote(source.pred.param), source.index)
-    family = GeneratedFamily("staged-approx", params)
+    family = GeneratedFamily("staged-approx", source)
     return CSup(family) if source.side == LEFT else CInf(family)
 
 
@@ -201,70 +198,66 @@ def successor_numeral(side, family):
     return CInf(family) if side == RIGHT else CSup(family)
 
 
-@lru_cache(maxsize=None)
-def _succ_parse(params):
-    node = sexpr.read(params)
-    if not isinstance(node, sexpr.Group) or len(node) != 4 or node[0] != "succ":
-        raise BuildError("successor params must be (succ side level descriptor)")
-    side = str(node[1])
-    if side not in (LEFT, RIGHT):
-        raise BuildError("bad side %r" % side)
-    level = parse_ordinal(str(node[2]))
-    source = reals._source_from(node[3])
+@dataclass(frozen=True)
+class StepParams:
+    """Params of a successor- or limit-members family: the numeral's side and
+    its real source, whose level is the level of the step."""
+
+    side: str
+    source: object
+
+    @cached_property
+    def members(self):
+        """n -> the real source of member n, made when a member is first
+        asked for; raises on an incoherent source."""
+        if self.source.level.is_limit():
+            return reals.limit_decomposition(self.source, self.side)
+        return reals.lift_successor(self.source, self.side)
+
+    def __str__(self):
+        head = "limit" if self.source.level.is_limit() else "succ"
+        return "(%s %s %s %s)" % (head, self.side, self.source.level,
+                                  self.source.descriptor)
+
+
+def read_step(head, text):
+    """StepParams from the text (head side level descriptor), head being
+    succ or limit, with the checks build_numeral makes."""
+    step = "successor" if head == "succ" else "limit"
+    side, level, source = _side_level_source(
+        sexpr.read(text), head,
+        "%s params must be (%s side level descriptor)" % (step, head))
     if source.level != level:
-        raise BuildError("source declares level %s, successor step says %s"
-                         % (source.level, level))
-    children = reals.lift_successor(source, side)
-    return side, level, children
+        raise BuildError("source declares level %s, %s step says %s"
+                         % (source.level, step, level))
+    (reals.lift_successor if head == "succ" else reals.limit_decomposition)(
+        source, side)
+    return StepParams(side, source)
 
 
 class SuccessorMembersGenerator:
     """Members of a successor-level numeral: the child numerals one level
-    down on the opposite side, values moving monotonically to the real."""
+    down on the opposite side, values moving monotonically to the real
+    (down on the right, up on the left)."""
 
     def member(self, params, n):
-        side, level, children = _succ_parse(params)
-        return build_numeral(other_side(side), level.predecessor(), children(n))
+        child = params.members(n)
+        return build_numeral(other_side(params.side), child.level, child)
 
     def level_bound(self, params):
-        return _succ_parse(params)[1]
+        return params.source.level
 
     def monotone(self, params):
-        return _succ_parse(params)[2].direction
+        return "nonincreasing" if params.side == RIGHT else "nondecreasing"
 
 
-@lru_cache(maxsize=None)
-def _limit_parse(params):
-    node = sexpr.read(params)
-    if not isinstance(node, sexpr.Group) or len(node) != 4 or node[0] != "limit":
-        raise BuildError("limit params must be (limit side level descriptor)")
-    side = str(node[1])
-    if side not in (LEFT, RIGHT):
-        raise BuildError("bad side %r" % side)
-    level = parse_ordinal(str(node[2]))
-    source = reals._source_from(node[3])
-    if source.level != level:
-        raise BuildError("source declares level %s, limit step says %s"
-                         % (source.level, level))
-    member = reals.limit_decomposition(source, side)
-    return side, level, member
-
-
-class LimitMembersGenerator:
+class LimitMembersGenerator(SuccessorMembersGenerator):
     """Members of a limit-level numeral: same-side numerals at the levels of
     the fundamental sequence, with prefix-combined values."""
 
     def member(self, params, n):
-        side, _level, member = _limit_parse(params)
-        src = member(n)
-        return build_numeral(side, src.level, src)
-
-    def level_bound(self, params):
-        return _limit_parse(params)[1]
-
-    def monotone(self, params):
-        side = _limit_parse(params)[0]
-        return "nonincreasing" if side == RIGHT else "nondecreasing"
+        src = params.members(n)
+        return build_numeral(params.side, src.level, src)
 
 
 # ------------------------------------------------------------------- driver
@@ -291,16 +284,10 @@ def build_numeral(side, level, source):
             return base_numeral(side, reals.get_cut(str(source.value), side))
         raise BuildError("cannot build a level-1 numeral from %s"
                          % type(source).__name__)
-    if level.is_successor():
-        params = "(succ %s %s %s)" % (side, level, source.descriptor)
-        _succ_parse(params)  # fail fast on incoherent sources
-        return successor_numeral(side, GeneratedFamily("successor-members", params))
-    if isinstance(source, reals.ConstantSource):
+    name = "successor-members" if level.is_successor() else "limit-members"
+    if level.is_limit() and isinstance(source, reals.ConstantSource):
         source = reals.LeveledSource(side, level, "constant", source.value)
-    params = "(limit %s %s %s)" % (side, level, source.descriptor)
-    _limit_parse(params)
-    family = GeneratedFamily("limit-members", params)
-    return CInf(family) if side == RIGHT else CSup(family)
+    return successor_numeral(side, GeneratedFamily(name, StepParams(side, source)))
 
 
 # ------------------------------------------------------------------ recipes
@@ -321,14 +308,10 @@ class NumeralRecipe:
         return build_numeral(self.side, self.level, self.source)
 
 
-def parse_recipe(text):
-    try:
-        node = sexpr.read(text)
-    except sexpr.SexprError as err:
-        raise BuildError("bad recipe: %s" % err) from None
-    if not isinstance(node, sexpr.Group) or len(node) != 4 \
-            or node[0] != "numeral":
-        raise BuildError("recipe must be (numeral side level real-source)")
+def _side_level_source(node, head, usage):
+    """(side, level, source) of a node (head side level real-source)."""
+    if not isinstance(node, sexpr.Group) or len(node) != 4 or node[0] != head:
+        raise BuildError(usage)
     side = str(node[1])
     if side not in (LEFT, RIGHT):
         raise BuildError("bad side %r" % side)
@@ -336,12 +319,24 @@ def parse_recipe(text):
         level = parse_ordinal(str(node[2]))
     except ValueError as err:
         raise BuildError(str(err)) from None
-    source = reals._source_from(node[3])
-    return NumeralRecipe(side, level, source)
+    return side, level, reals._source_from(node[3])
 
 
-register_generator("dyadic-upper-cut", DyadicCutGenerator(RIGHT))
-register_generator("dyadic-lower-cut", DyadicCutGenerator(LEFT))
-register_generator("staged-approx", StagedApproxGenerator())
-register_generator("successor-members", SuccessorMembersGenerator())
-register_generator("limit-members", LimitMembersGenerator())
+def parse_recipe(text):
+    try:
+        node = sexpr.read(text)
+    except sexpr.SexprError as err:
+        raise BuildError("bad recipe: %s" % err) from None
+    return NumeralRecipe(*_side_level_source(
+        node, "numeral", "recipe must be (numeral side level real-source)"))
+
+
+register_generator("dyadic-upper-cut", DyadicCutGenerator(RIGHT),
+                   reals.parse_target)
+register_generator("dyadic-lower-cut", DyadicCutGenerator(LEFT),
+                   reals.parse_target)
+register_generator("staged-approx", StagedApproxGenerator(), read_stage)
+register_generator("successor-members", SuccessorMembersGenerator(),
+                   lambda text: read_step("succ", text))
+register_generator("limit-members", LimitMembersGenerator(),
+                   lambda text: read_step("limit", text))

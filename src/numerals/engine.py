@@ -21,7 +21,7 @@ prefix scan gives both.
   end member's value rather than the prefix extremum.
 - The builtin declarations hold: staged-approx members are the dyadic
   numerals of r_approx(n, t), monotone in t, and successor and limit
-  members follow the child direction they declare.
+  members fall on the right and rise on the left, as their sources do.
 
 All evaluation is memoized on (formula code, space, environment, schedule
 tail); finitary nodes drop the tail. Family generation is pure, so member

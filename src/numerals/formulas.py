@@ -3,9 +3,12 @@
 The finitary layer is Atomic / Neg / DotMinus / Half / InfQ / SupQ. The two
 infinitary connectives CInf and CSup take a countable family of formulas,
 given either explicitly (a finite tuple, for tests and truncations) or as a
-named generator plus a parameter string. Generators live in a registry so
-that a formula code is just text: `(gen dyadic-upper-cut "1/3")` names the
-family without materializing it.
+named generator plus its params. Generators live in a registry so that a
+formula code is just text: `(gen dyadic-upper-cut "1/3")` names the family
+without materializing it. Params are typed values (a cut target, a staged
+source, a successor or limit step), frozen and compared by value; str(params)
+is the quoted text of the code, and each generator has a reader that makes
+the params from that text, so parse checks them before any member is built.
 
 Grammar (whitespace-insensitive, prefix form):
 
@@ -154,11 +157,11 @@ class ExplicitFamily:
 @dataclass(frozen=True)
 class GeneratedFamily:
     generator: str
-    params: str
+    params: object  # hashable, compared by value; str(params) is its code text
 
     @cached_property
     def code(self):
-        return "(gen %s %s)" % (self.generator, sexpr.quote(self.params))
+        return "(gen %s %s)" % (self.generator, sexpr.quote(str(self.params)))
 
     def member(self, n):
         if n < 0:
@@ -198,7 +201,10 @@ FamilySpec = ExplicitFamily | GeneratedFamily
 
 # ---------------------------------------------------------- generator registry
 #
-# A generator is any object with three methods, each pure in its arguments:
+# A generator comes with a reader, read(text) -> params, which makes the
+# params from the quoted text of a (gen NAME "...") code or raises; str(params)
+# gives the text back. A generator is any object with three methods, each pure
+# in its arguments:
 #   member(params, n) -> Formula         the n-th family member
 #   level_bound(params) -> OrdinalCNF    level of the wrapping infinitary node
 #   monotone(params) -> str | None       "nonincreasing" / "nondecreasing"
@@ -210,25 +216,23 @@ FamilySpec = ExplicitFamily | GeneratedFamily
 # certified whatever the declaration says; a wrong declaration only costs
 # tightness, and makes the estimate the end member's value rather than the
 # prefix extremum. The builtin declarations hold: staged-approx members are
-# r_approx(n, t), monotone in t, and successor and limit members follow the
-# child direction they declare.
+# r_approx(n, t), monotone in t, and successor and limit members fall on the
+# right and rise on the left, as their sources do.
 
-_GENERATORS = {}
+_GENERATORS = {}  # name -> (generator, reader)
 
 
-def register_generator(name, gen):
-    _GENERATORS[name] = gen
+def register_generator(name, gen, read=None):
+    """Register gen with its reader. Without one, a name keeps the reader it
+    has, so a wrapper can stand in for a generator; a new name reads str."""
+    _GENERATORS[name] = gen, read or _GENERATORS.get(name, (None, str))[1]
 
 
 def get_generator(name):
     try:
-        return _GENERATORS[name]
+        return _GENERATORS[name][0]
     except KeyError:
         raise UnknownGeneratorError("unknown generator %r" % name) from None
-
-
-def known_generators():
-    return sorted(_GENERATORS)
 
 
 # ------------------------------------------------------------------- parsing
@@ -255,8 +259,9 @@ def _family_from(node):
                 or not isinstance(node[2], sexpr.QuotedString):
             raise FormulaSyntaxError('(gen ...) takes a name and a "param" string',
                                      node.position)
-        get_generator(str(node[1]))  # unknown generator fails at parse time
-        return GeneratedFamily(str(node[1]), str(node[2]))
+        name = str(node[1])
+        get_generator(name)  # unknown generator fails at parse time
+        return GeneratedFamily(name, _GENERATORS[name][1](str(node[2])))
     raise FormulaSyntaxError("unknown family form %r" % str(head), node.position)
 
 

@@ -116,10 +116,13 @@ ENUM = RationalEnumeration()
 # ------------------------------------------------------- comparison targets
 
 
+@dataclass(frozen=True)
 class RationalTarget:
-    def __init__(self, value, text=None):
-        self.value = Fraction(value)
-        self.text = text if text is not None else str(self.value)
+    value: Fraction
+    text: str
+
+    def __str__(self):
+        return self.text
 
     def cmp_to(self, q):
         """sign(r - q), decided exactly."""
@@ -127,10 +130,14 @@ class RationalTarget:
         return (d > 0) - (d < 0)
 
 
+@dataclass(frozen=True)
 class SqrtHalfTarget:
     """The square root of 1/2, compared by cross-multiplied squaring."""
 
     text = "sqrt-half"
+
+    def __str__(self):
+        return self.text
 
     def cmp_to(self, q):
         if q <= 0:
@@ -590,6 +597,11 @@ class StagedChildSource:
         d = get_extraction(self.pred).limit_r(self.index) - q
         return (d > 0) - (d < 0)
 
+    def __str__(self):
+        """The text of this source as staged-approx params."""
+        return "(stage %s %s %d)" % (self.pred.name, sexpr.quote(self.pred.param),
+                                     self.index)
+
 
 RealSource = (BuiltinSource | ConstantSource | Sigma2Source | GeometricSource
               | LeveledSource | StagedChildSource)
@@ -690,23 +702,9 @@ def parse_real_source(text):
 # --------------------------------------------------- successor / limit steps
 
 
-@dataclass(frozen=True)
-class SuccessorChildren:
-    """Lazy child sequence of a successor-level source.
-
-    direction declares how child values move: nonincreasing toward the
-    real for right-side parents, nondecreasing for left-side ones.
-    """
-
-    child: object  # n -> RealSource
-    direction: str
-
-    def __call__(self, n):
-        return self.child(n)
-
-
 def lift_successor(source, side):
-    """The child sequence one level down that converges to the source real.
+    """The child sequence n -> source one level down that converges to the
+    source real: falling on the right, rising on the left.
 
     side is the recipe side of the parent numeral; children land on the
     opposite side at the predecessor level, which must be at least 1: a
@@ -721,24 +719,21 @@ def lift_successor(source, side):
     if not level.is_successor():
         raise RealSourceError("level %s is a limit; use limit_decomposition" % level)
     down = level.predecessor()
-    direction = "nonincreasing" if side == RIGHT else "nondecreasing"
     if isinstance(source, Sigma2Source):
-        pred = source.pred
-        def child(n, _pred=pred):
+        def child(n, _pred=source.pred):
             return StagedChildSource(_pred, n)
-        return SuccessorChildren(child, direction)
-    if isinstance(source, ConstantSource):
+    elif isinstance(source, ConstantSource):
         def child(n, _v=source.value, _lvl=down):
             return ConstantSource(_v, _lvl)
-        return SuccessorChildren(child, direction)
-    if isinstance(source, GeometricSource):
-        value = source.value
-        def child(n, _v=value, _lvl=down, _side=side):
+    elif isinstance(source, GeometricSource):
+        def child(n, _v=source.value, _lvl=down, _side=side):
             if _side == RIGHT:
                 return ConstantSource(clamp01(_v + Fraction(1, 1 << n)), _lvl)
             return ConstantSource(clamp01(_v - Fraction(1, 1 << n)), _lvl)
-        return SuccessorChildren(child, direction)
-    raise RealSourceError("cannot lift %s at level %s" % (type(source).__name__, level))
+    else:
+        raise RealSourceError("cannot lift %s at level %s"
+                              % (type(source).__name__, level))
+    return child
 
 
 def limit_decomposition(source, side):

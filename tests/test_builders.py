@@ -3,19 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numerals import reals, sexpr
+from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
 from numerals.builders import (EXISTS, FORALL, BuildError,
+                               LimitMembersGenerator, StepParams,
                                SuccessorMembersGenerator, base_numeral,
                                build_numeral, dyadic_numeral, other_flavor,
                                other_side, parse_recipe, staged_child_numeral,
                                strip_double_neg, successor_numeral)
 from numerals.dyadics import Dyadic, HALF, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
-from numerals.formulas import (Atomic, CInf, CSup, GeneratedFamily, Half,
-                               InfQ, Neg, SupQ, classify, free_vars)
+from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
+                               classify, free_vars, parse)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (LEFT, RIGHT, ConstantSource, RealSourceError,
-                            Sigma2Source, get_cut, get_extraction,
-                            lift_successor, sigma2_predicate)
+from numerals.reals import (LEFT, RIGHT, ConstantSource, GeometricSource,
+                            LeveledSource, RealSourceError, Sigma2Source,
+                            get_cut, get_extraction, lift_successor,
+                            sigma2_predicate)
 from numerals.spaces import builtin_suite
 
 F = Fraction
@@ -110,7 +114,7 @@ def test_helpers():
 
 
 def test_upper_cut_family_members():
-    fam = GeneratedFamily("dyadic-upper-cut", "1/3")
+    fam = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
     hits = [Dyadic(1, 1), Dyadic(3, 2), Dyadic(3, 3)]
     for k, hit in enumerate(hits):
         assert fam.member(2 * k).code == code(hit, EXISTS)
@@ -119,14 +123,14 @@ def test_upper_cut_family_members():
 
 
 def test_lower_cut_family_members():
-    fam = GeneratedFamily("dyadic-lower-cut", "1/3")
+    fam = parse('(csup (gen dyadic-lower-cut "1/3"))').family
     assert fam.member(0).code == code(Dyadic(1, 2), FORALL)
     assert fam.member(1).code == code(ZERO, FORALL)
 
 
 def test_trivial_cuts_use_endpoints_only():
-    upper_one = GeneratedFamily("dyadic-upper-cut", "1")
-    lower_zero = GeneratedFamily("dyadic-lower-cut", "0")
+    upper_one = parse('(cinf (gen dyadic-upper-cut "1"))').family
+    lower_zero = parse('(csup (gen dyadic-lower-cut "0"))').family
     for n in range(8):
         assert upper_one.member(n).code == code(ONE, EXISTS)
         assert lower_zero.member(n).code == NU_A0
@@ -267,3 +271,91 @@ def test_recipe_rejects():
         parse_recipe('(numeral right 1 (real mystery "1/3"))')
     with pytest.raises(BuildError):
         parse_recipe('(numeral right 2 (real builtin "1/3"))').build()
+
+
+def test_step_params_text():
+    succ = StepParams(RIGHT, GeometricSource(RIGHT, from_int(3), F(1, 3)))
+    assert str(succ) == '(succ right 3 (real geometric right 3 "1/3"))'
+    lim = StepParams(LEFT, LeveledSource(LEFT, OMEGA, "constant", F(1, 2)))
+    assert str(lim) == \
+        '(limit left w (real leveled left w (members constant "1/2")))'
+    assert SuccessorMembersGenerator().monotone(succ) == "nonincreasing"
+    assert LimitMembersGenerator().monotone(lim) == "nondecreasing"
+
+
+# the recipes of the benchmark ladder (perfbench/spec.json), then the corpus
+LADDER_RECIPES = (
+    '(numeral right 1 (real builtin "sqrt-half"))',
+    '(numeral right 1 (real builtin "1/3"))',
+    '(numeral right 2 (real sigma2-right geometric-above "1/3"))',
+    '(numeral left 2 (real sigma2-left lagged-below "2/3"))',
+    '(numeral right 3 (real geometric right 3 "1/3"))',
+    '(numeral right w (real leveled right w (members constant "1/2")))',
+    '(numeral right w+1 (real constant "1/2" w+1))',
+    '(numeral right w*2 (real leveled right w*2 (members constant "1/2")))',
+    '(numeral right w^2 (real leveled right w^2 (members constant "1/2")))',
+)
+CORPUS_RECIPES = RIGHT_CORPUS + LEFT_CORPUS + (
+    '(numeral left 3 (real geometric left 3 "2/3"))',
+    '(numeral left w (real leveled left w (members constant "1/2")))',
+    '(numeral left w+1 (real constant "1/2" w+1))',
+)
+
+
+def _family_tree(phi, levels):
+    """phi, then members 0-3 of its family, `levels` families down."""
+    out = [phi]
+    if levels and isinstance(phi, (CInf, CSup)):
+        for n in range(4):
+            out += _family_tree(phi.family.member(n), levels - 1)
+    return out
+
+
+def test_codes_round_trip():
+    # parse makes the params a builder hands over from the code's text alone
+    for text in LADDER_RECIPES + CORPUS_RECIPES:
+        for m in _family_tree(parse_recipe(text).build(), 2):
+            back = parse(m.code)
+            assert back == m, m.code
+            assert back.code == m.code
+            assert classify(back) == classify(m)
+
+
+MALFORMED_PARAMS = (
+    ('(cinf (gen successor-members "(succ right 2)"))',
+     "successor params must be (succ side level descriptor)"),
+    ('(csup (gen limit-members '
+     '"(limit right 3 (real geometric right 3 \\"1/3\\"))"))',
+     "limit decomposition needs a leveled source"),
+    ('(csup (gen staged-approx "(stage nope \\"1/3\\" 1)"))',
+     "unknown predicate 'nope'"),
+    ('(cinf (gen dyadic-upper-cut "7/3"))', "builtin real 7/3 outside [0,1]"),
+)
+MALFORMED_IDS = ("succ", "limit", "stage", "cut")
+
+
+@pytest.mark.parametrize("code, message", MALFORMED_PARAMS, ids=MALFORMED_IDS)
+def test_malformed_params_rejected_at_parse(code, message):
+    with pytest.raises((BuildError, RealSourceError)) as err:
+        parse(code)
+    assert str(err.value) == message
+
+
+def test_members_read_no_text(monkeypatch):
+    # members are built from the family's params, never from text: the only
+    # text read is the recipe, and a target is parsed once per new cut
+    calls = {}
+    for module, name in ((sexpr, "read"), (reals, "parse_target")):
+        def counting(text, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(text)
+        monkeypatch.setattr(module, name, counting)
+    space = builtin_suite()[0]
+    for depth in (4, 8, 16):
+        calls.update(read=0, parse_target=0)
+        cuts = len(reals._CUTS)
+        phi = parse_recipe('(numeral right 3 (real geometric right 3 "1/3"))')
+        Engine().eval_enclosure(phi.build(), space,
+                                TruncationSchedule.default(depth))
+        assert calls["read"] == 1
+        assert calls["parse_target"] <= len(reals._CUTS) - cuts

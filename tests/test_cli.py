@@ -1,4 +1,8 @@
+import pytest
+
 from numerals.cli import main
+
+from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 
 UPPER_THIRD = '(cinf (gen dyadic-upper-cut "1/3"))'
 
@@ -117,6 +121,14 @@ def test_eval_successor_of_level_one_rejected(capsys):
                        '"(succ right 1 (real builtin \\"1/3\\"))"))')
     assert code == 2
     assert "nothing to lift at level 1" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "classify"])
+@pytest.mark.parametrize("code, message", MALFORMED_PARAMS, ids=MALFORMED_IDS)
+def test_malformed_params_exit_2(capsys, command, code, message):
+    status, _, err = run(capsys, command, code)
+    assert status == 2
+    assert err == "error: %s\n" % message
 
 
 def test_verify_passes_level_one(capsys):

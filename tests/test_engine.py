@@ -110,8 +110,8 @@ def test_explicit_csup_one_sided():
 
 def test_cut_numeral_enclosures():
     eng = Engine()
-    upper = CInf(GeneratedFamily("dyadic-upper-cut", "1/3"))
-    lower = CSup(GeneratedFamily("dyadic-lower-cut", "1/3"))
+    upper = parse('(cinf (gen dyadic-upper-cut "1/3"))')
+    lower = parse('(csup (gen dyadic-lower-cut "1/3"))')
     sched = TruncationSchedule.uniform(64)
     assert eng.eval_enclosure(upper, POINT, sched) == \
         Enclosure(ZERO, Dyadic(11, 5))
@@ -126,15 +126,15 @@ def test_cut_numeral_enclosures():
 
 def test_neg_flips_enclosure():
     eng = Engine()
-    upper = CInf(GeneratedFamily("dyadic-upper-cut", "1/3"))
+    upper = parse('(cinf (gen dyadic-upper-cut "1/3"))')
     sched = TruncationSchedule.uniform(64)
     enc = eng.eval_enclosure(Neg(upper), POINT, sched)
     assert enc == Enclosure(Dyadic(21, 5), ONE)
 
 
 def test_monotone_shortcut_matches_full_scan():
-    params = '(stage geometric-above "1/3" 11)'
-    fam = GeneratedFamily("staged-approx", params)
+    fam = parse('(csup (gen staged-approx '
+                '"(stage geometric-above \\"1/3\\" 11)"))').family
     explicit = ExplicitFamily(tuple(fam.member(t) for t in range(16)))
     eng = Engine()
     sched = TruncationSchedule.uniform(16)

@@ -7,8 +7,10 @@ from numerals.formulas import (Atomic, CInf, CSup, ClassificationError,
                                FINITARY, FormulaSyntaxError, GeneratedFamily,
                                Half, InfQ, Neg, PI, Rank, SIGMA, SupQ,
                                UnknownGeneratorError, classify, free_vars,
-                               parse, pi_level, register_generator, sigma_level)
+                               get_generator, parse, pi_level,
+                               register_generator, sigma_level)
 from numerals.ordinals import from_int, parse_ordinal
+from numerals.reals import parse_target
 
 CODES = [
     "(dist x0 x1)",
@@ -18,6 +20,10 @@ CODES = [
     "(neg (half (half (neg (inf x0 (dist x0 x0))))))",
     "(cinf (list (dist x0 x0) (neg (dist x0 x0))))",
     "(csup (gen dyadic-lower-cut \"1/3\"))",
+    "(cinf (gen dyadic-upper-cut \"0.5\"))",
+    "(csup (gen staged-approx \"(stage lagged-above \\\"2/7\\\" 5)\"))",
+    "(cinf (gen successor-members "
+    "\"(succ right 2 (real constant \\\"1/2\\\" 2))\"))",
 ]
 
 
@@ -44,6 +50,19 @@ def test_syntax_errors_carry_position():
 def test_unknown_generator_rejected_at_parse():
     with pytest.raises(UnknownGeneratorError):
         parse('(cinf (gen no-such-thing "p"))')
+
+
+def test_reregistering_keeps_the_reader():
+    # a wrapper registered in a generator's place (as a tracer does) still
+    # gets the params the generator's reader makes
+    gen = get_generator("dyadic-upper-cut")
+    register_generator("dyadic-upper-cut", object())
+    try:
+        fam = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
+    finally:
+        register_generator("dyadic-upper-cut", gen)
+    assert fam.params == parse_target("1/3")
+    assert get_generator("dyadic-upper-cut") is gen
 
 
 def test_free_vars():

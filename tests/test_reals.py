@@ -351,7 +351,8 @@ def test_lift_level_one_running_extrema():
 def test_lift_successor_sigma2():
     src = Sigma2Source(sigma2_predicate("geometric-above", "1/3"))
     kids = lift_successor(src, RIGHT)
-    assert kids.direction == "nonincreasing"
+    limits = [kids(n).cmp_to(F(1, 2)) for n in range(16)]
+    assert limits == sorted(limits, reverse=True)  # falling to the real
     child = kids(11)
     assert isinstance(child, StagedChildSource)
     assert child.side == LEFT
