@@ -11,14 +11,18 @@ truncated formula itself, the active estimate in convergence reports.
 The monotone shortcut: a generated family whose generator declares the
 direction of its member values ("nonincreasing" or "nondecreasing" in n)
 is not scanned when its prefix has at least four members and members 0,
-count // 2 and count - 1 have point enclosures in the declared order. The
-end member where the declared extremum sits then gives both outputs: the
-enclosure bound and, as the estimate, its own value. Otherwise one full
+count // 2 and count - 1 are in the declared order on both their sound
+endpoints (hi under CInf, lo under CSup) and their estimates. The end
+member where the declared extremum sits then gives both outputs: the
+enclosure bound and, as the estimate, its own estimate. Otherwise one full
 prefix scan gives both.
 - The bound is attained by a sampled member, so it stays certified
-  whatever the declaration says.
+  whatever the declaration says, for interval members as for points: any
+  member's upper bound bounds the inf from above, and dually for sup.
 - A wrong declaration only costs tightness, and it makes the estimate the
-  end member's value rather than the prefix extremum.
+  end member's rather than the prefix extremum.
+- Truncated limit-members prefixes mostly fail the order check, so they
+  are still scanned in full.
 - The builtin declarations hold: staged-approx members are the dyadic
   numerals of r_approx(n, t), monotone in t, and successor and limit
   members fall on the right and rise on the left, as their sources do.
@@ -257,9 +261,10 @@ class Engine:
             if direction in ("nonincreasing", "nondecreasing"):
                 picks = [self._walk(family.member(n), space, tok, env, inner)
                          for n in (0, count // 2, count - 1)]
-                vals = [e.lo for e, _ in picks]
-                if all(e.is_point() for e, _ in picks) \
-                        and vals == sorted(vals, reverse=falling):
+                ends = [e.hi if is_inf else e.lo for e, _ in picks]
+                ests = [v for _, v in picks]
+                if ends == sorted(ends, reverse=falling) \
+                        and ests == sorted(ests, reverse=falling):
                     pairs = [picks[-1] if is_inf == falling else picks[0]]
         if pairs is None:
             pairs = [self._walk(family.member(n), space, tok, env, inner)

@@ -234,7 +234,7 @@ _CUTS = {}
 
 
 def get_cut(target_text, side):
-    key = (target_text, side)
+    key = (target_text.strip(), side)  # the text parse_target reads
     if key not in _CUTS:
         _CUTS[key] = CutEnumerator(parse_target(target_text), side)
     return _CUTS[key]

@@ -359,3 +359,16 @@ def test_members_read_no_text(monkeypatch):
                                 TruncationSchedule.default(depth))
         assert calls["read"] == 1
         assert calls["parse_target"] <= len(reals._CUTS) - cuts
+
+
+def test_padded_target_shares_its_cut():
+    # the recipe's target text and the family's params text name one cut,
+    # so padding round the target must not start a second enumerator
+    space = builtin_suite()[0]
+    for side, code in ((RIGHT, '(cinf (gen dyadic-upper-cut "1/3"))'),
+                       (LEFT, '(csup (gen dyadic-lower-cut "1/3"))')):
+        phi = parse_recipe('(numeral %s 1 (real builtin " 1/3"))' % side).build()
+        assert phi.code == code
+        Engine().eval_enclosure(phi, space, TruncationSchedule.uniform(64))
+    assert sorted(key for key in reals._CUTS if key[0].strip() == "1/3") == \
+        [("1/3", LEFT), ("1/3", RIGHT)]

@@ -1,10 +1,12 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from numerals.builders import (EXISTS, FORALL, dyadic_numeral, parse_recipe)
-from numerals.dyadics import Dyadic, Enclosure, ONE, ZERO
+from numerals.dyadics import (Dyadic, Enclosure, ONE, ZERO, from_fraction,
+                              neg)
 from numerals.engine import (Engine, EngineError, SandwichError,
                              TruncationSchedule)
 from numerals.formulas import (CInf, CSup, DotMinus, ExplicitFamily,
@@ -132,7 +134,7 @@ def test_neg_flips_enclosure():
     assert enc == Enclosure(Dyadic(21, 5), ONE)
 
 
-def test_monotone_shortcut_matches_full_scan():
+def test_monotone_shortcut_matches_full_scan(monkeypatch):
     fam = parse('(csup (gen staged-approx '
                 '"(stage geometric-above \\"1/3\\" 11)"))').family
     explicit = ExplicitFamily(tuple(fam.member(t) for t in range(16)))
@@ -143,6 +145,193 @@ def test_monotone_shortcut_matches_full_scan():
     assert fast == slow
     assert eng.truncation_value(CSup(fam), POINT, sched) == \
         eng.truncation_value(CSup(explicit), POINT, sched) == fast.lo
+    # step families, whose members have interval enclosures: the root family
+    # against an explicit family of the same prefix, in every structure
+    calls = _count_requests(monkeypatch)
+    sched = TruncationSchedule.default(8)
+    for name, (recipe, shortcut) in STEP_RECIPES.items():
+        phi = parse_recipe(recipe).build()
+        scan = type(phi)(ExplicitFamily(tuple(phi.family.member(n)
+                                              for n in range(8))))
+        for space in builtin_suite():
+            eng = Engine()
+            calls.clear()
+            fast = (eng.eval_enclosure(phi, space, sched),
+                    eng.truncation_value(phi, space, sched))
+            picked = {n for fam, n in calls if fam == phi.family}
+            assert picked == ({0, 4, 7} if shortcut else set(range(8))), name
+            assert fast == (eng.eval_enclosure(scan, space, sched),
+                            eng.truncation_value(scan, space, sched)), name
+
+
+# name -> (recipe, whether the shortcut takes its root family at default(8));
+# the limit-members families of w leave the declared order and are scanned
+STEP_RECIPES = {
+    "right 2": ('(numeral right 2 (real sigma2-right geometric-above "1/3"))',
+                True),
+    "left 2": ('(numeral left 2 (real sigma2-left lagged-below "2/3"))', True),
+    "right 3": ('(numeral right 3 (real geometric right 3 "1/3"))', True),
+    "left 3": ('(numeral left 3 (real geometric left 3 "2/3"))', True),
+    "right w": ('(numeral right w (real leveled right w '
+                '(members constant "1/2")))', False),
+    "left w": ('(numeral left w (real leveled left w '
+               '(members constant "1/2")))', False),
+    "right w+1": ('(numeral right w+1 (real constant "1/2" w+1))', True),
+    "left w+1": ('(numeral left w+1 (real constant "1/2" w+1))', True),
+}
+
+
+def _count_requests(monkeypatch):
+    """Records (family, n) of every generated member request from now on."""
+    calls = []
+    member = GeneratedFamily.member
+
+    def counting(self, n):
+        calls.append((self, n))
+        return member(self, n)
+
+    monkeypatch.setattr(GeneratedFamily, "member", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, depths", [
+    ("right 3", (16, 32)), ("left 3", (16, 32)), ("right w", (16, 32)),
+    ("left w", (16, 32)), ("right w+1", (8, 16)), ("left w+1", (8, 16))])
+def test_member_requests_grow_linearly_in_depth(monkeypatch, name, depths):
+    # the shortcut walks three members of each successor family, so doubling
+    # the depth about doubles the member requests; a full scan of every
+    # family quadruples them (d * (4d)^(k-2) at level k)
+    calls = _count_requests(monkeypatch)
+    counts = []
+    for depth in depths:
+        phi = parse_recipe(STEP_RECIPES[name][0]).build()
+        sched = TruncationSchedule.default(depth)
+        calls.clear()
+        eng = Engine()
+        eng.eval_enclosure(phi, POINT, sched)
+        eng.truncation_value(phi, POINT, sched)
+        counts.append(len(calls))
+    assert counts[1] <= 2.5 * counts[0], counts
+
+
+@dataclass(frozen=True)
+class _Listed:
+    """Params of the test-listed generator: a declared direction and the
+    members, the last repeating past the end."""
+
+    direction: str
+    members: tuple
+
+    def __str__(self):
+        return " ".join((self.direction,) + tuple(m.code for m in self.members))
+
+
+class _ListedGenerator:
+    def member(self, params, n):
+        return params.members[min(n, len(params.members) - 1)]
+
+    def level_bound(self, params):
+        return from_int(3)
+
+    def monotone(self, params):
+        return params.direction
+
+
+register_generator("test-listed", _ListedGenerator())
+
+
+def _capped(a, b):
+    """A CInf member with enclosure [0, b] and estimate min(a, b), for a, b
+    in [0, 1]: its sound endpoint and its estimate can move apart."""
+    return CInf(ExplicitFamily((CSup(ExplicitFamily((_dq(a),))), _dq(b))))
+
+
+def _floored(a, b):
+    """The dual CSup member: enclosure [1 - b, 1], estimate 1 - min(a, b)."""
+    return CSup(ExplicitFamily((CInf(ExplicitFamily((_dq(1 - a),))),
+                                _dq(1 - b))))
+
+
+def _dq(x):
+    return dyadic_numeral(from_fraction(F(x)), EXISTS)
+
+
+def _shortcut_and_scan(node, direction, members):
+    """(enclosure, estimate) of node over a generated family that declares
+    direction, and of node over an explicit family of the same members."""
+    sched = TruncationSchedule.uniform(len(members))
+    eng = Engine()
+    return [(eng.eval_enclosure(phi, POINT, sched),
+             eng.truncation_value(phi, POINT, sched))
+            for phi in (node(GeneratedFamily("test-listed",
+                                             _Listed(direction, members))),
+                        node(ExplicitFamily(members)))]
+
+
+# (a, b) of 8 _capped members by index, None for the rest; the shortcut
+# samples 0, 4 and 7. Estimates out of order, sound endpoints in order: the
+# end member's estimate is 1/2 while the prefix minimum is 0.
+ESTIMATES_OUT = {0: (0, F(1, 2)), 4: (F(1, 4), F(1, 2)), 7: (F(1, 2), F(1, 2)),
+                 None: (F(3, 8), F(1, 2))}
+# Sound endpoints out of order, estimates in order (all 0): the end member's
+# upper bound is 3/4 while the prefix minimum is 1/4.
+ENDPOINTS_OUT = {0: (0, F(1, 4)), 4: (0, F(1, 2)), 7: (0, F(3, 4)),
+                 None: (0, F(5, 8))}
+
+
+@pytest.mark.parametrize("table", [ESTIMATES_OUT, ENDPOINTS_OUT],
+                         ids=["estimates-out", "endpoints-out"])
+def test_shortcut_checks_both_orders(table):
+    pairs = [table.get(n, table[None]) for n in range(8)]
+    low_end = from_fraction(min(b for _, b in pairs))
+    low_est = from_fraction(min(min(a, b) for a, b in pairs))
+    fast, scan = _shortcut_and_scan(
+        CInf, "nonincreasing", tuple(_capped(a, b) for a, b in pairs))
+    assert fast == scan == (Enclosure(ZERO, low_end), low_est)
+    fast, scan = _shortcut_and_scan(
+        CSup, "nondecreasing", tuple(_floored(a, b) for a, b in pairs))
+    assert fast == scan == (Enclosure(neg(low_end), ONE), neg(low_est))
+
+
+unit_grid = st.integers(0, 8).map(lambda k: F(k, 8))
+listed_member = st.one_of(st.builds(_dq, unit_grid),
+                          st.builds(_capped, unit_grid, unit_grid),
+                          st.builds(_floored, unit_grid, unit_grid))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([CInf, CSup]),
+       st.sampled_from(["nonincreasing", "nondecreasing"]),
+       st.lists(listed_member, min_size=4, max_size=9), st.booleans())
+def test_shortcut_encloses_full_scan(node, direction, members, ordered):
+    # whatever the declaration, the shortcut's enclosure holds the full
+    # scan's, and its estimate. The declared end member stands in for the
+    # prefix exactly when members 0, count // 2 and count - 1 are in the
+    # declared order on both the sound endpoint and the estimate; otherwise
+    # the result is the full scan's
+    falling = direction == "nonincreasing"
+    if ordered:
+        members.sort(key=lambda m: _member_key(node, m), reverse=falling)
+    (enc, est), scan = _shortcut_and_scan(node, direction, tuple(members))
+    assert enc.lo <= scan[0].lo and scan[0].hi <= enc.hi
+    assert enc.contains(est)
+    count = len(members)
+    keys = [_member_key(node, members[n]) for n in (0, count // 2, count - 1)]
+    if all([k[i] for k in keys] == sorted((k[i] for k in keys), reverse=falling)
+           for i in (0, 1)):
+        end, end_est = keys[-1] if (node is CInf) == falling else keys[0]
+        scan = (Enclosure(ZERO, end) if node is CInf else Enclosure(end, ONE),
+                end_est)
+    assert (enc, est) == scan
+
+
+def _member_key(node, member):
+    """(sound endpoint, estimate) of a member under a CInf / CSup node."""
+    sched = TruncationSchedule.uniform(9)
+    eng = Engine()
+    enc = eng.eval_enclosure(member, POINT, sched)
+    return (enc.hi if node is CInf else enc.lo,
+            eng.truncation_value(member, POINT, sched))
 
 
 def test_truncation_value_diagonal():
