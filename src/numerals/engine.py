@@ -1,12 +1,15 @@
 """Evaluation and verification.
 
-Finitary formulas evaluate exactly (every truth value is dyadic). Under a
-truncation schedule every formula gets a pair from one memoized walk: a
-certified enclosure and an estimate. A truncated CInf is [0, min of member
-upper bounds], a truncated CSup is [max of member lower bounds, 1]; the
-tail of the family is never guessed, so two-sided intervals come only from
-sandwiching dual numerals. The estimate is the exact value of the
-truncated formula itself, the active estimate in convergence reports.
+One memoized walk evaluates every formula. A finitary node (no CInf or
+CSup below it) gets its exact value, which is dyadic; no family below it is
+cut short, so that value does not depend on the truncation schedule, and
+eval_exact is the same walk with no schedule at all. Any other node gets a
+pair under the schedule: a certified enclosure and an estimate. A truncated
+CInf is [0, min of member upper bounds], a truncated CSup is [max of member
+lower bounds, 1]; the tail of the family is never guessed, so two-sided
+intervals come only from sandwiching dual numerals. The estimate is the
+exact value of the truncated formula itself, the active estimate in
+convergence reports. A finitary value v stands in a pair as (point(v), v).
 
 The monotone shortcut: a generated family whose generator declares the
 direction of its member values ("nonincreasing" or "nondecreasing" in n)
@@ -94,6 +97,12 @@ def _bind(env, var, p):
     return tuple(out)
 
 
+def _as_pair(out):
+    """A walk result as an (enclosure, estimate) pair: a finitary node's
+    exact value v becomes (point(v), v)."""
+    return out if isinstance(out, tuple) else (point(out), out)
+
+
 def _lookup(env, var):
     for v, p in env:
         if v == var:
@@ -137,9 +146,7 @@ class VerificationReport(IndependenceReport):
 
 class Engine:
     def __init__(self):
-        self._exact = {}
-        self._pairs = {}
-        self._finitary = {}
+        self._memo = {}
         self._space_tokens = {}
         self._pinned_spaces = []
         self.atomic_evals = 0
@@ -152,99 +159,67 @@ class Engine:
             self._pinned_spaces.append(space)
         return tok
 
-    def _is_finitary(self, phi):
-        cached = self._finitary.get(phi.code)
-        if cached is not None:
-            return cached
-        if isinstance(phi, Atomic):
-            out = True
-        elif isinstance(phi, (Neg, Half, InfQ, SupQ)):
-            out = self._is_finitary(phi.body)
-        elif isinstance(phi, DotMinus):
-            out = self._is_finitary(phi.left) and self._is_finitary(phi.right)
-        else:
-            out = False
-        self._finitary[phi.code] = out
-        return out
-
-    # ------------------------------------------------------ exact evaluation
-
     def eval_exact(self, phi, space, env=None):
         """The exact dyadic value of a finitary formula."""
-        return self._exact_eval(phi, space, self._token(space), _freeze_env(env))
-
-    def _exact_eval(self, phi, space, tok, env):
-        key = (phi.code, tok, env)
-        hit = self._exact.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(phi, Atomic):
-            self.atomic_evals += 1
-            val = space.d(_lookup(env, phi.left), _lookup(env, phi.right))
-        elif isinstance(phi, Neg):
-            val = neg(self._exact_eval(phi.body, space, tok, env))
-        elif isinstance(phi, DotMinus):
-            val = dotminus(self._exact_eval(phi.left, space, tok, env),
-                           self._exact_eval(phi.right, space, tok, env))
-        elif isinstance(phi, Half):
-            val = half(self._exact_eval(phi.body, space, tok, env))
-        elif isinstance(phi, InfQ):
-            val = min(self._exact_eval(phi.body, space, tok, _bind(env, phi.var, p))
-                      for p in range(space.size))
-        elif isinstance(phi, SupQ):
-            val = max(self._exact_eval(phi.body, space, tok, _bind(env, phi.var, p))
-                      for p in range(space.size))
-        else:
-            raise EngineError("eval_exact needs a finitary formula, got %s"
-                              % type(phi).__name__)
-        self._exact[key] = val
-        return val
-
-    # ------------------------------------------------- truncated evaluation
+        return self._walk(phi, space, self._token(space), _freeze_env(env),
+                          None)
 
     def eval_enclosure(self, phi, space, schedule, env=None):
         """A certified enclosure of the formula's value under the schedule."""
-        return self._walk(phi, space, self._token(space), _freeze_env(env),
-                          schedule.depths)[0]
+        return _as_pair(self._walk(phi, space, self._token(space),
+                                   _freeze_env(env), schedule.depths))[0]
 
     def truncation_value(self, phi, space, schedule, env=None):
         """Exact value of the schedule-truncated formula (the active
         estimate; not a certified bound on the untruncated value)."""
-        return self._walk(phi, space, self._token(space), _freeze_env(env),
-                          schedule.depths)[1]
+        out = self._walk(phi, space, self._token(space), _freeze_env(env),
+                         schedule.depths)
+        return out if phi.finitary else out[1]
 
     def _walk(self, phi, space, tok, env, tail):
-        """(enclosure, estimate) of the formula truncated by tail."""
-        if self._is_finitary(phi):
-            val = self._exact_eval(phi, space, tok, env)
-            return point(val), val
-        key = (phi.code, tok, env, tail)
-        hit = self._pairs.get(key)
+        """The exact value of a finitary formula, else the (enclosure,
+        estimate) pair of the formula truncated by tail. With no tail the
+        walk is exact evaluation, and a CInf / CSup is an error."""
+        finitary = phi.finitary
+        key = (phi.code, tok, env) if finitary else (phi.code, tok, env, tail)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(phi, (CInf, CSup)):
+        if isinstance(phi, Atomic):
+            self.atomic_evals += 1
+            out = space.d(_lookup(env, phi.left), _lookup(env, phi.right))
+        elif isinstance(phi, DotMinus):
+            a = self._walk(phi.left, space, tok, env, tail)
+            b = self._walk(phi.right, space, tok, env, tail)
+            if finitary:
+                out = dotminus(a, b)
+            else:
+                (ea, a), (eb, b) = _as_pair(a), _as_pair(b)
+                out = (enclosure_apply("dotminus", [ea, eb]), dotminus(a, b))
+        elif isinstance(phi, (Neg, Half)):
+            conn, op = ("neg", neg) if isinstance(phi, Neg) else ("half", half)
+            body = self._walk(phi.body, space, tok, env, tail)
+            if finitary:
+                out = op(body)
+            else:
+                out = (enclosure_apply(conn, [body[0]]), op(body[1]))
+        elif isinstance(phi, (InfQ, SupQ)):
+            conn, op = ("min", min) if isinstance(phi, InfQ) else ("max", max)
+            parts = [self._walk(phi.body, space, tok,
+                                _bind(env, phi.var, p), tail)
+                     for p in range(space.size)]
+            if finitary:
+                out = op(parts)
+            else:
+                out = (enclosure_apply(conn, [e for e, _ in parts]),
+                       op(v for _, v in parts))
+        else:  # CInf / CSup
+            if tail is None:
+                raise EngineError("eval_exact needs a finitary formula, got %s"
+                                  % type(phi).__name__)
             out = self._family(phi.family, space, tok, env, tail,
                                isinstance(phi, CInf))
-        else:
-            if isinstance(phi, (InfQ, SupQ)):
-                conn = "min" if isinstance(phi, InfQ) else "max"
-                parts = [self._walk(phi.body, space, tok,
-                                    _bind(env, phi.var, p), tail)
-                         for p in range(space.size)]
-                val = (min if conn == "min" else max)(v for _, v in parts)
-            elif isinstance(phi, DotMinus):
-                conn = "dotminus"
-                parts = [self._walk(phi.left, space, tok, env, tail),
-                         self._walk(phi.right, space, tok, env, tail)]
-                val = dotminus(parts[0][1], parts[1][1])
-            elif isinstance(phi, (Neg, Half)):
-                conn = "neg" if isinstance(phi, Neg) else "half"
-                parts = [self._walk(phi.body, space, tok, env, tail)]
-                val = (neg if conn == "neg" else half)(parts[0][1])
-            else:
-                raise EngineError("not a formula: %r" % (phi,))
-            out = (enclosure_apply(conn, [e for e, _ in parts]), val)
-        self._pairs[key] = out
+        self._memo[key] = out
         return out
 
     def _family(self, family, space, tok, env, tail, is_inf):
@@ -259,7 +234,8 @@ class Engine:
             direction = get_generator(family.generator).monotone(family.params)
             falling = direction == "nonincreasing"
             if direction in ("nonincreasing", "nondecreasing"):
-                picks = [self._walk(family.member(n), space, tok, env, inner)
+                picks = [_as_pair(self._walk(family.member(n), space, tok, env,
+                                             inner))
                          for n in (0, count // 2, count - 1)]
                 ends = [e.hi if is_inf else e.lo for e, _ in picks]
                 ests = [v for _, v in picks]
@@ -267,7 +243,8 @@ class Engine:
                         and ests == sorted(ests, reverse=falling):
                     pairs = [picks[-1] if is_inf == falling else picks[0]]
         if pairs is None:
-            pairs = [self._walk(family.member(n), space, tok, env, inner)
+            pairs = [_as_pair(self._walk(family.member(n), space, tok, env,
+                                         inner))
                      for n in range(count)]
         if is_inf:
             return (Enclosure(ZERO, min(e.hi for e, _ in pairs)),

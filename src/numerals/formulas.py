@@ -53,12 +53,21 @@ class ClassificationError(FormulaError):
 
 
 # ---------------------------------------------------------------- AST nodes
+#
+# Every node knows whether it is finitary (no CInf or CSup below it): a
+# constant per class for the leaves and the infinitary connectives, set from
+# the children as the node is made for the rest, so reading it never recurses.
+
+
+def _inherit_finitary(node):
+    object.__setattr__(node, "finitary", node.body.finitary)
 
 
 @dataclass(frozen=True)
 class Atomic:
     left: int
     right: int
+    finitary = True
 
     @cached_property
     def code(self):
@@ -71,6 +80,7 @@ class Atomic:
 @dataclass(frozen=True)
 class Neg:
     body: "Formula"
+    __post_init__ = _inherit_finitary
 
     @cached_property
     def code(self):
@@ -85,6 +95,10 @@ class DotMinus:
     left: "Formula"
     right: "Formula"
 
+    def __post_init__(self):
+        object.__setattr__(self, "finitary",
+                           self.left.finitary and self.right.finitary)
+
     @cached_property
     def code(self):
         return "(dotminus %s %s)" % (self.left.code, self.right.code)
@@ -96,6 +110,7 @@ class DotMinus:
 @dataclass(frozen=True)
 class Half:
     body: "Formula"
+    __post_init__ = _inherit_finitary
 
     @cached_property
     def code(self):
@@ -109,6 +124,7 @@ class Half:
 class InfQ:
     var: int
     body: "Formula"
+    __post_init__ = _inherit_finitary
 
     @cached_property
     def code(self):
@@ -122,6 +138,7 @@ class InfQ:
 class SupQ:
     var: int
     body: "Formula"
+    __post_init__ = _inherit_finitary
 
     @cached_property
     def code(self):
@@ -174,6 +191,7 @@ class GeneratedFamily:
 @dataclass(frozen=True)
 class CInf:
     family: "FamilySpec"
+    finitary = False
 
     @cached_property
     def code(self):
@@ -186,6 +204,7 @@ class CInf:
 @dataclass(frozen=True)
 class CSup:
     family: "FamilySpec"
+    finitary = False
 
     @cached_property
     def code(self):
@@ -267,6 +286,8 @@ def _family_from(node):
 
 
 def _formula_from(node):
+    """The formula of a parsed node. Each node's code is cached as the node
+    is made, from its children's codes, so no later read recurses."""
     if not isinstance(node, sexpr.Group) or not node:
         pos = getattr(node, "position", 0)
         raise FormulaSyntaxError("expected a parenthesized formula", pos)
@@ -277,31 +298,35 @@ def _formula_from(node):
     if head == "dist":
         if len(args) != 2:
             raise FormulaSyntaxError("dist takes two variables", node.position)
-        return Atomic(_var_index(args[0]), _var_index(args[1]))
-    if head == "neg":
+        phi = Atomic(_var_index(args[0]), _var_index(args[1]))
+    elif head == "neg":
         if len(args) != 1:
             raise FormulaSyntaxError("neg takes one formula", node.position)
-        return Neg(_formula_from(args[0]))
-    if head == "half":
+        phi = Neg(_formula_from(args[0]))
+    elif head == "half":
         if len(args) != 1:
             raise FormulaSyntaxError("half takes one formula", node.position)
-        return Half(_formula_from(args[0]))
-    if head == "dotminus":
+        phi = Half(_formula_from(args[0]))
+    elif head == "dotminus":
         if len(args) != 2:
             raise FormulaSyntaxError("dotminus takes two formulas", node.position)
-        return DotMinus(_formula_from(args[0]), _formula_from(args[1]))
-    if head in ("inf", "sup"):
+        phi = DotMinus(_formula_from(args[0]), _formula_from(args[1]))
+    elif head in ("inf", "sup"):
         if len(args) != 2:
             raise FormulaSyntaxError("%s takes a variable and a body" % head,
                                      node.position)
         cls = InfQ if head == "inf" else SupQ
-        return cls(_var_index(args[0]), _formula_from(args[1]))
-    if head in ("cinf", "csup"):
+        phi = cls(_var_index(args[0]), _formula_from(args[1]))
+    elif head in ("cinf", "csup"):
         if len(args) != 1:
             raise FormulaSyntaxError("%s takes one family" % head, node.position)
         cls = CInf if head == "cinf" else CSup
-        return cls(_family_from(args[0]))
-    raise FormulaSyntaxError("unknown formula head %r" % str(head), node.position)
+        phi = cls(_family_from(args[0]))
+    else:
+        raise FormulaSyntaxError("unknown formula head %r" % str(head),
+                                 node.position)
+    phi.code  # cached now from the codes below
+    return phi
 
 
 def parse(code):

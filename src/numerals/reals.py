@@ -172,9 +172,8 @@ def parse_target(text):
 class CutEnumerator:
     """Total enumeration of one Dedekind cut of a target real.
 
-    Stage i inspects q_i; if it belongs to the cut it is emitted, otherwise
-    the previous emission is repeated (seeded with a far member of the cut,
-    2 on the right and -1 on the left, so stage 0 is already total).
+    Stage i inspects q_i and keeps it when it is a dyadic cut member in
+    (0,1); a stage cursor records how far the enumeration has looked.
     """
 
     def __init__(self, target, side):
@@ -182,10 +181,8 @@ class CutEnumerator:
             raise ValueError("side must be left or right")
         self.target = target
         self.side = side
-        self._seed = Fraction(2) if side == RIGHT else Fraction(-1)
-        self._elements = []      # padded stream, grown on demand
         self._hits = []          # dyadic cut members in (0,1), in stage order
-        self._pos = 0            # consumer cursor for next()
+        self._stage = 0          # stages inspected so far
 
     def raw(self, i):
         """q_i when q_i is in the cut, else None."""
@@ -195,38 +192,22 @@ class CutEnumerator:
             return q if c < 0 else None
         return q if c > 0 else None
 
-    def _grow(self, upto):
-        while len(self._elements) <= upto:
-            i = len(self._elements)
-            q = self.raw(i)
-            if q is None:
-                q = self._elements[-1] if self._elements else self._seed
-            elif is_dyadic_fraction(q) and 0 < q < 1:
-                self._hits.append(from_fraction(q))
-            self._elements.append(q)
-
-    def element(self, i):
-        self._grow(i)
-        return self._elements[i]
-
-    def next(self):
-        q = self.element(self._pos)
-        self._pos += 1
-        return q
-
     def hit(self, k):
         """The k-th dyadic cut member in (0,1), in order of discovery.
 
         Terminates for every nontrivial cut: the cut contains a tail of the
         unit dyadics, which the enumeration visits at every other odd index.
         Callers must handle the trivial cuts (right cut of 1, left cut of 0)
-        themselves; the growth cap turns a misuse into an error, not a hang.
+        themselves; the stage cap turns a misuse into an error, not a hang.
         """
         while len(self._hits) <= k:
-            if len(self._elements) >= (1 << 24):
+            if self._stage >= (1 << 24):
                 raise RuntimeError("cut of %s has fewer than %d dyadic members"
                                    % (self.target.text, k + 1))
-            self._grow(len(self._elements) + 1024)
+            q = self.raw(self._stage)
+            self._stage += 1
+            if q is not None and is_dyadic_fraction(q) and 0 < q < 1:
+                self._hits.append(from_fraction(q))
         return self._hits[k]
 
 

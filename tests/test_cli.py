@@ -1,6 +1,7 @@
 import pytest
 
 from numerals.cli import main
+from numerals.dyadics import Dyadic
 
 from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 
@@ -92,6 +93,16 @@ def test_eval_enclosure_text(capsys):
     code, out, _ = run(capsys, "eval", UPPER_THIRD, "--depth", "64")
     assert code == 0
     assert out.strip() == "[0, 11/32] width 11/32"
+
+
+def test_eval_deep_dyadic(capsys):
+    # The parsed tree caches each node's code as it is made, so reading the
+    # root's code does not recurse once per Half.
+    _, code_text, _ = run(capsys, "dyadic", "1/2^600", "exists")
+    code, out, _ = run(capsys, "eval", code_text.strip())
+    d = Dyadic(1, 600)
+    assert code == 0
+    assert out.strip() == "[%s, %s] width 0" % (d, d)
 
 
 def test_eval_with_structure_file(capsys, tmp_path):

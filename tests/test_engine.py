@@ -73,8 +73,9 @@ def test_eval_exact_unbound():
 def test_eval_exact_rejects_infinitary():
     eng = Engine()
     phi = CInf(ExplicitFamily((dn(1, 1),)))
-    with pytest.raises(EngineError, match="finitary"):
-        eng.eval_exact(phi, POINT)
+    for psi in (phi, Neg(phi)):
+        with pytest.raises(EngineError, match="finitary formula, got CInf"):
+            eng.eval_exact(psi, POINT)
 
 
 def test_atomic_eval_count():
@@ -90,6 +91,21 @@ def test_enclosure_of_finitary_is_point():
     eng = Engine()
     enc = eng.eval_enclosure(dn(3, 2), PAIR, TruncationSchedule.uniform(4))
     assert enc.is_point() and enc.lo == Dyadic(3, 2)
+    # A finitary sentence has one value whatever the schedule, and one memo
+    # entry per node: after the exact pass no reading evaluates an atomic.
+    phi = parse("(dotminus (sup x0 (sup x1 (dist x0 x1)))"
+                " (half (inf x0 (sup x1 (dist x0 x1)))))")
+    val = eng.eval_exact(phi, PATH5)
+    assert val == Dyadic(3, 2)
+    evals = eng.atomic_evals
+    only = CInf(ExplicitFamily((phi,)))
+    for sched in (TruncationSchedule.uniform(1), TruncationSchedule.uniform(8),
+                  TruncationSchedule.default(4)):
+        assert eng.eval_enclosure(phi, PATH5, sched) == Enclosure(val, val)
+        assert eng.truncation_value(phi, PATH5, sched) == val
+        assert eng.eval_enclosure(only, PATH5, sched) == Enclosure(ZERO, val)
+        assert eng.truncation_value(only, PATH5, sched) == val
+    assert eng.atomic_evals == evals
 
 
 def test_explicit_cinf_one_sided():

@@ -63,6 +63,19 @@ def test_target_signs():
     assert root.cmp_to(F(1)) == -1
 
 
+def padded(cut, n):
+    """The first n stages of a cut's total enumeration: q_i when it is in
+    the cut, else the element before it, starting from a far member of
+    the cut (2 on the right, -1 on the left)."""
+    out, last = [], F(2) if cut.side == RIGHT else F(-1)
+    for i in range(n):
+        q = cut.raw(i)
+        if q is not None:
+            last = q
+        out.append(last)
+    return out
+
+
 def test_target_rejects():
     for text in ["spam", "3/2", "-1/4", "1/0"]:
         with pytest.raises(RealSourceError):
@@ -71,8 +84,8 @@ def test_target_rejects():
 
 def test_right_cut_of_third():
     cut = get_cut("1/3", RIGHT)
-    for i in range(100):
-        assert cut.element(i) > F(1, 3)
+    for q in padded(cut, 100):
+        assert q > F(1, 3)
     assert [cut.hit(k) for k in range(6)] == \
         [Dyadic(1, 1), Dyadic(3, 2), Dyadic(3, 3), Dyadic(5, 3),
          Dyadic(7, 3), Dyadic(7, 4)]
@@ -80,8 +93,8 @@ def test_right_cut_of_third():
 
 def test_left_cut_of_third():
     cut = get_cut("1/3", LEFT)
-    for i in range(100):
-        assert cut.element(i) < F(1, 3)
+    for q in padded(cut, 100):
+        assert q < F(1, 3)
     assert [cut.hit(k) for k in range(6)] == \
         [Dyadic(1, 2), Dyadic(1, 3), Dyadic(1, 4), Dyadic(3, 4),
          Dyadic(5, 4), Dyadic(1, 5)]
@@ -93,24 +106,28 @@ def test_left_cut_of_half_deep_hit():
 
 def test_trivial_cut_has_no_unit_hits():
     cut = get_cut("1", RIGHT)
-    for i in range(100):
-        assert cut.element(i) > 1
+    for q in padded(cut, 100):
+        assert q > 1
     cut = get_cut("0", LEFT)
-    for i in range(100):
-        assert cut.element(i) < 0
+    for q in padded(cut, 100):
+        assert q < 0
 
 
-def test_cut_next_walks_elements():
+def test_cut_hits_follow_raw_stages():
     left, right = builtin_real("sqrt-half")
     assert left.side == LEFT and right.side == RIGHT
-    first = [right.next() for _ in range(10)]
-    assert first == [right.element(i) for i in range(10)]
+    for cut in (left, right):
+        stages = [cut.raw(i) for i in range(400)]
+        units = [from_fraction(q) for q in stages if q is not None
+                 and is_dyadic_fraction(q) and 0 < q < 1]
+        assert len(units) >= 10
+        assert [cut.hit(k) for k in range(len(units))] == units
 
 
 def test_sqrt_half_cut_brackets():
     left, right = builtin_real("sqrt-half")
-    lo = max(left.element(i) for i in range(200))
-    hi = min(right.element(i) for i in range(200))
+    lo = max(padded(left, 200))
+    hi = min(padded(right, 200))
     assert lo < hi
     assert hi - lo < F(1, 32)
     assert lo * lo < F(1, 2) < hi * hi
@@ -333,16 +350,14 @@ def test_lift_level_one_running_extrema():
     with pytest.raises(RealSourceError):
         lift_successor(BuiltinSource("1/3"), LEFT)
     right = get_cut("1/3", RIGHT)
-    vals = list(accumulate((right.element(n) for n in range(25)), min,
-                           initial=F(1)))[1:]
+    vals = list(accumulate(padded(right, 25), min, initial=F(1)))[1:]
     assert vals[0] == F(1)
     assert vals[1] == F(1, 2)
     assert vals[9] == F(3, 8)
     assert vals == sorted(vals, reverse=True)
     assert all(v >= F(1, 3) for v in vals)
     left = get_cut("1/3", LEFT)
-    lvals = list(accumulate((left.element(n) for n in range(25)), max,
-                            initial=F(0)))[1:]
+    lvals = list(accumulate(padded(left, 25), max, initial=F(0)))[1:]
     assert lvals == sorted(lvals)
     assert all(F(0) <= v <= F(1, 3) for v in lvals)
     assert lvals[3] == F(1, 4)
@@ -421,5 +436,5 @@ def test_limit_decomposition_guards():
 @given(st.integers(0, 60), st.sampled_from(["1/3", "2/7", "sqrt-half"]))
 def test_cut_elements_stay_on_their_side(i, name):
     target = parse_target(name)
-    assert target.cmp_to(get_cut(name, RIGHT).element(i)) < 0
-    assert target.cmp_to(get_cut(name, LEFT).element(i)) > 0
+    assert target.cmp_to(padded(get_cut(name, RIGHT), i + 1)[i]) < 0
+    assert target.cmp_to(padded(get_cut(name, LEFT), i + 1)[i]) > 0
