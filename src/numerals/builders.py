@@ -4,10 +4,11 @@ enumerators, successor and limit steps, and the recipe driver.
 A numeral here is a sentence whose value is the same real in every metric
 space. The recursion is the standard one: at level 1 a right numeral is a
 countable inf of existential dyadic numerals drawn from the right cut; a
-successor level wraps the opposite-side numerals of the lifted child
-sequence; a limit level wraps same-side numerals along the fundamental
-sequence. Infinite families are realized as registered generators so the
-whole construction serializes to a finite code.
+successor level wraps the opposite-side numerals of the source's children
+one level down; a limit level wraps same-side numerals along the
+fundamental sequence. Either way member n is the numeral of
+source.child(n). Infinite families are realized as registered generators
+so the whole construction serializes to a finite code.
 
 Generators take typed params (a cut target, a StagedChildSource, or the
 StepParams of a successor or limit step), handed over as values; the reader
@@ -16,7 +17,6 @@ registered with each makes the same value from the text of a code.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import reals, sexpr
 from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit
@@ -87,7 +87,6 @@ def dyadic_numeral(r, flavor):
         node = _DYADICS.get(key)
     for key in reversed(chain):
         node = Neg(node) if key[0] > HALF else Half(node)
-        node.code  # cached now from the code below, so no later read recurses
         _DYADICS[key] = node
     return node
 
@@ -201,18 +200,12 @@ def successor_numeral(side, family):
 @dataclass(frozen=True)
 class StepParams:
     """Params of a successor- or limit-members family: the numeral's side and
-    its real source, whose level is the level of the step."""
+    its real source, whose level is the level of the step. The builders make
+    one only from a source that passes reals.check_step; member n is the
+    numeral of source.child(n)."""
 
     side: str
     source: object
-
-    @cached_property
-    def members(self):
-        """n -> the real source of member n, made when a member is first
-        asked for; raises on an incoherent source."""
-        if self.source.level.is_limit():
-            return reals.limit_decomposition(self.source, self.side)
-        return reals.lift_successor(self.source, self.side)
 
     def __str__(self):
         head = "limit" if self.source.level.is_limit() else "succ"
@@ -230,8 +223,7 @@ def read_step(head, text):
     if source.level != level:
         raise BuildError("source declares level %s, %s step says %s"
                          % (source.level, step, level))
-    (reals.lift_successor if head == "succ" else reals.limit_decomposition)(
-        source, side)
+    reals.check_step(source, side, head == "limit")
     return StepParams(side, source)
 
 
@@ -241,7 +233,7 @@ class SuccessorMembersGenerator:
     (down on the right, up on the left)."""
 
     def member(self, params, n):
-        child = params.members(n)
+        child = params.source.child(n)
         return build_numeral(other_side(params.side), child.level, child)
 
     def level_bound(self, params):
@@ -256,8 +248,8 @@ class LimitMembersGenerator(SuccessorMembersGenerator):
     the fundamental sequence, with prefix-combined values."""
 
     def member(self, params, n):
-        src = params.members(n)
-        return build_numeral(params.side, src.level, src)
+        child = params.source.child(n)
+        return build_numeral(params.side, child.level, child)
 
 
 # ------------------------------------------------------------------- driver
@@ -287,6 +279,7 @@ def build_numeral(side, level, source):
     name = "successor-members" if level.is_successor() else "limit-members"
     if level.is_limit() and isinstance(source, reals.ConstantSource):
         source = reals.LeveledSource(side, level, "constant", source.value)
+    reals.check_step(source, side, level.is_limit())
     return successor_numeral(side, GeneratedFamily(name, StepParams(side, source)))
 
 

@@ -54,98 +54,70 @@ class ClassificationError(FormulaError):
 
 # ---------------------------------------------------------------- AST nodes
 #
-# Every node knows whether it is finitary (no CInf or CSup below it): a
-# constant per class for the leaves and the infinitary connectives, set from
-# the children as the node is made for the rest, so reading it never recurses.
+# Every node gets its code and whether it is finitary (no CInf or CSup below
+# it) as it is made, from its children's, so reading either never recurses.
 
 
-def _inherit_finitary(node):
-    object.__setattr__(node, "finitary", node.body.finitary)
+class _Node:
+    def __str__(self):
+        return self.code
+
+    def _made(self, code, finitary):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "finitary", finitary)
 
 
 @dataclass(frozen=True)
-class Atomic:
+class Atomic(_Node):
     left: int
     right: int
-    finitary = True
 
-    @cached_property
-    def code(self):
-        return "(dist x%d x%d)" % (self.left, self.right)
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(dist x%d x%d)" % (self.left, self.right), True)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     body: "Formula"
-    __post_init__ = _inherit_finitary
 
-    @cached_property
-    def code(self):
-        return "(neg %s)" % self.body.code
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(neg %s)" % self.body.code, self.body.finitary)
 
 
 @dataclass(frozen=True)
-class DotMinus:
+class DotMinus(_Node):
     left: "Formula"
     right: "Formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "finitary",
-                           self.left.finitary and self.right.finitary)
-
-    @cached_property
-    def code(self):
-        return "(dotminus %s %s)" % (self.left.code, self.right.code)
-
-    def __str__(self):
-        return self.code
+        self._made("(dotminus %s %s)" % (self.left.code, self.right.code),
+                   self.left.finitary and self.right.finitary)
 
 
 @dataclass(frozen=True)
-class Half:
+class Half(_Node):
     body: "Formula"
-    __post_init__ = _inherit_finitary
 
-    @cached_property
-    def code(self):
-        return "(half %s)" % self.body.code
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(half %s)" % self.body.code, self.body.finitary)
 
 
 @dataclass(frozen=True)
-class InfQ:
+class InfQ(_Node):
     var: int
     body: "Formula"
-    __post_init__ = _inherit_finitary
 
-    @cached_property
-    def code(self):
-        return "(inf x%d %s)" % (self.var, self.body.code)
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(inf x%d %s)" % (self.var, self.body.code), self.body.finitary)
 
 
 @dataclass(frozen=True)
-class SupQ:
+class SupQ(_Node):
     var: int
     body: "Formula"
-    __post_init__ = _inherit_finitary
 
-    @cached_property
-    def code(self):
-        return "(sup x%d %s)" % (self.var, self.body.code)
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(sup x%d %s)" % (self.var, self.body.code), self.body.finitary)
 
 
 @dataclass(frozen=True)
@@ -189,29 +161,19 @@ class GeneratedFamily:
 
 
 @dataclass(frozen=True)
-class CInf:
+class CInf(_Node):
     family: "FamilySpec"
-    finitary = False
 
-    @cached_property
-    def code(self):
-        return "(cinf %s)" % self.family.code
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(cinf %s)" % self.family.code, False)
 
 
 @dataclass(frozen=True)
-class CSup:
+class CSup(_Node):
     family: "FamilySpec"
-    finitary = False
 
-    @cached_property
-    def code(self):
-        return "(csup %s)" % self.family.code
-
-    def __str__(self):
-        return self.code
+    def __post_init__(self):
+        self._made("(csup %s)" % self.family.code, False)
 
 
 Formula = Atomic | Neg | DotMinus | Half | InfQ | SupQ | CInf | CSup
@@ -286,8 +248,6 @@ def _family_from(node):
 
 
 def _formula_from(node):
-    """The formula of a parsed node. Each node's code is cached as the node
-    is made, from its children's codes, so no later read recurses."""
     if not isinstance(node, sexpr.Group) or not node:
         pos = getattr(node, "position", 0)
         raise FormulaSyntaxError("expected a parenthesized formula", pos)
@@ -325,7 +285,6 @@ def _formula_from(node):
     else:
         raise FormulaSyntaxError("unknown formula head %r" % str(head),
                                  node.position)
-    phi.code  # cached now from the codes below
     return phi
 
 

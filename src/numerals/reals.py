@@ -181,6 +181,10 @@ class CutEnumerator:
             raise ValueError("side must be left or right")
         self.target = target
         self.side = side
+        # the right cut of 1 and the left cut of 0 hold no dyadic of (0,1);
+        # every other cut holds a tail of them
+        c = target.cmp_to(Fraction(1 if side == RIGHT else 0))
+        self.trivial = c >= 0 if side == RIGHT else c <= 0
         self._hits = []          # dyadic cut members in (0,1), in stage order
         self._stage = 0          # stages inspected so far
 
@@ -197,13 +201,13 @@ class CutEnumerator:
 
         Terminates for every nontrivial cut: the cut contains a tail of the
         unit dyadics, which the enumeration visits at every other odd index.
-        Callers must handle the trivial cuts (right cut of 1, left cut of 0)
-        themselves; the stage cap turns a misuse into an error, not a hang.
+        A trivial cut (right cut of 1, left cut of 0) has none, so asking it
+        for one is an error, raised before any stage is inspected.
         """
+        if self.trivial:
+            raise RealSourceError("the %s cut of %s has no dyadic members in (0,1)"
+                                  % (self.side, self.target.text))
         while len(self._hits) <= k:
-            if self._stage >= (1 << 24):
-                raise RuntimeError("cut of %s has fewer than %d dyadic members"
-                                   % (self.target.text, k + 1))
             q = self.raw(self._stage)
             self._stage += 1
             if q is not None and is_dyadic_fraction(q) and 0 < q < 1:
@@ -435,7 +439,8 @@ def get_extraction(pred):
 #
 # A RealSource is a description of a real with a declared recursion level;
 # the numeral builders dispatch on its kind. Sources whose side is None fit
-# either side of a recipe.
+# either side of a recipe. A source that can take a step (see check_step)
+# gives the real source of member n of its step family as child(n).
 
 LEVEL_ONE = from_int(1)
 LEVEL_TWO = from_int(2)
@@ -471,6 +476,10 @@ class ConstantSource:
         d = self.value - q
         return (d > 0) - (d < 0)
 
+    def child(self, n):
+        """The value itself, one level down."""
+        return ConstantSource(self.value, self.level.predecessor())
+
     @property
     def descriptor(self):
         return "(real constant %s %s)" % (sexpr.quote(str(self.value)), self.level)
@@ -489,6 +498,11 @@ class Sigma2Source:
     def cmp_to(self, q):
         d = self.pred.c - q
         return (d > 0) - (d < 0)
+
+    def child(self, n):
+        """r_n of the extraction, at level 1 on the other side: falling to
+        the real on the right, rising on the left."""
+        return StagedChildSource(self.pred, n)
 
     @property
     def descriptor(self):
@@ -512,6 +526,11 @@ class GeometricSource:
     def cmp_to(self, q):
         d = self.value - q
         return (d > 0) - (d < 0)
+
+    def child(self, n):
+        gap = Fraction(1, 1 << n)
+        value = self.value + gap if self.side_tag == RIGHT else self.value - gap
+        return ConstantSource(clamp01(value), self.level.predecessor())
 
     @property
     def descriptor(self):
@@ -547,12 +566,18 @@ class LeveledSource:
         return lvl if not lvl.is_zero() else LEVEL_ONE
 
     def member_value(self, n):
-        """Prefix-combined member value: running min (right) or max (left)."""
+        """Value of member n. It is monotone in n, falling to the value on
+        the right and rising on the left, so it is already the running min
+        (right) or max (left) of members 0..n that a limit step combines,
+        and no prefix need be kept."""
         if self.scheme == "constant":
             return self.value
         if self.side_tag == RIGHT:
             return clamp01(self.value + Fraction(1, 1 << n))
         return clamp01(self.value - Fraction(1, 1 << n))
+
+    def child(self, n):
+        return ConstantSource(self.member_value(n), self.h(n))
 
     @property
     def descriptor(self):
@@ -680,56 +705,30 @@ def parse_real_source(text):
     return _source_from(node)
 
 
-# --------------------------------------------------- successor / limit steps
+# ---------------------------------------------------------------- step rules
 
 
-def lift_successor(source, side):
-    """The child sequence n -> source one level down that converges to the
-    source real: falling on the right, rising on the left.
+def check_step(source, side, limit):
+    """Raise unless source can take a limit step (limit true) or a successor
+    step on the recipe side; the step's members are then source.child(n).
 
-    side is the recipe side of the parent numeral; children land on the
-    opposite side at the predecessor level, which must be at least 1: a
+    A limit step needs a leveled source on the recipe side. A successor step
+    needs a source on that side (or on either) at a successor level >= 2,
+    given by a sigma-2 predicate, a constant, or a geometric rational: a
     level-1 source has no child numerals.
     """
+    if limit and not isinstance(source, LeveledSource):
+        raise RealSourceError("limit decomposition needs a leveled source")
     if source.side is not None and source.side != side:
         raise RealSourceError("source is %s-sided, recipe says %s"
                               % (source.side, side))
+    if limit:
+        return
     level = source.level
     if level <= LEVEL_ONE:
         raise RealSourceError("nothing to lift at level %s" % level)
     if not level.is_successor():
-        raise RealSourceError("level %s is a limit; use limit_decomposition" % level)
-    down = level.predecessor()
-    if isinstance(source, Sigma2Source):
-        def child(n, _pred=source.pred):
-            return StagedChildSource(_pred, n)
-    elif isinstance(source, ConstantSource):
-        def child(n, _v=source.value, _lvl=down):
-            return ConstantSource(_v, _lvl)
-    elif isinstance(source, GeometricSource):
-        def child(n, _v=source.value, _lvl=down, _side=side):
-            if _side == RIGHT:
-                return ConstantSource(clamp01(_v + Fraction(1, 1 << n)), _lvl)
-            return ConstantSource(clamp01(_v - Fraction(1, 1 << n)), _lvl)
-    else:
+        raise RealSourceError("level %s is a limit, not a successor" % level)
+    if not isinstance(source, (Sigma2Source, ConstantSource, GeometricSource)):
         raise RealSourceError("cannot lift %s at level %s"
                               % (type(source).__name__, level))
-    return child
-
-
-def limit_decomposition(source, side):
-    """Members of a limit-level source: prefix-combined values at levels h(n).
-
-    Right: running minima of the member scheme, so values fall to the real;
-    left: running maxima rising to it. Members keep the parent's side.
-    """
-    if not isinstance(source, LeveledSource):
-        raise RealSourceError("limit decomposition needs a leveled source")
-    if source.side != side:
-        raise RealSourceError("source is %s-sided, recipe says %s"
-                              % (source.side, side))
-    def member(n, _src=source, _side=side):
-        vals = [_src.member_value(k) for k in range(n + 1)]
-        value = min(vals) if _side == RIGHT else max(vals)
-        return ConstantSource(value, _src.h(n))
-    return member

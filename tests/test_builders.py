@@ -18,8 +18,7 @@ from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, RIGHT, ConstantSource, GeometricSource,
                             LeveledSource, RealSourceError, Sigma2Source,
-                            get_cut, get_extraction, lift_successor,
-                            sigma2_predicate)
+                            get_cut, get_extraction, sigma2_predicate)
 from numerals.spaces import builtin_suite
 
 F = Fraction
@@ -147,8 +146,7 @@ def test_base_numeral_shapes():
 
 def test_staged_child_numeral_members():
     pred = sigma2_predicate("geometric-above", "1/3")
-    kids = lift_successor(Sigma2Source(pred), RIGHT)
-    phi = staged_child_numeral(kids(11))
+    phi = staged_child_numeral(Sigma2Source(pred).child(11))
     assert phi.code == \
         '(csup (gen staged-approx "(stage geometric-above \\"1/3\\" 11)"))'
     ex = get_extraction(pred)
@@ -188,6 +186,29 @@ def test_successor_members_requested_once(monkeypatch):
     calls.clear()
     assert str(classify(phi)) == "Sigma w+1"
     assert calls and len(calls) == len(set(calls))
+
+
+def test_limit_member_reads_one_member_value(monkeypatch):
+    # member_value is monotone in n, so a limit member needs only its own
+    # value, not a running extremum over members 0..n
+    calls = {"value": 0, "member": 0}
+    value, member = LeveledSource.member_value, LimitMembersGenerator.member
+
+    def counting_value(self, n):
+        calls["value"] += 1
+        return value(self, n)
+
+    def counting_member(self, params, n):
+        calls["member"] += 1
+        return member(self, params, n)
+
+    monkeypatch.setattr(LeveledSource, "member_value", counting_value)
+    monkeypatch.setattr(LimitMembersGenerator, "member", counting_member)
+    phi = parse_recipe('(numeral right w^2 (real leveled right w^2 '
+                       '(members constant "1/2")))').build()
+    Engine().eval_enclosure(phi, builtin_suite()[0], TruncationSchedule.default(8))
+    assert calls["member"] > 0
+    assert calls["value"] == calls["member"]
 
 
 def test_fundamental_sequence_map():
@@ -271,6 +292,19 @@ def test_recipe_rejects():
         parse_recipe('(numeral right 1 (real mystery "1/3"))')
     with pytest.raises(BuildError):
         parse_recipe('(numeral right 2 (real builtin "1/3"))').build()
+
+
+def test_incoherent_step_rejected_when_built():
+    # build_numeral checks a step as it makes it, as parse does, instead of
+    # leaving the error to the family's first member
+    for level, source, message in (
+            (OMEGA, GeometricSource(RIGHT, OMEGA, F(1, 3)),
+             "limit decomposition needs a leveled source"),
+            (from_int(3), LeveledSource(RIGHT, from_int(3), "constant", F(1, 2)),
+             "cannot lift LeveledSource at level 3")):
+        with pytest.raises(RealSourceError) as err:
+            build_numeral(RIGHT, level, source)
+        assert str(err.value) == message
 
 
 def test_step_params_text():

@@ -32,6 +32,17 @@ def test_parse_serialize_identity():
         assert parse(code).code == code
 
 
+def test_deep_hand_built_chain_has_a_code():
+    # a node takes its code from its children's as it is made, so a chain
+    # built by hand, not parsed, prints without recursing
+    phi = InfQ(0, Atomic(0, 0))
+    for _ in range(5000):
+        phi = Neg(phi)
+    assert phi.code == "(neg " * 5000 + "(inf x0 (dist x0 x0))" + ")" * 5000
+    assert len(phi.code) == 30021
+    assert str(phi) == phi.code and phi.finitary
+
+
 def test_parse_builds_expected_tree():
     phi = parse("(inf x2 (dotminus (dist x2 x0) (dist x0 x0)))")
     assert isinstance(phi, InfQ)

@@ -9,9 +9,8 @@ from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (ENUM, LEFT, RIGHT, BuiltinSource, ConstantSource,
                             GeometricSource, LeveledSource, RealSourceError,
                             SequenceExtraction, Sigma2Source, StagedChildSource,
-                            TransformedR1, builtin_real, get_cut,
-                            get_extraction, lift_successor,
-                            limit_decomposition, pair, parse_real_source,
+                            TransformedR1, builtin_real, check_step, clamp01,
+                            get_cut, get_extraction, pair, parse_real_source,
                             parse_target, sigma2_predicate, unpair)
 
 F = Fraction
@@ -111,6 +110,19 @@ def test_trivial_cut_has_no_unit_hits():
     cut = get_cut("0", LEFT)
     for q in padded(cut, 100):
         assert q < 0
+
+
+def test_trivial_cut_hit_fails_at_once():
+    # no dyadic of (0,1) lies in the right cut of 1 or the left cut of 0, so
+    # asking for one raises before any stage grows the enumeration's memo
+    assert builtin_real("1")[1] is get_cut("1", RIGHT)
+    for name, side in (("1", RIGHT), ("0", LEFT)):
+        before = len(ENUM._memo)
+        with pytest.raises(RealSourceError):
+            get_cut(name, side).hit(0)
+        assert len(ENUM._memo) == before
+    assert get_cut("1", LEFT).hit(0) == Dyadic(1, 1)
+    assert get_cut("0", RIGHT).hit(0) == Dyadic(1, 1)
 
 
 def test_cut_hits_follow_raw_stages():
@@ -348,7 +360,7 @@ def test_lift_level_one_running_extrema():
     # a level-1 source has no child numerals; the running extrema of its
     # cut enumeration still close in on the real from the cut's side
     with pytest.raises(RealSourceError):
-        lift_successor(BuiltinSource("1/3"), LEFT)
+        check_step(BuiltinSource("1/3"), LEFT, limit=False)
     right = get_cut("1/3", RIGHT)
     vals = list(accumulate(padded(right, 25), min, initial=F(1)))[1:]
     assert vals[0] == F(1)
@@ -365,71 +377,112 @@ def test_lift_level_one_running_extrema():
 
 def test_lift_successor_sigma2():
     src = Sigma2Source(sigma2_predicate("geometric-above", "1/3"))
-    kids = lift_successor(src, RIGHT)
-    limits = [kids(n).cmp_to(F(1, 2)) for n in range(16)]
+    check_step(src, RIGHT, limit=False)
+    limits = [src.child(n).cmp_to(F(1, 2)) for n in range(16)]
     assert limits == sorted(limits, reverse=True)  # falling to the real
-    child = kids(11)
+    child = src.child(11)
     assert isinstance(child, StagedChildSource)
     assert child.side == LEFT
     assert child.level == from_int(1)
     assert child.cmp_to(F(1, 2)) == 0
-    assert kids(10).cmp_to(F(1, 2)) == 1
+    assert src.child(10).cmp_to(F(1, 2)) == 1
     assert get_extraction(child.pred).r_approx(child.index, 1024) == \
         Dyadic(255, 9)
 
 
 def test_lift_successor_geometric():
     src = parse_real_source('(real geometric right 3 "1/3")')
-    kids = lift_successor(src, RIGHT)
-    assert [kids(n).value for n in range(3)] == [F(1), F(5, 6), F(7, 12)]
-    assert kids(0).level == from_int(2)
-    low = lift_successor(parse_real_source('(real geometric left 3 "2/3")'),
-                         LEFT)
-    assert [low(n).value for n in range(3)] == [F(0), F(1, 6), F(5, 12)]
+    check_step(src, RIGHT, limit=False)
+    assert [src.child(n).value for n in range(3)] == [F(1), F(5, 6), F(7, 12)]
+    assert src.child(0).level == from_int(2)
+    low = parse_real_source('(real geometric left 3 "2/3")')
+    check_step(low, LEFT, limit=False)
+    assert [low.child(n).value for n in range(3)] == [F(0), F(1, 6), F(5, 12)]
 
 
 def test_lift_guards():
     with pytest.raises(RealSourceError):
-        lift_successor(Sigma2Source(sigma2_predicate("geometric-above", "1/3")),
-                       LEFT)
+        check_step(Sigma2Source(sigma2_predicate("geometric-above", "1/3")),
+                   LEFT, limit=False)
     with pytest.raises(RealSourceError):
-        lift_successor(ConstantSource(F(1, 2), from_int(0)), RIGHT)
+        check_step(ConstantSource(F(1, 2), from_int(0)), RIGHT, limit=False)
+    with pytest.raises(RealSourceError):  # level 1 has no children
+        check_step(BuiltinSource("1/3"), RIGHT, limit=False)
     with pytest.raises(RealSourceError):
-        lift_successor(BuiltinSource("1/3"), RIGHT)  # level 1 has no children
-    with pytest.raises(RealSourceError):
-        lift_successor(ConstantSource(F(1, 2), OMEGA), RIGHT)
+        check_step(ConstantSource(F(1, 2), OMEGA), RIGHT, limit=False)
 
 
 def test_limit_decomposition_geometric():
     src = parse_real_source('(real leveled right w (members geometric "1/3"))')
-    member = limit_decomposition(src, RIGHT)
-    assert [member(n).value for n in range(3)] == [F(1), F(5, 6), F(7, 12)]
-    assert member(0).level == from_int(1)
-    assert member(1).level == from_int(1)
-    assert member(2).level == from_int(2)
-    assert member(7).level == from_int(7)
+    check_step(src, RIGHT, limit=True)
+    assert [src.child(n).value for n in range(3)] == [F(1), F(5, 6), F(7, 12)]
+    assert src.child(0).level == from_int(1)
+    assert src.child(1).level == from_int(1)
+    assert src.child(2).level == from_int(2)
+    assert src.child(7).level == from_int(7)
 
 
 def test_limit_decomposition_constant():
     src = parse_real_source('(real leveled left w (members constant "1/2"))')
-    member = limit_decomposition(src, LEFT)
+    check_step(src, LEFT, limit=True)
     for n in range(6):
-        assert member(n).value == F(1, 2)
-        assert member(n).level == from_int(max(1, n))
+        assert src.child(n).value == F(1, 2)
+        assert src.child(n).level == from_int(max(1, n))
 
 
 def test_limit_decomposition_above_omega():
     src = parse_real_source('(real leveled right w^2 (members constant "1/2"))')
-    member = limit_decomposition(src, RIGHT)
-    assert member(3).level == parse_ordinal("w*3")
+    check_step(src, RIGHT, limit=True)
+    assert src.child(3).level == parse_ordinal("w*3")
 
 
 def test_limit_decomposition_guards():
     with pytest.raises(RealSourceError):
-        limit_decomposition(BuiltinSource("1/3"), RIGHT)
+        check_step(BuiltinSource("1/3"), RIGHT, limit=True)
     src = parse_real_source('(real leveled right w (members constant "1/2"))')
     with pytest.raises(RealSourceError):
-        limit_decomposition(src, LEFT)
+        check_step(src, LEFT, limit=True)
+
+
+def lifted_children(source, side):
+    """The child function of the successor step as it was written before
+    sources gave their own children: the oracle for child(n)."""
+    down = source.level.predecessor()
+    if isinstance(source, ConstantSource):
+        return lambda n: ConstantSource(source.value, down)
+    if side == RIGHT:
+        return lambda n: ConstantSource(clamp01(source.value + F(1, 1 << n)), down)
+    return lambda n: ConstantSource(clamp01(source.value - F(1, 1 << n)), down)
+
+
+def decomposed_members(source, side):
+    """The member function of the limit step as it was written before
+    sources gave their own children, with its running extremum over
+    members 0..n: the oracle for child(n)."""
+    def member(n):
+        vals = [source.member_value(k) for k in range(n + 1)]
+        value = min(vals) if side == RIGHT else max(vals)
+        return ConstantSource(value, source.h(n))
+    return member
+
+
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([LEFT, RIGHT]), unit_rationals, st.integers(0, 40),
+       st.integers(2, 6), st.sampled_from(["w", "w*2", "w^2"]),
+       st.sampled_from(["constant", "geometric"]))
+def test_child_matches_step_closures(side, value, n, finite, limit, scheme):
+    geo = GeometricSource(side, from_int(finite), value)
+    check_step(geo, side, limit=False)
+    assert geo.child(n) == lifted_children(geo, side)(n)
+    const = ConstantSource(value, from_int(finite))
+    check_step(const, side, limit=False)
+    assert const.child(n) == lifted_children(const, side)(n)
+    lev = LeveledSource(side, parse_ordinal(limit), scheme, value)
+    check_step(lev, side, limit=True)
+    assert lev.child(n) == decomposed_members(lev, side)(n)
 
 
 @settings(max_examples=40, deadline=None)
