@@ -30,13 +30,21 @@ prefix scan gives both.
   numerals of r_approx(n, t), monotone in t, and successor and limit
   members fall on the right and rise on the left, as their sources do.
 
-All evaluation is memoized on (formula code, space, environment, schedule
-tail); finitary nodes drop the tail. Family generation is pure, so member
-formulas with equal codes share results.
+A finitary node is evaluated once per space, as a table over its own free
+variables, built from its children's tables: an atomic is the distance
+matrix (its diagonal for d(x, x)), neg and half map over the table,
+dotminus zips its children spread onto the union of their variables, and
+inf / sup reduce one axis; a closed node's table is its bare value. The
+walk reads a finitary node's value at an environment from its table, so
+bindings the node does not read cost nothing. Tables are memoized on
+(formula code, space); any other node's pair on (formula code, space,
+environment, schedule tail). Family generation is pure, so member formulas
+with equal codes share results.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, repeat
 
 from .dyadics import (Dyadic, Enclosure, ZERO, ONE, dotminus, enclosure_apply,
                       half, neg, point)
@@ -110,6 +118,25 @@ def _lookup(env, var):
     raise EngineError("unbound variable x%d" % var)
 
 
+def _names(table):
+    """The variables of a finitary node's table; none for a closed node."""
+    return () if table.__class__ is Dyadic else table[0]
+
+
+def _read(table, env, space):
+    """An open node's value at env: its table's entry at env's points."""
+    names, values = table
+    n = space.size
+    index = 0
+    for var in names:
+        p = _lookup(env, var)
+        if not 0 <= p < n:
+            raise EngineError("x%d = %s is not a point of %s"
+                              % (var, p, space))
+        index = index * n + p
+    return values[index]
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     depth: int
@@ -149,6 +176,7 @@ class Engine:
         self._memo = {}
         self._space_tokens = {}
         self._pinned_spaces = []
+        self._spreads = {}  # (variables, superset, size) -> table index map
         self.atomic_evals = 0
 
     def _token(self, space):
@@ -180,39 +208,30 @@ class Engine:
         """The exact value of a finitary formula, else the (enclosure,
         estimate) pair of the formula truncated by tail. With no tail the
         walk is exact evaluation, and a CInf / CSup is an error."""
-        finitary = phi.finitary
-        key = (phi.code, tok, env) if finitary else (phi.code, tok, env, tail)
+        if phi.finitary:
+            out = self._memo.get((phi.code, tok))
+            if out is None:
+                out = self._table(phi, space, tok)
+            return out if out.__class__ is Dyadic else _read(out, env, space)
+        key = (phi.code, tok, env, tail)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(phi, Atomic):
-            self.atomic_evals += 1
-            out = space.d(_lookup(env, phi.left), _lookup(env, phi.right))
-        elif isinstance(phi, DotMinus):
-            a = self._walk(phi.left, space, tok, env, tail)
-            b = self._walk(phi.right, space, tok, env, tail)
-            if finitary:
-                out = dotminus(a, b)
-            else:
-                (ea, a), (eb, b) = _as_pair(a), _as_pair(b)
-                out = (enclosure_apply("dotminus", [ea, eb]), dotminus(a, b))
+        if isinstance(phi, DotMinus):
+            ea, a = _as_pair(self._walk(phi.left, space, tok, env, tail))
+            eb, b = _as_pair(self._walk(phi.right, space, tok, env, tail))
+            out = (enclosure_apply("dotminus", [ea, eb]), dotminus(a, b))
         elif isinstance(phi, (Neg, Half)):
             conn, op = ("neg", neg) if isinstance(phi, Neg) else ("half", half)
-            body = self._walk(phi.body, space, tok, env, tail)
-            if finitary:
-                out = op(body)
-            else:
-                out = (enclosure_apply(conn, [body[0]]), op(body[1]))
+            enc, est = self._walk(phi.body, space, tok, env, tail)
+            out = (enclosure_apply(conn, [enc]), op(est))
         elif isinstance(phi, (InfQ, SupQ)):
             conn, op = ("min", min) if isinstance(phi, InfQ) else ("max", max)
             parts = [self._walk(phi.body, space, tok,
                                 _bind(env, phi.var, p), tail)
                      for p in range(space.size)]
-            if finitary:
-                out = op(parts)
-            else:
-                out = (enclosure_apply(conn, [e for e, _ in parts]),
-                       op(v for _, v in parts))
+            out = (enclosure_apply(conn, [e for e, _ in parts]),
+                   op(v for _, v in parts))
         else:  # CInf / CSup
             if tail is None:
                 raise EngineError("eval_exact needs a finitary formula, got %s"
@@ -221,6 +240,78 @@ class Engine:
                                isinstance(phi, CInf))
         self._memo[key] = out
         return out
+
+    def _table(self, phi, space, tok):
+        """Tabulate a finitary node on the whole space and memoize it under
+        (code, space): a closed node's value, else (variables, values) with
+        one value per assignment of points to its free variables, in order
+        of first free occurrence, row-major. A memoized child is read with
+        one probe; a Dyadic and a table are both true."""
+        n = space.size
+        memo = self._memo
+        if isinstance(phi, Atomic):
+            if phi.left == phi.right:
+                self.atomic_evals += n
+                out = ((phi.left,), [space.dist[i][i] for i in range(n)])
+            else:
+                self.atomic_evals += n * n
+                out = ((phi.left, phi.right),
+                       [d for row in space.dist for d in row])
+        elif isinstance(phi, DotMinus):
+            a = memo.get((phi.left.code, tok)) \
+                or self._table(phi.left, space, tok)
+            b = memo.get((phi.right.code, tok)) \
+                or self._table(phi.right, space, tok)
+            if a.__class__ is Dyadic and b.__class__ is Dyadic:
+                out = dotminus(a, b)
+            else:
+                names = _names(a) + tuple(v for v in _names(b)
+                                          if v not in _names(a))
+                out = (names, list(map(dotminus, self._spread(a, names, n),
+                                       self._spread(b, names, n))))
+        elif isinstance(phi, (Neg, Half)):
+            op = neg if isinstance(phi, Neg) else half
+            body = memo.get((phi.body.code, tok)) \
+                or self._table(phi.body, space, tok)
+            out = op(body) if body.__class__ is Dyadic \
+                else (body[0], list(map(op, body[1])))
+        else:  # InfQ / SupQ
+            body = memo.get((phi.body.code, tok)) \
+                or self._table(phi.body, space, tok)
+            names = _names(body)
+            if phi.var not in names:  # vacuous
+                out = body
+            else:
+                op = min if isinstance(phi, InfQ) else max
+                k = names.index(phi.var)
+                values = body[1]
+                stride = n ** (len(names) - 1 - k)
+                block = n * stride
+                values = [op(values[b + i:b + block:stride])
+                          for b in range(0, len(values), block)
+                          for i in range(stride)]
+                names = names[:k] + names[k + 1:]
+                out = (names, values) if names else values[0]
+        memo[(phi.code, tok)] = out
+        return out
+
+    def _spread(self, table, names, n):
+        """The values of a table, or of a closed node, at every assignment
+        to names, a superset of its variables, in row-major order."""
+        if table.__class__ is Dyadic:
+            return repeat(table)
+        own, values = table
+        if own == names:
+            return values
+        key = (own, names, n)
+        index = self._spreads.get(key)
+        if index is None:
+            weight = {v: n ** (len(own) - 1 - j) for j, v in enumerate(own)}
+            weights = [weight.get(v, 0) for v in names]
+            index = self._spreads[key] = [
+                sum(p * w for p, w in zip(points, weights))
+                for points in product(range(n), repeat=len(names))]
+        return [values[i] for i in index]
 
     def _family(self, family, space, tok, env, tail, is_inf):
         """The truncated CInf / CSup step: the declared end member when the

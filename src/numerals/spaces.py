@@ -19,6 +19,7 @@ matrix (n*n entries). Anything else is a format error.
 import functools
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .dyadics import Dyadic, ZERO, ONE, parse_dyadic
 
@@ -83,15 +84,29 @@ def validate(space):
             if space.dist[i][j] != space.dist[j][i]:
                 bad.append(("symmetry", (i, j),
                             "%s vs %s" % (space.dist[i][j], space.dist[j][i])))
+    # the triangle inequality on integer numerators at the largest exponent
+    top = max(d.exp for row in space.dist for d in row)
+    nums = [[d.num << (top - d.exp) for d in row] for row in space.dist]
+    cols = list(zip(*nums))
     for i in range(n):
+        row = nums[i]
         for j in range(n):
+            if row[j] <= min(map(add, row, cols[j])):
+                continue
             for k in range(n):
-                if space.dist[i][j] > space.dist[i][k] + space.dist[k][j]:
+                if row[j] > row[k] + cols[j][k]:
                     bad.append(("triangle", (i, k, j),
                                 "%s > %s + %s" % (space.dist[i][j],
                                                   space.dist[i][k],
                                                   space.dist[k][j])))
     return ValidationReport(tuple(bad))
+
+
+def _checked(space):
+    report = validate(space)
+    if not report.ok:
+        raise SpaceValidationError(report)
+    return space
 
 
 def _freeze(rows):
@@ -122,11 +137,7 @@ def make_space(name, size, entries, check=True):
         raise SpaceFormatError(
             "dist needs %d (triangle) or %d (full) entries, got %d"
             % (tri, size * size, len(entries)))
-    if check:
-        report = validate(space)
-        if not report.ok:
-            raise SpaceValidationError(report)
-    return space
+    return _checked(space) if check else space
 
 
 def load_space(text):
@@ -193,12 +204,8 @@ def random_repaired_space(seed, size, name=None):
             rows[i][j] = v
             rows[j][i] = v
     rows = _metric_closure(rows)
-    space = FiniteMetricSpace(name or ("random%d-seed%d" % (size, seed)),
-                              size, _freeze(rows))
-    report = validate(space)
-    if not report.ok:
-        raise SpaceValidationError(report)
-    return space
+    name = name or ("random%d-seed%d" % (size, seed))
+    return _checked(FiniteMetricSpace(name, size, _freeze(rows)))
 
 
 def _ultrametric8():
@@ -220,15 +227,13 @@ def _ultrametric8():
 
 @functools.lru_cache(maxsize=1)
 def builtin_suite():
-    """Deterministic suite of five valid spaces of varied shape."""
+    """Deterministic suite of five valid spaces of varied shape, each
+    validated once (grid16 by random_repaired_space)."""
     singleton = FiniteMetricSpace("point", 1, ((ZERO,),))
     pair = from_lower_triangle("pair-half", 2, [ZERO, Dyadic(1, 1), ZERO])
     path_rows = [[Dyadic(abs(i - j), 2) for j in range(5)] for i in range(5)]
     path5 = FiniteMetricSpace("path5", 5, _freeze(path_rows))
     grid16 = random_repaired_space(_GRID_SEED, 16, name="grid16")
     suite = (singleton, pair, path5, grid16, _ultrametric8())
-    for space in suite:
-        report = validate(space)
-        if not report.ok:
-            raise SpaceValidationError(report)
-    return suite
+    return tuple(space if space is grid16 else _checked(space)
+                 for space in suite)

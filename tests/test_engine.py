@@ -9,11 +9,11 @@ from numerals.dyadics import (Dyadic, Enclosure, ONE, ZERO, from_fraction,
                               neg)
 from numerals.engine import (Engine, EngineError, SandwichError,
                              TruncationSchedule)
-from numerals.formulas import (CInf, CSup, DotMinus, ExplicitFamily,
+from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                GeneratedFamily, Half, InfQ, Neg, Rank, SIGMA,
                                SupQ, parse, register_generator)
 from numerals.ordinals import from_int
-from numerals.spaces import builtin_suite
+from numerals.spaces import builtin_suite, make_space
 
 F = Fraction
 POINT, PAIR, PATH5 = builtin_suite()[:3]
@@ -85,6 +85,92 @@ def test_atomic_eval_count():
     assert eng.atomic_evals == 25
     eng.eval_exact(diameter, PATH5)
     assert eng.atomic_evals == 25  # memoized
+
+
+def test_tables_read_only_free_variables():
+    # each finitary node is tabulated once per space over its own free
+    # variables: the atomic's table is the 16 x 16 matrix, read once, not
+    # once per binding of x0 above it; one memo entry per node
+    eng = Engine()
+    grid16 = builtin_suite()[3]
+    phi = parse("(sup x0 (sup x1 (inf x2 (dist x1 x2))))")
+    value = eng.eval_exact(phi, grid16)
+    assert eng.atomic_evals == 256
+    assert len(eng._memo) == 4
+    assert eng.eval_exact(phi.body, grid16, {0: 3}) == value
+    assert (eng.atomic_evals, len(eng._memo)) == (256, 4)
+
+
+class _OutOfRange(Exception):
+    pass
+
+
+def _reference(phi, rows, env):
+    """phi's value at one assignment, over Fractions, walking in code order:
+    the first free occurrence without a point raises."""
+    def point(var):
+        if var not in env:
+            raise EngineError("unbound variable x%d" % var)
+        if not 0 <= env[var] < len(rows):
+            raise _OutOfRange(var)
+        return env[var]
+    if isinstance(phi, Atomic):
+        i = point(phi.left)
+        return rows[i][point(phi.right)]
+    if isinstance(phi, Neg):
+        return 1 - _reference(phi.body, rows, env)
+    if isinstance(phi, Half):
+        return _reference(phi.body, rows, env) / 2
+    if isinstance(phi, DotMinus):
+        a = _reference(phi.left, rows, env)
+        return max(a - _reference(phi.right, rows, env), 0)
+    op = min if isinstance(phi, InfQ) else max
+    return op(_reference(phi.body, rows, {**env, phi.var: p})
+              for p in range(len(rows)))
+
+
+def _finitary(depth):
+    var = st.integers(0, 2)
+    atom = st.builds(Atomic, var, var)
+    if depth == 0:
+        return atom
+    sub = _finitary(depth - 1)
+    return st.one_of(atom, st.builds(Neg, sub), st.builds(Half, sub),
+                     st.builds(DotMinus, sub, sub), st.builds(InfQ, var, sub),
+                     st.builds(SupQ, var, sub))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tables_match_reference(data):
+    # full, possibly asymmetric matrices with nonzero diagonals, so that a
+    # transposed or mis-strided table reads a wrong entry
+    n = data.draw(st.integers(1, 4))
+    grid = data.draw(st.lists(st.integers(0, 8), min_size=n * n,
+                              max_size=n * n))
+    space = make_space("m", n, [Dyadic(k, 3) for k in grid], check=False)
+    rows = [[F(grid[i * n + j], 8) for j in range(n)] for i in range(n)]
+    phi = data.draw(_finitary(5))
+    eng = Engine()  # shared by the environments, so its tables are reused
+    for _ in range(data.draw(st.integers(1, 3))):
+        env = dict(enumerate(data.draw(st.lists(st.integers(0, n - 1),
+                                                min_size=3, max_size=3))))
+        for var in data.draw(st.sets(st.integers(0, 2))):
+            del env[var]  # partial environments
+        stray = data.draw(st.none() | st.integers(0, 2))
+        if stray is not None:
+            env[stray] = data.draw(st.sampled_from((-1, n, n + 5)))
+        try:
+            want = _reference(phi, rows, env)
+        except EngineError as err:
+            with pytest.raises(EngineError) as got:
+                eng.eval_exact(phi, space, env)
+            assert str(got.value) == str(err)
+        except _OutOfRange:
+            with pytest.raises(EngineError, match="is not a point of"):
+                eng.eval_exact(phi, space, env)
+        else:
+            assert eng.eval_exact(phi, space, env).as_fraction() == want
 
 
 def test_enclosure_of_finitary_is_point():
