@@ -3,7 +3,9 @@ enumerators, successor and limit steps, and the recipe driver.
 
 A numeral here is a sentence whose value is the same real in every metric
 space. The recursion is the standard one: at level 1 a right numeral is a
-countable inf of existential dyadic numerals drawn from the right cut; a
+countable inf of existential dyadic numerals drawn from the right cut,
+here the running minima of its members in enumeration order, so the
+values fall as n grows (left numerals mirror this with sup and maxima); a
 successor level wraps the opposite-side numerals of the source's children
 one level down; a limit level wraps same-side numerals along the
 fundamental sequence. Either way member n is the numeral of
@@ -16,7 +18,6 @@ registered with each makes the same value from the text of a code.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import reals, sexpr
 from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit
@@ -69,7 +70,7 @@ def dyadic_numeral(r, flavor):
     The table holds one node per distinct pair asked for, plus the pairs on
     their chains, which have smaller denominators and are mostly asked for
     themselves. Family members repeat the same dyadics many times over: the
-    whole demo asks for about 82k numerals and leaves 2,209 entries.
+    whole demo asks for about 1,600 numerals and leaves 559 entries.
     """
     if flavor not in (EXISTS, FORALL):
         raise BuildError("flavor must be exists or forall")
@@ -104,29 +105,32 @@ class DyadicCutGenerator:
     """Members of the level-1 family for one side of a cut; params are the
     target.
 
-    Even indices carry the dyadic cut members in (0,1) in the order the
-    fixed enumeration finds them; odd indices repeat the endpoint constant
-    (1 on the right, 0 on the left), which also covers the degenerate cuts
-    with no dyadic members at all.
+    Member n is the dyadic numeral of the best of the cut's hits
+    0..n // 2 in (0,1), in the order the fixed enumeration finds them: the
+    least on the right, the greatest on the left. The members are running
+    extrema, so their values fall on the right and rise on the left, as
+    declared. Each prefix has the inf (sup) of a prefix of the hits, the
+    same as the interleaving of hit k at 2k with the endpoint constant at
+    the odd indices, since the endpoint never wins. The degenerate cuts
+    with no dyadic members at all (right of 1, left of 0) have the
+    endpoint constant (1 on the right, 0 on the left) as every member.
     """
 
     def __init__(self, side):
         self.side = side
         self.flavor = EXISTS if side == RIGHT else FORALL
         self.endpoint = ONE if side == RIGHT else ZERO
-        self.probe = Fraction(1) if side == RIGHT else Fraction(0)
 
     def member(self, target, n):
-        if n % 2 == 1 or target.cmp_to(self.probe) == 0:
-            return dyadic_numeral(self.endpoint, self.flavor)
-        hit = reals.get_cut(target.text, self.side).hit(n // 2)
-        return dyadic_numeral(hit, self.flavor)
+        cut = reals.get_cut(target.text, self.side)
+        value = self.endpoint if cut.trivial else cut.best(n // 2)
+        return dyadic_numeral(value, self.flavor)
 
     def level_bound(self, target):
         return from_int(1)
 
     def monotone(self, target):
-        return None
+        return "nonincreasing" if self.side == RIGHT else "nondecreasing"
 
 
 def base_numeral(side, enumerator):

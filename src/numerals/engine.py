@@ -26,8 +26,10 @@ prefix scan gives both.
   end member's rather than the prefix extremum.
 - Truncated limit-members prefixes mostly fail the order check, so they
   are still scanned in full.
-- The builtin declarations hold: staged-approx members are the dyadic
-  numerals of r_approx(n, t), monotone in t, and successor and limit
+- The builtin declarations hold: cut members are the dyadic numerals of
+  running extrema of the cut's hits, the least so far on the right and
+  the greatest so far on the left; staged-approx members are the dyadic
+  numerals of r_approx(n, t), monotone in t; and successor and limit
   members fall on the right and rise on the left, as their sources do.
 
 A finitary node is evaluated once per space, as a table over its own free

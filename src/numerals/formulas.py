@@ -197,9 +197,10 @@ FamilySpec = ExplicitFamily | GeneratedFamily
 # bound is attained by a sampled member, so it stays certified whatever the
 # declaration says, for interval members as for points; a wrong declaration
 # only costs tightness, and makes the estimate the end member's rather than
-# the prefix extremum. The builtin declarations hold: staged-approx members
-# are r_approx(n, t), monotone in t, and successor and limit members fall on
-# the right and rise on the left, as their sources do.
+# the prefix extremum. The builtin declarations hold: cut members are the
+# running minimum (right) or maximum (left) of the cut's hits, staged-approx
+# members are r_approx(n, t), monotone in t, and successor and limit members
+# fall on the right and rise on the left, as their sources do.
 
 _GENERATORS = {}  # name -> (generator, reader)
 

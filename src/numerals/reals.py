@@ -173,7 +173,13 @@ class CutEnumerator:
     """Total enumeration of one Dedekind cut of a target real.
 
     Stage i inspects q_i and keeps it when it is a dyadic cut member in
-    (0,1); a stage cursor records how far the enumeration has looked.
+    (0,1). Only odd stages can hold one (q_{2i+1} is the i-th unit dyadic;
+    the other stages hold 0, integers plus unit dyadics, and non-dyadic
+    rationals), so the walk steps through the odd stages alone, computing
+    q_{2i+1} directly rather than through ENUM. The hits come out in the
+    same order as in the full walk; a cursor records how many odd stages
+    have been inspected. Next to each hit the enumerator keeps the best
+    hit so far: the least on the right, the greatest on the left.
     """
 
     def __init__(self, target, side):
@@ -186,15 +192,8 @@ class CutEnumerator:
         c = target.cmp_to(Fraction(1 if side == RIGHT else 0))
         self.trivial = c >= 0 if side == RIGHT else c <= 0
         self._hits = []          # dyadic cut members in (0,1), in stage order
-        self._stage = 0          # stages inspected so far
-
-    def raw(self, i):
-        """q_i when q_i is in the cut, else None."""
-        q = ENUM.q(i)
-        c = self.target.cmp_to(q)
-        if self.side == RIGHT:
-            return q if c < 0 else None
-        return q if c > 0 else None
+        self._best = []          # _best[k]: the best of _hits[0..k]
+        self._odd = 0            # odd stages 2i+1 inspected so far
 
     def hit(self, k):
         """The k-th dyadic cut member in (0,1), in order of discovery.
@@ -207,12 +206,23 @@ class CutEnumerator:
         if self.trivial:
             raise RealSourceError("the %s cut of %s has no dyadic members in (0,1)"
                                   % (self.side, self.target.text))
-        while len(self._hits) <= k:
-            q = self.raw(self._stage)
-            self._stage += 1
-            if q is not None and is_dyadic_fraction(q) and 0 < q < 1:
-                self._hits.append(from_fraction(q))
-        return self._hits[k]
+        hits, best = self._hits, self._best
+        sign = -1 if self.side == RIGHT else 1
+        better = min if self.side == RIGHT else max
+        while len(hits) <= k:
+            q = _unit_dyadic(self._odd)
+            self._odd += 1
+            if self.target.cmp_to(q) == sign:
+                d = from_fraction(q)
+                hits.append(d)
+                best.append(better(best[-1], d) if best else d)
+        return hits[k]
+
+    def best(self, k):
+        """The least (right) or greatest (left) of hits 0..k: the running
+        extremum, nonincreasing on the right and nondecreasing on the left."""
+        self.hit(k)
+        return self._best[k]
 
 
 _CUTS = {}

@@ -113,18 +113,23 @@ def test_helpers():
 
 
 def test_upper_cut_family_members():
+    # members 2k and 2k+1 are the numeral of the least of hits 0..k
     fam = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
     hits = [Dyadic(1, 1), Dyadic(3, 2), Dyadic(3, 3)]
-    for k, hit in enumerate(hits):
-        assert fam.member(2 * k).code == code(hit, EXISTS)
-    for n in (1, 3, 5):
-        assert fam.member(n).code == code(ONE, EXISTS)
+    assert [get_cut("1/3", RIGHT).hit(k) for k in range(3)] == hits
+    for n, best in enumerate([Dyadic(1, 1), Dyadic(1, 1), Dyadic(1, 1),
+                              Dyadic(1, 1), Dyadic(3, 3), Dyadic(3, 3)]):
+        assert fam.member(n).code == code(best, EXISTS)
 
 
 def test_lower_cut_family_members():
+    # members 2k and 2k+1 are the numeral of the greatest of hits 0..k
     fam = parse('(csup (gen dyadic-lower-cut "1/3"))').family
-    assert fam.member(0).code == code(Dyadic(1, 2), FORALL)
-    assert fam.member(1).code == code(ZERO, FORALL)
+    hits = [Dyadic(1, 2), Dyadic(1, 3), Dyadic(1, 4), Dyadic(3, 4),
+            Dyadic(5, 4)]
+    assert [get_cut("1/3", LEFT).hit(k) for k in range(5)] == hits
+    for n, best in enumerate([Dyadic(1, 2)] * 8 + [Dyadic(5, 4)] * 2):
+        assert fam.member(n).code == code(best, FORALL)
 
 
 def test_trivial_cuts_use_endpoints_only():

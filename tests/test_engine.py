@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals.builders import (EXISTS, FORALL, dyadic_numeral, parse_recipe)
+from numerals.builders import (EXISTS, FORALL, base_numeral, dyadic_numeral,
+                               parse_recipe)
 from numerals.dyadics import (Dyadic, Enclosure, ONE, ZERO, from_fraction,
                               neg)
 from numerals.engine import (Engine, EngineError, SandwichError,
@@ -13,6 +14,7 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                GeneratedFamily, Half, InfQ, Neg, Rank, SIGMA,
                                SupQ, parse, register_generator)
 from numerals.ordinals import from_int
+from numerals.reals import LEFT, RIGHT, get_cut
 from numerals.spaces import builtin_suite, make_space
 
 F = Fraction
@@ -314,6 +316,55 @@ def test_member_requests_grow_linearly_in_depth(monkeypatch, name, depths):
         eng.truncation_value(phi, POINT, sched)
         counts.append(len(calls))
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+def _interleaved(text, side, count):
+    """The first count members of a cut family in their interleaved form:
+    hit k at index 2k and the endpoint constant at the odd indices, or the
+    endpoint throughout for a cut with no hits."""
+    cut = get_cut(text, side)
+    flavor, end = (EXISTS, ONE) if side == RIGHT else (FORALL, ZERO)
+    return ExplicitFamily(tuple(
+        dyadic_numeral(end if n % 2 or cut.trivial else cut.hit(n // 2),
+                       flavor)
+        for n in range(count)))
+
+
+cut_targets = st.one_of(
+    st.integers(1, 64).flatmap(
+        lambda d: st.integers(0, d).map(lambda n: str(F(n, d)))),
+    st.sampled_from(["sqrt-half", "0", "1"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_targets, st.sampled_from([LEFT, RIGHT]), st.integers(1, 600),
+       st.sampled_from([TruncationSchedule.uniform,
+                        TruncationSchedule.default]),
+       st.sampled_from(["point", "grid16"]))
+def test_cut_running_extrema_match_interleaved_scan(text, side, count,
+                                                    schedule, space_name):
+    # the cut family's running extrema, walked through the monotone
+    # shortcut, give the enclosure and estimate of a full scan of the
+    # interleaved hits and endpoints
+    space = next(sp for sp in builtin_suite() if sp.name == space_name)
+    sched = schedule(count)
+    phi = base_numeral(side, get_cut(text, side))
+    scan = type(phi)(_interleaved(text, side, count))
+    eng = Engine()
+    assert (eng.eval_enclosure(phi, space, sched),
+            eng.truncation_value(phi, space, sched)) == \
+        (eng.eval_enclosure(scan, space, sched),
+         eng.truncation_value(scan, space, sched))
+
+
+def test_level_one_verify_requests_few_cut_members(monkeypatch):
+    # three members per cut family and schedule, where a scan of the
+    # interleaved family asks for every member on every space (87,044)
+    calls = _count_requests(monkeypatch)
+    recipe = parse_recipe('(numeral right 1 (real builtin "sqrt-half"))')
+    assert Engine().verify_recipe(recipe, builtin_suite(), 16384, 6).ok
+    cut = [n for fam, n in calls if fam.generator == "dyadic-upper-cut"]
+    assert len(cut) <= 64, len(cut)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,17 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numerals import reals
 from numerals.dyadics import Dyadic, from_fraction, is_dyadic_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (ENUM, LEFT, RIGHT, BuiltinSource, ConstantSource,
-                            GeometricSource, LeveledSource, RealSourceError,
-                            SequenceExtraction, Sigma2Source, StagedChildSource,
-                            TransformedR1, builtin_real, check_step, clamp01,
-                            get_cut, get_extraction, pair, parse_real_source,
-                            parse_target, sigma2_predicate, unpair)
+                            CutEnumerator, GeometricSource, LeveledSource,
+                            RationalEnumeration, RealSourceError,
+                            SequenceExtraction, Sigma2Source,
+                            StagedChildSource, TransformedR1, builtin_real,
+                            check_step, clamp01, get_cut, get_extraction, pair,
+                            parse_real_source, parse_target, sigma2_predicate,
+                            unpair)
 
 F = Fraction
 
@@ -62,13 +65,23 @@ def test_target_signs():
     assert root.cmp_to(F(1)) == -1
 
 
+def raw(cut, i):
+    """Stage i of a cut's full walk over the enumeration: q_i when it is in
+    the cut, else None."""
+    q = ENUM.q(i)
+    c = cut.target.cmp_to(q)
+    if cut.side == RIGHT:
+        return q if c < 0 else None
+    return q if c > 0 else None
+
+
 def padded(cut, n):
     """The first n stages of a cut's total enumeration: q_i when it is in
     the cut, else the element before it, starting from a far member of
     the cut (2 on the right, -1 on the left)."""
     out, last = [], F(2) if cut.side == RIGHT else F(-1)
     for i in range(n):
-        q = cut.raw(i)
+        q = raw(cut, i)
         if q is not None:
             last = q
         out.append(last)
@@ -129,11 +142,24 @@ def test_cut_hits_follow_raw_stages():
     left, right = builtin_real("sqrt-half")
     assert left.side == LEFT and right.side == RIGHT
     for cut in (left, right):
-        stages = [cut.raw(i) for i in range(400)]
+        stages = [raw(cut, i) for i in range(400)]
         units = [from_fraction(q) for q in stages if q is not None
                  and is_dyadic_fraction(q) and 0 < q < 1]
         assert len(units) >= 10
         assert [cut.hit(k) for k in range(len(units))] == units
+        better = min if cut.side == RIGHT else max
+        assert [cut.best(k) for k in range(len(units))] == \
+            list(accumulate(units, better))
+
+
+def test_cut_hits_skip_the_enumeration_memo(monkeypatch):
+    # hits come from the odd stages, computed directly: a deep walk leaves
+    # a fresh memo of every q_i, Calkin-Wilf rationals included, as it was
+    # (a walk through ENUM.q adds 62,723 entries here)
+    monkeypatch.setattr(reals, "ENUM", RationalEnumeration())
+    for side in (LEFT, RIGHT):
+        CutEnumerator(parse_target("sqrt-half"), side).hit(8191)
+        assert len(reals.ENUM._memo) == 1
 
 
 def test_sqrt_half_cut_brackets():
