@@ -114,6 +114,8 @@ class DyadicCutGenerator:
     the odd indices, since the endpoint never wins. The degenerate cuts
     with no dyadic members at all (right of 1, left of 0) have the
     endpoint constant (1 on the right, 0 on the left) as every member.
+    A request reads the best hit in closed form from a CutEnumerator of the
+    typed target, so it parses no text and keeps no cut state.
     """
 
     def __init__(self, side):
@@ -122,7 +124,7 @@ class DyadicCutGenerator:
         self.endpoint = ONE if side == RIGHT else ZERO
 
     def member(self, target, n):
-        cut = reals.get_cut(target.text, self.side)
+        cut = reals.CutEnumerator(target, self.side)
         value = self.endpoint if cut.trivial else cut.best(n // 2)
         return dyadic_numeral(value, self.flavor)
 
@@ -172,7 +174,10 @@ def read_stage(text):
         raise BuildError('staged-approx params must be '
                          '(stage pred-name "param" index)')
     pred = reals.sigma2_predicate(str(node[1]), str(node[2]))
-    return reals.StagedChildSource(pred, int(str(node[3])))
+    index = str(node[3])
+    if not (index.isascii() and index.isdigit()):
+        raise BuildError("stage index must be a nonnegative integer, got %r" % index)
+    return reals.StagedChildSource(pred, int(index))
 
 
 def staged_child_numeral(source):
@@ -275,9 +280,10 @@ def build_numeral(side, level, source):
         if isinstance(source, reals.StagedChildSource):
             return staged_child_numeral(source)
         if isinstance(source, reals.BuiltinSource):
-            return base_numeral(side, reals.get_cut(source.text, side))
+            return base_numeral(side, reals.CutEnumerator(source.target, side))
         if isinstance(source, reals.ConstantSource):
-            return base_numeral(side, reals.get_cut(str(source.value), side))
+            target = reals.RationalTarget(source.value, str(source.value))
+            return base_numeral(side, reals.CutEnumerator(target, side))
         raise BuildError("cannot build a level-1 numeral from %s"
                          % type(source).__name__)
     name = "successor-members" if level.is_successor() else "limit-members"

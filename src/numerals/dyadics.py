@@ -157,9 +157,6 @@ class Enclosure:
     def width(self):
         return self.hi - self.lo
 
-    def is_point(self):
-        return self.lo == self.hi
-
     def contains(self, d):
         return self.lo <= d <= self.hi
 
@@ -169,9 +166,6 @@ class Enclosure:
 
 def point(d):
     return Enclosure(d, d)
-
-
-FULL = Enclosure(ZERO, ONE)
 
 
 class ArityError(Exception):

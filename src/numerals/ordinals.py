@@ -28,11 +28,6 @@ class OrdinalCNF:
     def is_finite(self):
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 
-    def finite_value(self):
-        if not self.is_finite():
-            raise ValueError("not a finite ordinal: %s" % self)
-        return self.terms[0][1] if self.terms else 0
-
     def is_successor(self):
         return bool(self.terms) and self.terms[-1][0] == 0
 

@@ -13,6 +13,10 @@ Everything here is anchored to two fixed, documented constants:
 
 Both are part of the artifact's contract: changing either changes every
 extracted sequence, so the tests freeze prefixes of both.
+
+The odd stages list the dyadics of (0,1) level by level, so the cut
+enumerators and staged extractions read their values in closed form
+instead of walking the stages; a cut enumerator holds no state.
 """
 
 import math
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import sexpr
-from .dyadics import Dyadic, ZERO, ONE, from_fraction, is_dyadic_fraction
+from .dyadics import Dyadic, ZERO, ONE, is_dyadic_fraction
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 
 RIGHT = "right"
@@ -129,6 +133,10 @@ class RationalTarget:
         d = self.value - q
         return (d > 0) - (d < 0)
 
+    def floor_scaled(self, level):
+        """floor(r * 2^level), exactly."""
+        return (self.value.numerator << level) // self.value.denominator
+
 
 @dataclass(frozen=True)
 class SqrtHalfTarget:
@@ -147,6 +155,10 @@ class SqrtHalfTarget:
         # sqrt(1/2) vs p/d  <=>  d^2 vs 2 p^2; equality cannot occur
         p, d = q.numerator, q.denominator
         return 1 if d * d > 2 * p * p else -1
+
+    def floor_scaled(self, level):
+        """floor(r * 2^level) = isqrt(2^(2 level - 1)), and 0 at level 0."""
+        return math.isqrt((1 << 2 * level) >> 1)
 
 
 _NAMED_TARGETS = {"sqrt-half": SqrtHalfTarget}
@@ -169,75 +181,91 @@ def parse_target(text):
 # ------------------------------------------------------------ cut enumerators
 
 
+@dataclass(frozen=True)
 class CutEnumerator:
-    """Total enumeration of one Dedekind cut of a target real.
+    """One Dedekind cut of a target real r, enumerated in closed form.
 
-    Stage i inspects q_i and keeps it when it is a dyadic cut member in
-    (0,1). Only odd stages can hold one (q_{2i+1} is the i-th unit dyadic;
-    the other stages hold 0, integers plus unit dyadics, and non-dyadic
-    rationals), so the walk steps through the odd stages alone, computing
-    q_{2i+1} directly rather than through ENUM. The hits come out in the
-    same order as in the full walk; a cursor records how many odd stages
-    have been inspected. Next to each hit the enumerator keeps the best
-    hit so far: the least on the right, the greatest on the left.
+    The enumeration keeps each q_i that is a dyadic of (0,1) in the cut
+    (above r on the right, below r on the left); hit k is the k-th kept.
+    Only odd stages hold one: q_{2i+1} is the i-th unit dyadic, and these
+    come level by level (level L >= 1 holds the odd a/2^L, 0 < a < 2^L) in
+    increasing a. So all follows from f_L = floor(r * 2^L), which each
+    target computes exactly (floor_scaled):
+
+    * Level L's hits are the odd a in [lo_L, 2^L) on the right, with
+      lo_L = f_L + 1 the least a/2^L above r, and the odd a in [1, hi_L]
+      on the left, with hi_L = ceil(r * 2^L) - 1 the greatest a/2^L below
+      r (f_L - 1 when r * 2^L is an integer, else f_L). Counting them
+      level by level places hit k as the j-th of level L: it is
+      ((lo_L | 1) + 2j)/2^L on the right and (2j + 1)/2^L on the left.
+    * Right: best(k) = lo_L/2^L, the least dyadic above r with denominator
+      at most 2^L. No hit up to level L is smaller, and it is a hit by
+      then: the first of level L when lo_L is odd, else its reduced form,
+      found at a coarser level.
+    * Left: best(k) = max(hit k, hi_{L-1}/2^(L-1)). The second term is the
+      greatest hit of the levels before L (0 when they have none), and the
+      numerators rise within level L.
+
+    Both walk the levels up to hit k's, about log k of them, and the
+    enumerator holds no state.
     """
 
-    def __init__(self, target, side):
-        if side not in (LEFT, RIGHT):
-            raise ValueError("side must be left or right")
-        self.target = target
-        self.side = side
-        # the right cut of 1 and the left cut of 0 hold no dyadic of (0,1);
-        # every other cut holds a tail of them
-        c = target.cmp_to(Fraction(1 if side == RIGHT else 0))
-        self.trivial = c >= 0 if side == RIGHT else c <= 0
-        self._hits = []          # dyadic cut members in (0,1), in stage order
-        self._best = []          # _best[k]: the best of _hits[0..k]
-        self._odd = 0            # odd stages 2i+1 inspected so far
+    target: object
+    side: str
 
-    def hit(self, k):
-        """The k-th dyadic cut member in (0,1), in order of discovery.
+    @property
+    def trivial(self):
+        """The right cut of 1 and the left cut of 0 hold no hit at all."""
+        if self.side == RIGHT:
+            return self.target.cmp_to(Fraction(1)) >= 0
+        return self.target.cmp_to(Fraction(0)) <= 0
 
-        Terminates for every nontrivial cut: the cut contains a tail of the
-        unit dyadics, which the enumeration visits at every other odd index.
-        A trivial cut (right cut of 1, left cut of 0) has none, so asking it
-        for one is an error, raised before any stage is inspected.
-        """
+    def _edge(self, level):
+        """lo_L on the right, hi_L on the left."""
+        f = self.target.floor_scaled(level)
+        if self.side == RIGHT:
+            return f + 1
+        return f - 1 if self.target.cmp_to(Fraction(f, 1 << level)) == 0 else f
+
+    def _place(self, k):
+        """(L, j, edge): hit k is the j-th of level L, whose edge is given."""
         if self.trivial:
             raise RealSourceError("the %s cut of %s has no dyadic members in (0,1)"
                                   % (self.side, self.target.text))
-        hits, best = self._hits, self._best
-        sign = -1 if self.side == RIGHT else 1
-        better = min if self.side == RIGHT else max
-        while len(hits) <= k:
-            q = _unit_dyadic(self._odd)
-            self._odd += 1
-            if self.target.cmp_to(q) == sign:
-                d = from_fraction(q)
-                hits.append(d)
-                best.append(better(best[-1], d) if best else d)
-        return hits[k]
+        level = 1
+        while True:
+            edge = self._edge(level)
+            if self.side == RIGHT:
+                count = (1 << (level - 1)) - edge // 2  # odd a in [edge, 2^L)
+            else:
+                count = (edge + 1) // 2                 # odd a in [1, edge]
+            if k < count:
+                return level, k, edge
+            k -= count
+            level += 1
+
+    def hit(self, k):
+        """The k-th dyadic cut member in (0,1), in order of discovery."""
+        level, j, edge = self._place(k)
+        first = edge | 1 if self.side == RIGHT else 1
+        return Dyadic(first + 2 * j, level)
 
     def best(self, k):
         """The least (right) or greatest (left) of hits 0..k: the running
         extremum, nonincreasing on the right and nondecreasing on the left."""
-        self.hit(k)
-        return self._best[k]
-
-
-_CUTS = {}
+        level, j, edge = self._place(k)
+        if self.side == RIGHT:
+            return Dyadic(edge, level)
+        return max(Dyadic(2 * j + 1, level),
+                   Dyadic(self._edge(level - 1), level - 1))
 
 
 def get_cut(target_text, side):
-    key = (target_text.strip(), side)  # the text parse_target reads
-    if key not in _CUTS:
-        _CUTS[key] = CutEnumerator(parse_target(target_text), side)
-    return _CUTS[key]
+    return CutEnumerator(parse_target(target_text), side)
 
 
 def builtin_real(name):
     """Both cut enumerators (left, right) of a named computable real."""
-    parse_target(name)  # unknown names fail here
     return get_cut(name, LEFT), get_cut(name, RIGHT)
 
 
@@ -303,36 +331,6 @@ def sigma2_predicate(name, param):
     if not 0 <= c <= 1:
         raise RealSourceError("predicate value %s outside [0,1]" % param)
     return pred
-
-
-@dataclass(frozen=True)
-class TransformedR1:
-    """R1(x0,x1,q) <=> q_{(x0)_1} <= q and R((x0)_0, x1, q_{(x0)_1}).
-
-    On the right side this is closed upward in q; the left mirror flips the
-    guard and is closed downward.
-    """
-
-    pred: Sigma2Predicate
-
-    def holds(self, x0, x1, q):
-        e, j = unpair(x0)
-        qj = ENUM.q(j)
-        if self.pred.side == RIGHT:
-            return qj <= q and self.pred.R(e, x1, qj)
-        return q <= qj and self.pred.R(e, x1, qj)
-
-    def neg_witness(self, x0, q):
-        """Least x1 refuting R1(x0, x1, q), or None."""
-        e, j = unpair(x0)
-        qj = ENUM.q(j)
-        if self.pred.side == RIGHT:
-            if q < qj:
-                return 0
-        else:
-            if qj < q:
-                return 0
-        return self.pred.neg_witness(e, qj)
 
 
 # -------------------------------------------------------- staged extraction

@@ -369,8 +369,10 @@ MALFORMED_PARAMS = (
     ('(csup (gen staged-approx "(stage nope \\"1/3\\" 1)"))',
      "unknown predicate 'nope'"),
     ('(cinf (gen dyadic-upper-cut "7/3"))', "builtin real 7/3 outside [0,1]"),
+    ('(cinf (gen staged-approx "(stage geometric-above \\"1/3\\" -1)"))',
+     "stage index must be a nonnegative integer, got '-1'"),
 )
-MALFORMED_IDS = ("succ", "limit", "stage", "cut")
+MALFORMED_IDS = ("succ", "limit", "stage", "cut", "stage-index")
 
 
 @pytest.mark.parametrize("code, message", MALFORMED_PARAMS, ids=MALFORMED_IDS)
@@ -382,7 +384,8 @@ def test_malformed_params_rejected_at_parse(code, message):
 
 def test_members_read_no_text(monkeypatch):
     # members are built from the family's params, never from text: the only
-    # text read is the recipe, and a target is parsed once per new cut
+    # text read is the recipe, and no target is parsed at all, since level-1
+    # constants make their cut target from the value
     calls = {}
     for module, name in ((sexpr, "read"), (reals, "parse_target")):
         def counting(text, _fn=getattr(module, name), _name=name):
@@ -392,22 +395,22 @@ def test_members_read_no_text(monkeypatch):
     space = builtin_suite()[0]
     for depth in (4, 8, 16):
         calls.update(read=0, parse_target=0)
-        cuts = len(reals._CUTS)
         phi = parse_recipe('(numeral right 3 (real geometric right 3 "1/3"))')
         Engine().eval_enclosure(phi.build(), space,
                                 TruncationSchedule.default(depth))
-        assert calls["read"] == 1
-        assert calls["parse_target"] <= len(reals._CUTS) - cuts
+        assert calls == {"read": 1, "parse_target": 0}
 
 
 def test_padded_target_shares_its_cut():
     # the recipe's target text and the family's params text name one cut,
-    # so padding round the target must not start a second enumerator
+    # so padding round the target changes neither the code nor the values
     space = builtin_suite()[0]
     for side, code in ((RIGHT, '(cinf (gen dyadic-upper-cut "1/3"))'),
                        (LEFT, '(csup (gen dyadic-lower-cut "1/3"))')):
-        phi = parse_recipe('(numeral %s 1 (real builtin " 1/3"))' % side).build()
-        assert phi.code == code
-        Engine().eval_enclosure(phi, space, TruncationSchedule.uniform(64))
-    assert sorted(key for key in reals._CUTS if key[0].strip() == "1/3") == \
-        [("1/3", LEFT), ("1/3", RIGHT)]
+        padded, plain = (
+            parse_recipe('(numeral %s 1 (real builtin "%s"))' % (side, text)).build()
+            for text in (" 1/3", "1/3"))
+        assert padded.code == plain.code == code
+        sched = TruncationSchedule.uniform(64)
+        assert Engine().eval_enclosure(padded, space, sched) == \
+            Engine().eval_enclosure(plain, space, sched)

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from numerals.dyadics import (ArityError, Dyadic, Enclosure, FULL, HALF, ONE,
-                              ZERO, dotminus, enclosure_apply, from_fraction,
-                              half, is_dyadic_fraction, neg, parse_dyadic,
-                              point)
+from numerals.dyadics import (ArityError, Dyadic, Enclosure, HALF, ONE, ZERO,
+                              dotminus, enclosure_apply, from_fraction, half,
+                              is_dyadic_fraction, neg, parse_dyadic, point)
 
+FULL = Enclosure(ZERO, ONE)
 units = st.integers(0, 10).flatmap(
     lambda e: st.integers(0, 2 ** e).map(lambda n: Dyadic(n, e)))
 
@@ -68,7 +68,7 @@ def test_dotminus_truncates(a, b):
 
 def test_enclosure_validation():
     assert Enclosure(ZERO, HALF).width == HALF
-    assert point(HALF).is_point()
+    assert point(HALF).lo == point(HALF).hi == HALF
     assert FULL.contains(ONE)
     with pytest.raises(ValueError):
         Enclosure(ONE, ZERO)

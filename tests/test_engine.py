@@ -178,7 +178,7 @@ def test_tables_match_reference(data):
 def test_enclosure_of_finitary_is_point():
     eng = Engine()
     enc = eng.eval_enclosure(dn(3, 2), PAIR, TruncationSchedule.uniform(4))
-    assert enc.is_point() and enc.lo == Dyadic(3, 2)
+    assert enc.lo == enc.hi == Dyadic(3, 2)
     # A finitary sentence has one value whatever the schedule, and one memo
     # entry per node: after the exact pass no reading evaluates an atomic.
     phi = parse("(dotminus (sup x0 (sup x1 (dist x0 x1)))"

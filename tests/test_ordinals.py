@@ -91,7 +91,7 @@ def test_fundamental_increasing_and_below(n):
 
 
 def test_finite_value():
-    assert from_int(12).finite_value() == 12
-    assert ZERO_ORD.finite_value() == 0
-    with pytest.raises(ValueError):
-        OMEGA.finite_value()
+    # a finite ordinal is its one w^0 term, and zero has no terms
+    assert from_int(12).is_finite() and from_int(12).terms == ((0, 12),)
+    assert ZERO_ORD.is_finite() and ZERO_ORD.terms == ()
+    assert not OMEGA.is_finite()

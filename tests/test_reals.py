@@ -1,8 +1,9 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from numerals import reals
 from numerals.dyadics import Dyadic, from_fraction, is_dyadic_fraction
@@ -10,11 +11,13 @@ from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (ENUM, LEFT, RIGHT, BuiltinSource, ConstantSource,
                             CutEnumerator, GeometricSource, LeveledSource,
                             RationalEnumeration, RealSourceError,
-                            SequenceExtraction, Sigma2Source,
-                            StagedChildSource, TransformedR1, builtin_real,
-                            check_step, clamp01, get_cut, get_extraction, pair,
+                            SequenceExtraction, Sigma2Predicate, Sigma2Source,
+                            StagedChildSource, builtin_real, check_step,
+                            clamp01, get_cut, get_extraction, pair,
                             parse_real_source, parse_target, sigma2_predicate,
                             unpair)
+
+from test_engine import cut_targets
 
 F = Fraction
 
@@ -128,7 +131,7 @@ def test_trivial_cut_has_no_unit_hits():
 def test_trivial_cut_hit_fails_at_once():
     # no dyadic of (0,1) lies in the right cut of 1 or the left cut of 0, so
     # asking for one raises before any stage grows the enumeration's memo
-    assert builtin_real("1")[1] is get_cut("1", RIGHT)
+    assert builtin_real("1")[1] == get_cut("1", RIGHT)
     for name, side in (("1", RIGHT), ("0", LEFT)):
         before = len(ENUM._memo)
         with pytest.raises(RealSourceError):
@@ -162,6 +165,44 @@ def test_cut_hits_skip_the_enumeration_memo(monkeypatch):
         assert len(reals.ENUM._memo) == 1
 
 
+def walked(cut, k):
+    """Hits 0..k of a cut and their running extrema, by a walk over every
+    stage of its enumeration: the reference for the closed form."""
+    hits, i = [], 0
+    while len(hits) <= k:
+        q = raw(cut, i)
+        if q is not None and is_dyadic_fraction(q) and 0 < q < 1:
+            hits.append(from_fraction(q))
+        i += 1
+    return hits, list(accumulate(hits, min if cut.side == RIGHT else max))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_targets | st.sampled_from(["3/8", "1/64", "63/64"]),
+       st.sampled_from([LEFT, RIGHT]), st.integers(0, 2000))
+@example("3/8", LEFT, 2000)    # r * 2^L is an integer from level 3 on
+@example("63/64", RIGHT, 2000)  # the fewest right hits per level
+@example("1/64", LEFT, 2000)    # the fewest left hits per level
+def test_closed_form_cut_matches_stage_walk(text, side, k):
+    cut = get_cut(text, side)
+    if cut.trivial:
+        for read in (cut.hit, cut.best):
+            with pytest.raises(RealSourceError):
+                read(k)
+        return
+    hits, best = walked(cut, k)
+    assert (cut.hit(k), cut.best(k)) == (hits[k], best[k])
+
+
+@pytest.mark.parametrize("name", ["1/3", "sqrt-half"])
+def test_deep_cut_extrema_close_in(name):
+    # the closed form reads hit 10^12 at level 41; a walk would step
+    # through about 2 * 10^12 odd stages
+    target, gap = parse_target(name), F(1, 2 ** 30)
+    for side, sign in ((RIGHT, -1), (LEFT, 1)):
+        best = get_cut(name, side).best(10 ** 12).as_fraction()
+        assert target.cmp_to(best) == sign
+        assert target.cmp_to(best + sign * gap) == -sign
 def test_sqrt_half_cut_brackets():
     left, right = builtin_real("sqrt-half")
     lo = max(padded(left, 200))
@@ -194,6 +235,38 @@ def test_predicate_rejects():
     for param in ["spam", "1/0", "3/2"]:
         with pytest.raises(RealSourceError):
             sigma2_predicate("geometric-above", param)
+
+
+@dataclass(frozen=True)
+class TransformedR1:
+    """R1(x0,x1,q) <=> q_{(x0)_1} <= q and R((x0)_0, x1, q_{(x0)_1}): the
+    paper's transformed predicate, whose refuting witnesses the staged
+    extraction reads in closed form.
+
+    On the right side this is closed upward in q; the left mirror flips the
+    guard and is closed downward.
+    """
+
+    pred: Sigma2Predicate
+
+    def holds(self, x0, x1, q):
+        e, j = unpair(x0)
+        qj = ENUM.q(j)
+        if self.pred.side == RIGHT:
+            return qj <= q and self.pred.R(e, x1, qj)
+        return q <= qj and self.pred.R(e, x1, qj)
+
+    def neg_witness(self, x0, q):
+        """Least x1 refuting R1(x0, x1, q), or None."""
+        e, j = unpair(x0)
+        qj = ENUM.q(j)
+        if self.pred.side == RIGHT:
+            if q < qj:
+                return 0
+        else:
+            if qj < q:
+                return 0
+        return self.pred.neg_witness(e, qj)
 
 
 def test_transform_guard_sides():
