@@ -15,7 +15,7 @@ from .builders import EXISTS, FORALL, dyadic_numeral, parse_recipe
 from .dyadics import Dyadic
 from .engine import Engine, TruncationSchedule
 from .formulas import parse
-from .reals import RIGHT, get_extraction, sigma2_predicate
+from .reals import RIGHT, SequenceExtraction, sigma2_predicate
 from .spaces import builtin_suite
 
 RIGHT_CORPUS = (
@@ -140,7 +140,7 @@ def criterion_3(engine=None):
 
 def _staged_side(name, param, target):
     pred = sigma2_predicate(name, param)
-    ext = get_extraction(pred)
+    ext = SequenceExtraction(pred)
     rising = pred.side == RIGHT
     grid = (1, 4, 16, 64, 256, 1024)
     for m in range(0, 33, 4):

@@ -155,7 +155,7 @@ class StagedApproxGenerator:
     """
 
     def member(self, source, t):
-        value = reals.get_extraction(source.pred).r_approx(source.index, t)
+        value = reals.SequenceExtraction(source.pred).r_approx(source.index, t)
         flavor = FORALL if source.pred.side == RIGHT else EXISTS
         return dyadic_numeral(value, flavor)
 

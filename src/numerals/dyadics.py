@@ -68,9 +68,6 @@ class Dyadic:
     def as_fraction(self):
         return Fraction(self.num, 1 << self.exp)
 
-    def __float__(self):
-        return self.num / (1 << self.exp)
-
     def __str__(self):
         if self.exp == 0:
             return str(self.num)

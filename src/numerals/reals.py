@@ -16,16 +16,18 @@ extracted sequence, so the tests freeze prefixes of both.
 
 The odd stages list the dyadics of (0,1) level by level, so the cut
 enumerators and staged extractions read their values in closed form
-instead of walking the stages; a cut enumerator holds no state.
+instead of walking the stages. Enumerators and extractions are plain
+values, and nothing here keeps state between calls.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, islice
 
 from . import sexpr
-from .dyadics import Dyadic, ZERO, ONE, is_dyadic_fraction
+from .dyadics import Dyadic, is_dyadic_fraction
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 
 RIGHT = "right"
@@ -34,6 +36,10 @@ LEFT = "left"
 
 class RealSourceError(Exception):
     pass
+
+
+def _sign(d):
+    return (d > 0) - (d < 0)
 
 
 def clamp01(q):
@@ -73,48 +79,44 @@ def _zigzag(a):
     return mag if a % 2 == 0 else -mag
 
 
-class RationalEnumeration:
-    """The fixed bijective enumeration n -> q_n of the rationals."""
-
-    def __init__(self):
-        self._cw_nondyadic = []
-        self._cw_last = Fraction(1)
-        self._memo = [Fraction(0)]
-
-    def _cw_extend(self, upto):
-        # Calkin-Wilf: x' = 1/(2*floor(x) - x + 1) walks every positive
-        # rational exactly once; keep the non-dyadic ones.
-        while len(self._cw_nondyadic) <= upto:
-            x = self._cw_last
-            x = 1 / (2 * (x.numerator // x.denominator) - x + 1)
-            self._cw_last = x
-            if not is_dyadic_fraction(x):
-                self._cw_nondyadic.append(x)
-
-    def q(self, n):
-        if n < 0:
-            raise ValueError("negative enumeration index")
-        memo = self._memo
-        if n < len(memo):
-            return memo[n]
-        for k in range(len(memo), n + 1):
-            memo.append(self._value(k))
-        return memo[n]
-
-    def _value(self, n):
-        if n % 2 == 1:
-            return _unit_dyadic((n - 1) // 2)
-        if n % 4 == 2:
-            a, b = unpair((n - 2) // 4)
-            whole = _zigzag(a)
-            return whole + (_unit_dyadic(b - 1) if b else Fraction(0))
-        m = (n - 4) // 4
-        self._cw_extend(m // 2)
-        x = self._cw_nondyadic[m // 2]
-        return x if m % 2 == 0 else -x
+def _calkin_wilf():
+    """The non-dyadic positive rationals in Calkin-Wilf order: on a/b in
+    lowest terms, x' = 1/(2*floor(x) - x + 1) is b/(2*(a//b)*b - a + b)."""
+    a, b = 1, 1
+    while True:
+        a, b = b, 2 * (a // b) * b - a + b
+        x = Fraction(a, b)
+        if not is_dyadic_fraction(x):
+            yield x
 
 
-ENUM = RationalEnumeration()
+def q(n):
+    """q_n: closed form unless n = 0 mod 4 (n >= 4), which walks Calkin-Wilf
+    afresh; the walk's k-th find is q_{8k+4}, and its negation q_{8k+8}."""
+    if n < 0:
+        raise ValueError("negative enumeration index")
+    if n % 2 == 1:
+        return _unit_dyadic((n - 1) // 2)
+    if n % 4 == 2:
+        a, b = unpair((n - 2) // 4)
+        return _zigzag(a) + (_unit_dyadic(b - 1) if b else Fraction(0))
+    if n == 0:
+        return Fraction(0)
+    x = next(islice(_calkin_wilf(), (n - 4) // 8, None))
+    return x if n % 8 == 4 else -x
+
+
+def rationals():
+    """q_0, q_1, ... in order, sharing one Calkin-Wilf walk."""
+    walk = _calkin_wilf()
+    for n in count():
+        if n % 8 == 4:
+            x = next(walk)
+            yield x
+        elif n % 8 == 0 and n:
+            yield -x
+        else:
+            yield q(n)
 
 
 # ------------------------------------------------------- comparison targets
@@ -130,8 +132,7 @@ class RationalTarget:
 
     def cmp_to(self, q):
         """sign(r - q), decided exactly."""
-        d = self.value - q
-        return (d > 0) - (d < 0)
+        return _sign(self.value - q)
 
     def floor_scaled(self, level):
         """floor(r * 2^level), exactly."""
@@ -312,10 +313,15 @@ class Sigma2Predicate:
         return q < cut or x1 <= x0
 
     def neg_witness(self, x0, q):
-        """Least x1 with not R(x0, x1, q), or None when R holds for all x1."""
-        cut = self._threshold(x0)
-        passed = q <= cut if self.side == RIGHT else q >= cut
-        if not passed:
+        """Least x1 with not R(x0, x1, q), or None when R holds for all x1:
+        when q's gap num/den beyond c exceeds 2^-x0, as a gap of at least
+        1/den does once 2^x0 > den (so the shift stays small)."""
+        c = self.c
+        num = q.numerator * c.denominator - c.numerator * q.denominator
+        if self.side == LEFT:
+            num = -num
+        den = q.denominator * c.denominator
+        if num > 0 and (x0 >= den.bit_length() or num << x0 > den):
             return None
         return 0 if self.name.startswith("geometric") else x0 + 1
 
@@ -336,8 +342,10 @@ def sigma2_predicate(name, param):
 # -------------------------------------------------------- staged extraction
 
 
+@dataclass(frozen=True)
 class SequenceExtraction:
-    """The monotone sequence extracted from one sigma-2 predicate.
+    """The monotone sequence extracted from one sigma-2 predicate, as a
+    plain value of the predicate.
 
     Right side: S_n = (-inf,0) union {q < 1 : exists x1 not R1(n,x1,q)},
     s_n = sup S_n, r_n = min{s_0..s_n}; stage t bounds both searches (the
@@ -355,47 +363,48 @@ class SequenceExtraction:
     1, 3, ..., 2p - 1 over 2^(L+1). With (e, j) = unpair(m), R1's guard
     refutes every d beyond q_j (d < q_j on the right, d > q_j on the left)
     with x1 = 0, so those arrive when they enter. Every other d waits for
-    core_wb = neg_witness(e, q_j): all of them have arrived once
-    core_wb < t, and none ever does when core_wb is None. Hence s_approx(m,
-    t) is the base (0 right, 1 left) for t < 2; the extremum of the
-    dyadics in play once core_wb < t (1 - 2^-L on the right, 2^-(L+1) when
-    p > 0 else 2^-L on the left); and otherwise the nearest dyadic in play
-    strictly beyond q_j, or the base when there is none. Each case is a
-    floor or ceiling of q_j on the grids 2^-L and 2^-(L+1).
+    wb = neg_witness(e, q_j): all have arrived once wb < t, and none ever
+    does when wb is None. So s_approx(m, t) = g_t(x_m), where x_m is the
+    edge (1 on the right, 0 on the left) once wb < t and q_j before, and
+    g_t(x) is the nearest dyadic in play strictly beyond x (below it on the
+    right, above it on the left), or the base (0 right, 1 left) when there
+    is none: a floor or ceiling of x on the grids 2^-L and 2^-(L+1).
+
+    r_approx keeps no prefix of the s_m. g_t is monotone and so commutes
+    with min and max: r_approx(n, t) = g_t(x*), x* the extremum of
+    x_0..x_n, which is the extremum of the edge and the q_j of the rows
+    m <= n with wb None or wb >= t (g_t(x) = g_t(edge) beyond the edge).
+    The rows of j are m = pair(e, j) for e = 0..e_j, all with the same
+    q_j, and neg_witness(e, q_j) is 0 or e + 1 until it is None for good,
+    so it never falls as e grows: j contributes exactly when row (e_j, j)
+    does. With (a, b) = unpair(n) and w = a + b, e_j is w - j for j <= b
+    and w - 1 - j for b < j < w, so each call scans about sqrt(2n) values
+    of j. limit_s and limit_r are the same with t = infinity, clamped.
     """
 
-    def __init__(self, pred):
-        self.pred = pred
-        self.side = pred.side
-        self._base = ZERO if self.side == RIGHT else ONE
-        self._consts = {}    # m -> (q_j, core_wb), constant along the row
-        self._prefix = {}    # t -> list of prefix extrema over m
-        self._limits = []    # prefix extrema of the exact limits s_m
+    pred: Sigma2Predicate
+
+    @property
+    def side(self):
+        return self.pred.side
+
+    @property
+    def _edge(self):
+        return Fraction(1) if self.side == RIGHT else Fraction(0)
 
     def _row(self, m):
-        consts = self._consts.get(m)
-        if consts is None:
-            e, j = unpair(m)
-            qj = ENUM.q(j)
-            consts = self._consts[m] = (qj, self.pred.neg_witness(e, qj))
-        return consts
+        e, j = unpair(m)
+        qj = q(j)
+        return qj, self.pred.neg_witness(e, qj)
 
-    def s_approx(self, m, t):
-        """Stage-t approximation of s_m, as a Dyadic (closed form above)."""
+    def _grid(self, x, t):
+        """g_t(x): the nearest dyadic in play at stage t strictly beyond x."""
         k = t // 2
-        if k == 0:
-            return self._base
-        qj, core_wb = self._row(m)
-        right = self.side == RIGHT
-        if core_wb is not None and core_wb < t:
-            # every dyadic in play has arrived: the edge of (0,1) replaces q_j
-            num, den = (1, 1) if right else (0, 1)
-        else:
-            num, den = qj.numerator, qj.denominator
+        num, den = x.numerator, x.denominator
         lvl = (k + 1).bit_length() - 1
         odd_top = 2 * (k + 1 - (1 << lvl)) - 1  # last odd numerator in play
         scale = lvl + 1
-        if right:
+        if self.side == RIGHT:
             # largest a/2^lvl and odd c/2^scale in play below num/den
             a = min(-((-num << lvl) // den) - 1, (1 << lvl) - 1)
             c = min(-((-num << scale) // den) - 1, odd_top)
@@ -408,39 +417,36 @@ class SequenceExtraction:
         c += 1 - c % 2
         return Dyadic(min(2 * a, c if c <= odd_top else top, top), scale)
 
-    def _running(self, prefix, n, value):
-        """Running extremum of value(0..n), memoized in the list prefix."""
+    def _extremum(self, n, t):
+        """x*: the extremum of the edge and the q_j of the rows m <= n
+        that have not fully arrived by stage t, read from row (e_j, j)."""
+        a, b = unpair(n)
+        w = a + b
         pick = min if self.side == RIGHT else max
-        while len(prefix) <= n:
-            v = value(len(prefix))
-            prefix.append(pick(prefix[-1], v) if prefix else v)
-        return prefix[n]
+        x = self._edge
+        for j, qj in zip(range(max(b, w - 1) + 1), rationals()):
+            wb = self.pred.neg_witness(w - j if j <= b else w - 1 - j, qj)
+            if wb is None or wb >= t:
+                x = pick(x, qj)
+        return x
+
+    def s_approx(self, m, t):
+        """Stage-t approximation of s_m, as a Dyadic (closed form above)."""
+        qj, wb = self._row(m)
+        return self._grid(self._edge if wb is not None and wb < t else qj, t)
 
     def r_approx(self, n, t):
         """Stage-t approximation of r_n = prefix extremum of s_0..s_n."""
-        return self._running(self._prefix.setdefault(t, []), n,
-                             lambda m: self.s_approx(m, t))
+        return self._grid(self._extremum(n, t), t)
 
     # exact limits, by direct evaluation of the defining sets
 
     def limit_s(self, m):
-        qj, core_wb = self._row(m)
-        if core_wb is not None:
-            return Fraction(1) if self.side == RIGHT else Fraction(0)
-        return clamp01(qj)
+        qj, wb = self._row(m)
+        return clamp01(qj) if wb is None else self._edge
 
     def limit_r(self, n):
-        return self._running(self._limits, n, self.limit_s)
-
-
-_EXTRACTIONS = {}
-
-
-def get_extraction(pred):
-    key = (pred.name, pred.param)
-    if key not in _EXTRACTIONS:
-        _EXTRACTIONS[key] = SequenceExtraction(pred)
-    return _EXTRACTIONS[key]
+        return clamp01(self._extremum(n, math.inf))
 
 
 # --------------------------------------------------------------- real sources
@@ -481,8 +487,7 @@ class ConstantSource:
     side = None
 
     def cmp_to(self, q):
-        d = self.value - q
-        return (d > 0) - (d < 0)
+        return _sign(self.value - q)
 
     def child(self, n):
         """The value itself, one level down."""
@@ -504,8 +509,7 @@ class Sigma2Source:
         return self.pred.side
 
     def cmp_to(self, q):
-        d = self.pred.c - q
-        return (d > 0) - (d < 0)
+        return _sign(self.pred.c - q)
 
     def child(self, n):
         """r_n of the extraction, at level 1 on the other side: falling to
@@ -532,8 +536,7 @@ class GeometricSource:
         return self.side_tag
 
     def cmp_to(self, q):
-        d = self.value - q
-        return (d > 0) - (d < 0)
+        return _sign(self.value - q)
 
     def child(self, n):
         gap = Fraction(1, 1 << n)
@@ -566,8 +569,7 @@ class LeveledSource:
         return self.side_tag
 
     def cmp_to(self, q):
-        d = self.value - q
-        return (d > 0) - (d < 0)
+        return _sign(self.value - q)
 
     def h(self, n):
         lvl = self.level.fundamental(n)
@@ -608,8 +610,7 @@ class StagedChildSource:
         return LEFT if self.pred.side == RIGHT else RIGHT
 
     def cmp_to(self, q):
-        d = get_extraction(self.pred).limit_r(self.index) - q
-        return (d > 0) - (d < 0)
+        return _sign(SequenceExtraction(self.pred).limit_r(self.index) - q)
 
     def __str__(self):
         """The text of this source as staged-approx params."""

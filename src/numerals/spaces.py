@@ -124,7 +124,7 @@ def from_lower_triangle(name, size, entries):
     return FiniteMetricSpace(name, size, _freeze(rows))
 
 
-def make_space(name, size, entries, check=True):
+def make_space(name, size, entries):
     """Build a space from a triangular or full entry list and validate it."""
     entries = list(entries)
     tri = size * (size + 1) // 2
@@ -137,7 +137,7 @@ def make_space(name, size, entries, check=True):
         raise SpaceFormatError(
             "dist needs %d (triangle) or %d (full) entries, got %d"
             % (tri, size * size, len(entries)))
-    return _checked(space) if check else space
+    return _checked(space)
 
 
 def load_space(text):

@@ -17,8 +17,8 @@ from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
                                classify, free_vars, parse)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, RIGHT, ConstantSource, GeometricSource,
-                            LeveledSource, RealSourceError, Sigma2Source,
-                            get_cut, get_extraction, sigma2_predicate)
+                            LeveledSource, RealSourceError, SequenceExtraction,
+                            Sigma2Source, get_cut, sigma2_predicate)
 from numerals.spaces import builtin_suite
 
 F = Fraction
@@ -154,7 +154,7 @@ def test_staged_child_numeral_members():
     phi = staged_child_numeral(Sigma2Source(pred).child(11))
     assert phi.code == \
         '(csup (gen staged-approx "(stage geometric-above \\"1/3\\" 11)"))'
-    ex = get_extraction(pred)
+    ex = SequenceExtraction(pred)
     for t in (1, 16, 64):
         member = phi.family.member(t)
         assert member.code == code(ex.r_approx(11, t), FORALL)

@@ -15,7 +15,7 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                SupQ, parse, register_generator)
 from numerals.ordinals import from_int
 from numerals.reals import LEFT, RIGHT, get_cut
-from numerals.spaces import builtin_suite, make_space
+from numerals.spaces import FiniteMetricSpace, builtin_suite
 
 F = Fraction
 POINT, PAIR, PATH5 = builtin_suite()[:3]
@@ -150,7 +150,8 @@ def test_tables_match_reference(data):
     n = data.draw(st.integers(1, 4))
     grid = data.draw(st.lists(st.integers(0, 8), min_size=n * n,
                               max_size=n * n))
-    space = make_space("m", n, [Dyadic(k, 3) for k in grid], check=False)
+    space = FiniteMetricSpace("m", n, tuple(
+        tuple(Dyadic(k, 3) for k in grid[i * n:(i + 1) * n]) for i in range(n)))
     rows = [[F(grid[i * n + j], 8) for j in range(n)] for i in range(n)]
     phi = data.draw(_finitary(5))
     eng = Engine()  # shared by the environments, so its tables are reused

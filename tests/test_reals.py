@@ -1,6 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,14 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from numerals import reals
 from numerals.dyadics import Dyadic, from_fraction, is_dyadic_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (ENUM, LEFT, RIGHT, BuiltinSource, ConstantSource,
+from numerals.reals import (LEFT, RIGHT, BuiltinSource, ConstantSource,
                             CutEnumerator, GeometricSource, LeveledSource,
-                            RationalEnumeration, RealSourceError,
-                            SequenceExtraction, Sigma2Predicate, Sigma2Source,
-                            StagedChildSource, builtin_real, check_step,
-                            clamp01, get_cut, get_extraction, pair,
-                            parse_real_source, parse_target, sigma2_predicate,
-                            unpair)
+                            RealSourceError, SequenceExtraction,
+                            Sigma2Predicate, Sigma2Source, StagedChildSource,
+                            builtin_real, check_step, clamp01, get_cut, pair,
+                            parse_real_source, parse_target, rationals,
+                            sigma2_predicate, unpair)
 
 from test_engine import cut_targets
 
@@ -28,13 +27,15 @@ PREFIX = [F(0), F(1, 2), F(1), F(1, 4), F(1, 3), F(3, 4), F(-1), F(1, 8),
           F(1, 16), F(-2, 3), F(3, 16), F(-1, 2), F(5, 16), F(4, 3),
           F(7, 16), F(5, 4), F(9, 16), F(-4, 3)]
 
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
 
 def test_enumeration_prefix():
-    assert [ENUM.q(n) for n in range(25)] == PREFIX
+    assert [reals.q(n) for n in range(25)] == PREFIX
 
 
 def test_enumeration_injective_prefix():
-    seen = [ENUM.q(n) for n in range(400)]
+    seen = [reals.q(n) for n in range(400)]
     assert len(set(seen)) == 400
 
 
@@ -68,10 +69,9 @@ def test_target_signs():
     assert root.cmp_to(F(1)) == -1
 
 
-def raw(cut, i):
-    """Stage i of a cut's full walk over the enumeration: q_i when it is in
-    the cut, else None."""
-    q = ENUM.q(i)
+def raw(cut, q):
+    """Stage i of a cut's full walk over the enumeration, given q = q_i:
+    q_i when it is in the cut, else None."""
     c = cut.target.cmp_to(q)
     if cut.side == RIGHT:
         return q if c < 0 else None
@@ -83,9 +83,8 @@ def padded(cut, n):
     the cut, else the element before it, starting from a far member of
     the cut (2 on the right, -1 on the left)."""
     out, last = [], F(2) if cut.side == RIGHT else F(-1)
-    for i in range(n):
-        q = raw(cut, i)
-        if q is not None:
+    for q in islice(rationals(), n):
+        if raw(cut, q) is not None:
             last = q
         out.append(last)
     return out
@@ -128,15 +127,22 @@ def test_trivial_cut_has_no_unit_hits():
         assert q < 0
 
 
-def test_trivial_cut_hit_fails_at_once():
+def no_enumeration(monkeypatch):
+    """Make any read of the enumeration fail the test."""
+    def unreachable(*args):
+        raise AssertionError("the enumeration was read")
+    monkeypatch.setattr(reals, "q", unreachable)
+    monkeypatch.setattr(reals, "rationals", unreachable)
+
+
+def test_trivial_cut_hit_fails_at_once(monkeypatch):
     # no dyadic of (0,1) lies in the right cut of 1 or the left cut of 0, so
-    # asking for one raises before any stage grows the enumeration's memo
+    # asking for one raises before any stage reads the enumeration
     assert builtin_real("1")[1] == get_cut("1", RIGHT)
+    no_enumeration(monkeypatch)
     for name, side in (("1", RIGHT), ("0", LEFT)):
-        before = len(ENUM._memo)
         with pytest.raises(RealSourceError):
             get_cut(name, side).hit(0)
-        assert len(ENUM._memo) == before
     assert get_cut("1", LEFT).hit(0) == Dyadic(1, 1)
     assert get_cut("0", RIGHT).hit(0) == Dyadic(1, 1)
 
@@ -145,7 +151,7 @@ def test_cut_hits_follow_raw_stages():
     left, right = builtin_real("sqrt-half")
     assert left.side == LEFT and right.side == RIGHT
     for cut in (left, right):
-        stages = [raw(cut, i) for i in range(400)]
+        stages = [raw(cut, q) for q in islice(rationals(), 400)]
         units = [from_fraction(q) for q in stages if q is not None
                  and is_dyadic_fraction(q) and 0 < q < 1]
         assert len(units) >= 10
@@ -156,24 +162,23 @@ def test_cut_hits_follow_raw_stages():
 
 
 def test_cut_hits_skip_the_enumeration_memo(monkeypatch):
-    # hits come from the odd stages, computed directly: a deep walk leaves
-    # a fresh memo of every q_i, Calkin-Wilf rationals included, as it was
-    # (a walk through ENUM.q adds 62,723 entries here)
-    monkeypatch.setattr(reals, "ENUM", RationalEnumeration())
+    # hits come from the odd stages, computed directly: a deep hit reads no
+    # q_i at all (a walk over the stages would read 62,723 of them here)
+    no_enumeration(monkeypatch)
     for side in (LEFT, RIGHT):
-        CutEnumerator(parse_target("sqrt-half"), side).hit(8191)
-        assert len(reals.ENUM._memo) == 1
+        cut = CutEnumerator(parse_target("sqrt-half"), side)
+        cut.hit(8191)
+        cut.best(8191)
 
 
 def walked(cut, k):
     """Hits 0..k of a cut and their running extrema, by a walk over every
     stage of its enumeration: the reference for the closed form."""
-    hits, i = [], 0
+    hits, stages = [], rationals()
     while len(hits) <= k:
-        q = raw(cut, i)
+        q = raw(cut, next(stages))
         if q is not None and is_dyadic_fraction(q) and 0 < q < 1:
             hits.append(from_fraction(q))
-        i += 1
     return hits, list(accumulate(hits, min if cut.side == RIGHT else max))
 
 
@@ -251,7 +256,7 @@ class TransformedR1:
 
     def holds(self, x0, x1, q):
         e, j = unpair(x0)
-        qj = ENUM.q(j)
+        qj = reals.q(j)
         if self.pred.side == RIGHT:
             return qj <= q and self.pred.R(e, x1, qj)
         return q <= qj and self.pred.R(e, x1, qj)
@@ -259,7 +264,7 @@ class TransformedR1:
     def neg_witness(self, x0, q):
         """Least x1 refuting R1(x0, x1, q), or None."""
         e, j = unpair(x0)
-        qj = ENUM.q(j)
+        qj = reals.q(j)
         if self.pred.side == RIGHT:
             if q < qj:
                 return 0
@@ -305,7 +310,7 @@ def test_transform_monotone_in_q():
 
 
 def test_staged_values_right():
-    ex = get_extraction(sigma2_predicate("geometric-above", "1/3"))
+    ex = SequenceExtraction(sigma2_predicate("geometric-above", "1/3"))
     grid = (1, 4, 16, 64, 256, 1024)
     assert [ex.s_approx(11, t) for t in grid] == \
         [Dyadic(0, 0), Dyadic(1, 2), Dyadic(3, 3), Dyadic(15, 5),
@@ -326,7 +331,7 @@ def test_staged_values_right():
 
 
 def test_staged_values_left():
-    ex = get_extraction(sigma2_predicate("geometric-below", "2/3"))
+    ex = SequenceExtraction(sigma2_predicate("geometric-below", "2/3"))
     grid = (1, 4, 16, 64, 256, 1024)
     assert [ex.s_approx(11, t) for t in grid] == \
         [Dyadic(1, 0), Dyadic(1, 0), Dyadic(5, 3), Dyadic(17, 5),
@@ -346,9 +351,8 @@ def test_staged_values_left():
 def _entering(t):
     """The find each stage 1..t takes in: q_{s-1} as a Dyadic when it is a
     dyadic of (0,1), else None."""
-    qs = [ENUM.q(i) for i in range(t)]
     return [from_fraction(q) if is_dyadic_fraction(q) and 0 < q < 1 else None
-            for q in qs]
+            for q in islice(rationals(), t)]
 
 
 def _simulated_row(pred, m, entering):
@@ -362,7 +366,7 @@ def _simulated_row(pred, m, entering):
     """
     right = pred.side == RIGHT
     e, j = unpair(m)
-    qj = ENUM.q(j)
+    qj = reals.q(j)
     core_wb = pred.neg_witness(e, qj)
     best = Dyadic(0) if right else Dyadic(1)
     row = [best]
@@ -397,18 +401,56 @@ def test_closed_form_matches_simulation(name, param):
         assert [ex.s_approx(m, t) for t in range(521)] == row, m
 
 
+PREDICATES = ["geometric-above", "lagged-above", "geometric-below",
+              "lagged-below"]
+# t = 2^L - 2 and 2^L - 1 give K = t // 2 = 2^(L-1) - 1, where a level of
+# the dyadics in play completes, and t = 2^L gives one dyadic more
+LEVEL_EDGES = st.integers(1, 11).flatmap(
+    lambda L: st.sampled_from([(1 << L) - 2, (1 << L) - 1, 1 << L]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PREDICATES),
+       st.sampled_from(["0", "1"]) | unit_rationals.map(str),
+       st.integers(0, 1500),
+       # a lagged row waits for wb = e + 1 <= 56 when n <= 1500
+       st.integers(0, 60) | LEVEL_EDGES | st.integers(0, 1100))
+@example("geometric-above", "1/3", 32, 1024)
+@example("lagged-above", "1/3", 40, 4)   # a lagged row still pending at t
+@example("lagged-below", "2/3", 40, 4)
+def test_extremum_scan_matches_running_extrema(name, param, n, t):
+    # r_n is the running extremum of s_0..s_n, at each stage and in the
+    # limit; the scan reads one row per q_j instead
+    ex = SequenceExtraction(sigma2_predicate(name, param))
+    pick = min if ex.side == RIGHT else max
+    staged = list(accumulate((ex.s_approx(m, t) for m in range(n + 1)), pick))
+    limits = list(accumulate((ex.limit_s(m) for m in range(n + 1)), pick))
+    for k in {0, n // 3, n}:
+        assert ex.r_approx(k, t) == staged[k], (k, t)
+        assert ex.limit_r(k) == limits[k], k
+
+
+def test_rationals_walk_matches_q():
+    walk = list(islice(rationals(), 5000))
+    assert walk == [reals.q(n) for n in range(5000)]
+    assert walk[:len(PREFIX)] == PREFIX
+
+
 def test_prefix_extremum_monotone_in_n():
-    ex = get_extraction(sigma2_predicate("geometric-above", "1/3"))
+    ex = SequenceExtraction(sigma2_predicate("geometric-above", "1/3"))
     vals = [ex.r_approx(n, 256) for n in range(33)]
     assert vals == sorted(vals, reverse=True)
-    exl = get_extraction(sigma2_predicate("geometric-below", "2/3"))
+    exl = SequenceExtraction(sigma2_predicate("geometric-below", "2/3"))
     vals = [exl.r_approx(n, 256) for n in range(33)]
     assert vals == sorted(vals)
 
 
 def test_extraction_side_guards():
+    # an extraction is a plain value of its predicate, on the predicate's side
     right = sigma2_predicate("geometric-above", "1/3")
-    assert get_extraction(right) is get_extraction(right)
+    assert SequenceExtraction(right) == SequenceExtraction(right)
+    assert SequenceExtraction(right).side == RIGHT
+    assert SequenceExtraction(sigma2_predicate("lagged-below", "5/7")).side == LEFT
 
 
 def test_source_round_trips():
@@ -485,7 +527,7 @@ def test_lift_successor_sigma2():
     assert child.level == from_int(1)
     assert child.cmp_to(F(1, 2)) == 0
     assert src.child(10).cmp_to(F(1, 2)) == 1
-    assert get_extraction(child.pred).r_approx(child.index, 1024) == \
+    assert SequenceExtraction(child.pred).r_approx(child.index, 1024) == \
         Dyadic(255, 9)
 
 
@@ -563,9 +605,6 @@ def decomposed_members(source, side):
         value = min(vals) if side == RIGHT else max(vals)
         return ConstantSource(value, source.h(n))
     return member
-
-
-unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from numerals.dyadics import Dyadic, ONE, ZERO
 from numerals.spaces import (SpaceFormatError, SpaceValidationError,
-                             builtin_suite, load_space, load_space_file,
-                             make_space, random_repaired_space,
-                             serialize_space, validate)
+                             builtin_suite, from_lower_triangle, load_space,
+                             load_space_file, make_space,
+                             random_repaired_space, serialize_space, validate)
 
 H = Dyadic(1, 1)
 Q = Dyadic(1, 2)
@@ -49,11 +49,11 @@ def test_triangle_violation_reported():
 
 
 def test_diagonal_and_range_violations():
-    sp = make_space("odd", 2, [Q, H, ZERO], check=False)
+    sp = from_lower_triangle("odd", 2, [Q, H, ZERO])
     report = validate(sp)
     assert not report.ok
     assert {"diagonal"} <= {v[0] for v in report.violations}
-    big = make_space("wide", 2, [ZERO, Dyadic(3, 1), ZERO], check=False)
+    big = from_lower_triangle("wide", 2, [ZERO, Dyadic(3, 1), ZERO])
     assert "range" in {v[0] for v in validate(big).violations}
 
 
