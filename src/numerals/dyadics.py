@@ -12,23 +12,24 @@ from fractions import Fraction
 
 def _canonical(num, exp):
     if exp < 0:
-        num <<= -exp
-        exp = 0
-    while exp > 0 and num % 2 == 0:
-        num //= 2
-        exp -= 1
-    return num, exp
+        return num << -exp, 0
+    if num & 1 or not exp:
+        return num, exp
+    if not num:
+        return 0, 0
+    shift = (num & -num).bit_length() - 1  # trailing zero bits, in one step
+    return (num >> shift, exp - shift) if shift < exp else (num >> exp, 0)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, init=False)
 class Dyadic:
     """num / 2**exp, canonicalized so exp == 0 or num is odd."""
 
     num: int
     exp: int = 0
 
-    def __post_init__(self):
-        num, exp = _canonical(self.num, self.exp)
+    def __init__(self, num, exp=0):
+        num, exp = _canonical(num, exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

@@ -33,11 +33,12 @@ prefix scan gives both.
   members fall on the right and rise on the left, as their sources do.
 
 A finitary node is evaluated once per space, as a table over its own free
-variables, built from its children's tables: an atomic is the distance
-matrix (its diagonal for d(x, x)), neg and half map over the table,
-dotminus zips its children spread onto the union of their variables, and
-inf / sup reduce one axis; a closed node's table is its bare value. The
-walk reads a finitary node's value at an environment from its table, so
+variables, of int numerators at one exponent: an atomic is the distance
+matrix (its diagonal for d(x, x)) at the space's largest exponent, neg and
+half map the numerators or raise the exponent, dotminus zips its children
+spread onto the union of their variables at the larger exponent, and inf /
+sup reduce one axis; a closed node's table has one entry. The walk reads a
+finitary node's Dyadic value at an environment from its table, so
 bindings the node does not read cost nothing. Tables are memoized on
 (formula code, space); any other node's pair on (formula code, space,
 environment, schedule tail). Family generation is pure, so member formulas
@@ -46,7 +47,7 @@ with equal codes share results.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
 
 from .dyadics import (Dyadic, Enclosure, ZERO, ONE, dotminus, enclosure_apply,
                       half, neg, point)
@@ -54,6 +55,7 @@ from .formulas import (Atomic, CInf, CSup, DotMinus, GeneratedFamily, Half,
                        InfQ, Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
                        get_generator)
 from .reals import RIGHT
+from .spaces import numerators
 
 
 class EngineError(Exception):
@@ -120,14 +122,9 @@ def _lookup(env, var):
     raise EngineError("unbound variable x%d" % var)
 
 
-def _names(table):
-    """The variables of a finitary node's table; none for a closed node."""
-    return () if table.__class__ is Dyadic else table[0]
-
-
 def _read(table, env, space):
-    """An open node's value at env: its table's entry at env's points."""
-    names, values = table
+    """A finitary node's value at env: its table's entry at env's points."""
+    names, exp, values = table
     n = space.size
     index = 0
     for var in names:
@@ -136,7 +133,7 @@ def _read(table, env, space):
             raise EngineError("x%d = %s is not a point of %s"
                               % (var, p, space))
         index = index * n + p
-    return values[index]
+    return Dyadic(values[index], exp)
 
 
 @dataclass(frozen=True)
@@ -211,10 +208,9 @@ class Engine:
         estimate) pair of the formula truncated by tail. With no tail the
         walk is exact evaluation, and a CInf / CSup is an error."""
         if phi.finitary:
-            out = self._memo.get((phi.code, tok))
-            if out is None:
-                out = self._table(phi, space, tok)
-            return out if out.__class__ is Dyadic else _read(out, env, space)
+            out = self._memo.get((phi.code, tok)) \
+                or self._table(phi, space, tok)
+            return _read(out, env, space)
         key = (phi.code, tok, env, tail)
         hit = self._memo.get(key)
         if hit is not None:
@@ -245,74 +241,76 @@ class Engine:
 
     def _table(self, phi, space, tok):
         """Tabulate a finitary node on the whole space and memoize it under
-        (code, space): a closed node's value, else (variables, values) with
-        one value per assignment of points to its free variables, in order
-        of first free occurrence, row-major. A memoized child is read with
-        one probe; a Dyadic and a table are both true."""
+        (code, space) as (variables, exp, numerators): one int numerator
+        per assignment of points to its free variables, in order of first
+        free occurrence, row-major, each value numerator / 2**exp. A closed
+        node's table has no variables and one entry. A memoized child is
+        read with one probe, since a table is true."""
         n = space.size
         memo = self._memo
         if isinstance(phi, Atomic):
+            exp, rows = numerators(space)
             if phi.left == phi.right:
                 self.atomic_evals += n
-                out = ((phi.left,), [space.dist[i][i] for i in range(n)])
+                out = ((phi.left,), exp, [rows[i][i] for i in range(n)])
             else:
                 self.atomic_evals += n * n
-                out = ((phi.left, phi.right),
-                       [d for row in space.dist for d in row])
+                out = ((phi.left, phi.right), exp,
+                       [d for row in rows for d in row])
         elif isinstance(phi, DotMinus):
             a = memo.get((phi.left.code, tok)) \
                 or self._table(phi.left, space, tok)
             b = memo.get((phi.right.code, tok)) \
                 or self._table(phi.right, space, tok)
-            if a.__class__ is Dyadic and b.__class__ is Dyadic:
-                out = dotminus(a, b)
-            else:
-                names = _names(a) + tuple(v for v in _names(b)
-                                          if v not in _names(a))
-                out = (names, list(map(dotminus, self._spread(a, names, n),
-                                       self._spread(b, names, n))))
+            exp = max(a[1], b[1])
+            names = a[0] + tuple(v for v in b[0] if v not in a[0])
+            out = (names, exp, [x - y if x > y else 0 for x, y in zip(
+                self._spread(a, exp, names, n),
+                self._spread(b, exp, names, n))])
         elif isinstance(phi, (Neg, Half)):
-            op = neg if isinstance(phi, Neg) else half
-            body = memo.get((phi.body.code, tok)) \
+            names, exp, values = memo.get((phi.body.code, tok)) \
                 or self._table(phi.body, space, tok)
-            out = op(body) if body.__class__ is Dyadic \
-                else (body[0], list(map(op, body[1])))
+            out = (names, exp + 1, values) if isinstance(phi, Half) \
+                else (names, exp, [(1 << exp) - v for v in values])
         else:  # InfQ / SupQ
             body = memo.get((phi.body.code, tok)) \
                 or self._table(phi.body, space, tok)
-            names = _names(body)
+            names, exp, values = body
             if phi.var not in names:  # vacuous
                 out = body
             else:
                 op = min if isinstance(phi, InfQ) else max
                 k = names.index(phi.var)
-                values = body[1]
                 stride = n ** (len(names) - 1 - k)
                 block = n * stride
-                values = [op(values[b + i:b + block:stride])
-                          for b in range(0, len(values), block)
-                          for i in range(stride)]
-                names = names[:k] + names[k + 1:]
-                out = (names, values) if names else values[0]
+                out = (names[:k] + names[k + 1:], exp,
+                       [op(values[b + i:b + block:stride])
+                        for b in range(0, len(values), block)
+                        for i in range(stride)])
         memo[(phi.code, tok)] = out
         return out
 
-    def _spread(self, table, names, n):
-        """The values of a table, or of a closed node, at every assignment
-        to names, a superset of its variables, in row-major order."""
-        if table.__class__ is Dyadic:
-            return repeat(table)
-        own, values = table
+    def _spread(self, table, exp, names, n):
+        """The numerators of a table at exponent exp, at least its own, at
+        every assignment to names, a superset of its variables, in
+        row-major order."""
+        own, own_exp, values = table
+        if exp > own_exp:
+            shift = exp - own_exp
+            values = [v << shift for v in values]
         if own == names:
             return values
+        if not own:
+            return repeat(values[0])
         key = (own, names, n)
         index = self._spreads.get(key)
         if index is None:
             weight = {v: n ** (len(own) - 1 - j) for j, v in enumerate(own)}
-            weights = [weight.get(v, 0) for v in names]
-            index = self._spreads[key] = [
-                sum(p * w for p, w in zip(points, weights))
-                for points in product(range(n), repeat=len(names))]
+            index = [0]
+            for v in names:
+                steps = [p * weight.get(v, 0) for p in range(n)]
+                index = [i + s for i in index for s in steps]
+            self._spreads[key] = index
         return [values[i] for i in index]
 
     def _family(self, family, space, tok, env, tail, is_inf):

@@ -63,6 +63,13 @@ class ValidationReport:
         return "; ".join("%s at %s: %s" % v for v in self.violations)
 
 
+def numerators(space):
+    """(exp, rows): the distances as integer numerators at the space's
+    largest exponent, so that d(i, j) == rows[i][j] / 2**exp."""
+    top = max(d.exp for row in space.dist for d in row)
+    return top, [[d.num << (top - d.exp) for d in row] for row in space.dist]
+
+
 def validate(space):
     """Check all four axioms; dimension mismatches are structural errors."""
     n = space.size
@@ -85,8 +92,7 @@ def validate(space):
                 bad.append(("symmetry", (i, j),
                             "%s vs %s" % (space.dist[i][j], space.dist[j][i])))
     # the triangle inequality on integer numerators at the largest exponent
-    top = max(d.exp for row in space.dist for d in row)
-    nums = [[d.num << (top - d.exp) for d in row] for row in space.dist]
+    nums = numerators(space)[1]
     cols = list(zip(*nums))
     for i in range(n):
         row = nums[i]
@@ -209,19 +215,10 @@ def random_repaired_space(seed, size, name=None):
 
 
 def _ultrametric8():
-    # leaves of a depth-3 binary tree: d = 2^-(shared prefix length)
-    rows = [[ZERO] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            if i == j:
-                continue
-            shared = 0
-            for bit in (2, 1, 0):
-                if (i >> bit) & 1 == (j >> bit) & 1:
-                    shared += 1
-                else:
-                    break
-            rows[i][j] = Dyadic(1, shared)
+    # leaves of a depth-3 binary tree: d = 2^-(shared prefix length), and
+    # i ^ j has 3 - (shared prefix length) bits
+    rows = [[ZERO if i == j else Dyadic(1, 3 - (i ^ j).bit_length())
+             for j in range(8)] for i in range(8)]
     return FiniteMetricSpace("ultra8", 8, _freeze(rows))
 
 

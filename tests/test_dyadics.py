@@ -18,6 +18,13 @@ def test_canonical_form():
     assert Dyadic(0, 7) == ZERO
     assert str(Dyadic(3, 1)) == "3/2"
     assert str(Dyadic(2, 1)) == "1"
+    # hundreds of trailing zero bits, fewer, as many as or more than exp;
+    # zero at a large exponent is (0, 0)
+    for num, exp in ((3 << 500, 600), (-5 << 300, 300), (3 << 700, 600),
+                     (7 << 64, 65), (0, 600)):
+        f = Fraction(num, 1 << exp)
+        d = Dyadic(num, exp)
+        assert (d.num, 1 << d.exp) == (f.numerator, f.denominator)
 
 
 def test_parse_forms():
