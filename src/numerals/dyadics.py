@@ -63,9 +63,6 @@ class Dyadic:
     def __mul__(self, other):
         return Dyadic(self.num * other.num, self.exp + other.exp)
 
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
     def as_fraction(self):
         return Fraction(self.num, 1 << self.exp)
 
@@ -155,48 +152,5 @@ class Enclosure:
     def width(self):
         return self.hi - self.lo
 
-    def contains(self, d):
-        return self.lo <= d <= self.hi
-
     def __str__(self):
         return "[%s, %s]" % (self.lo, self.hi)
-
-
-def point(d):
-    return Enclosure(d, d)
-
-
-class ArityError(Exception):
-    pass
-
-
-def enclosure_apply(conn, args):
-    """Apply a connective to enclosures, monotonicity-aware.
-
-    neg is antitone so the endpoints swap; dotminus is antitone in its
-    second argument; half, min and max are monotone in every argument.
-    """
-    if conn == "neg":
-        if len(args) != 1:
-            raise ArityError("neg takes one enclosure")
-        (a,) = args
-        return Enclosure(neg(a.hi), neg(a.lo))
-    if conn == "half":
-        if len(args) != 1:
-            raise ArityError("half takes one enclosure")
-        (a,) = args
-        return Enclosure(half(a.lo), half(a.hi))
-    if conn == "dotminus":
-        if len(args) != 2:
-            raise ArityError("dotminus takes two enclosures")
-        a, b = args
-        return Enclosure(dotminus(a.lo, b.hi), dotminus(a.hi, b.lo))
-    if conn == "min":
-        if not args:
-            raise ArityError("min needs at least one enclosure")
-        return Enclosure(min(a.lo for a in args), min(a.hi for a in args))
-    if conn == "max":
-        if not args:
-            raise ArityError("max needs at least one enclosure")
-        return Enclosure(max(a.lo for a in args), max(a.hi for a in args))
-    raise ValueError("unknown connective %r" % conn)

@@ -3,13 +3,16 @@
 One memoized walk evaluates every formula. A finitary node (no CInf or
 CSup below it) gets its exact value, which is dyadic; no family below it is
 cut short, so that value does not depend on the truncation schedule, and
-eval_exact is the same walk with no schedule at all. Any other node gets a
-pair under the schedule: a certified enclosure and an estimate. A truncated
-CInf is [0, min of member upper bounds], a truncated CSup is [max of member
-lower bounds, 1]; the tail of the family is never guessed, so two-sided
-intervals come only from sandwiching dual numerals. The estimate is the
-exact value of the truncated formula itself, the active estimate in
-convergence reports. A finitary value v stands in a pair as (point(v), v).
+eval_exact is the same walk with no schedule at all. Every node gets a
+triple (lo, hi, est) of dyadics under the schedule: certified bounds and an
+estimate, all three v for a finitary node of value v. A truncated CInf is
+[0, min of member upper bounds], a truncated CSup is [max of member lower
+bounds, 1]; the tail of the family is never guessed, so two-sided intervals
+come only from sandwiching dual numerals. Every other connective maps the
+bounds monotonically: neg swaps them, dotminus pairs each bound of its left
+argument with the opposite bound of its right. The estimate is the exact
+value of the truncated formula itself, the active estimate in convergence
+reports. Only eval_enclosure builds an Enclosure, from its root's bounds.
 
 The monotone shortcut: a generated family whose generator declares the
 direction of its member values ("nonincreasing" or "nondecreasing" in n)
@@ -40,7 +43,7 @@ spread onto the union of their variables at the larger exponent, and inf /
 sup reduce one axis; a closed node's table has one entry. The walk reads a
 finitary node's Dyadic value at an environment from its table, so
 bindings the node does not read cost nothing. Tables are memoized on
-(formula code, space); any other node's pair on (formula code, space,
+(formula code, space); any other node's triple on (formula code, space,
 environment, schedule tail). Family generation is pure, so member formulas
 with equal codes share results.
 """
@@ -49,8 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .dyadics import (Dyadic, Enclosure, ZERO, ONE, dotminus, enclosure_apply,
-                      half, neg, point)
+from .dyadics import Dyadic, Enclosure, ZERO, ONE, dotminus, half, neg
 from .formulas import (Atomic, CInf, CSup, DotMinus, GeneratedFamily, Half,
                        InfQ, Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
                        get_generator)
@@ -109,12 +111,6 @@ def _bind(env, var, p):
     return tuple(out)
 
 
-def _as_pair(out):
-    """A walk result as an (enclosure, estimate) pair: a finitary node's
-    exact value v becomes (point(v), v)."""
-    return out if isinstance(out, tuple) else (point(out), out)
-
-
 def _lookup(env, var):
     for v, p in env:
         if v == var:
@@ -142,10 +138,6 @@ class ConvergenceRow:
     enclosure: Enclosure
     estimate: Dyadic
     distance: Fraction = None  # signed estimate - truth, when truth is known
-
-    @property
-    def width(self):
-        return self.enclosure.width
 
 
 @dataclass(frozen=True)
@@ -189,47 +181,48 @@ class Engine:
     def eval_exact(self, phi, space, env=None):
         """The exact dyadic value of a finitary formula."""
         return self._walk(phi, space, self._token(space), _freeze_env(env),
-                          None)
+                          None)[2]
 
     def eval_enclosure(self, phi, space, schedule, env=None):
         """A certified enclosure of the formula's value under the schedule."""
-        return _as_pair(self._walk(phi, space, self._token(space),
-                                   _freeze_env(env), schedule.depths))[0]
+        lo, hi, _ = self._walk(phi, space, self._token(space),
+                               _freeze_env(env), schedule.depths)
+        return Enclosure(lo, hi)
 
     def truncation_value(self, phi, space, schedule, env=None):
         """Exact value of the schedule-truncated formula (the active
         estimate; not a certified bound on the untruncated value)."""
-        out = self._walk(phi, space, self._token(space), _freeze_env(env),
-                         schedule.depths)
-        return out if phi.finitary else out[1]
+        return self._walk(phi, space, self._token(space), _freeze_env(env),
+                          schedule.depths)[2]
 
     def _walk(self, phi, space, tok, env, tail):
-        """The exact value of a finitary formula, else the (enclosure,
-        estimate) pair of the formula truncated by tail. With no tail the
-        walk is exact evaluation, and a CInf / CSup is an error."""
+        """(lo, hi, est) of the formula truncated by tail: certified bounds
+        on its value and the truncated formula's own value, (v, v, v) for a
+        finitary node of value v. With no tail the walk is exact
+        evaluation, and a CInf / CSup is an error."""
         if phi.finitary:
-            out = self._memo.get((phi.code, tok)) \
-                or self._table(phi, space, tok)
-            return _read(out, env, space)
+            v = _read(self._memo.get((phi.code, tok))
+                      or self._table(phi, space, tok), env, space)
+            return v, v, v
         key = (phi.code, tok, env, tail)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if isinstance(phi, DotMinus):
-            ea, a = _as_pair(self._walk(phi.left, space, tok, env, tail))
-            eb, b = _as_pair(self._walk(phi.right, space, tok, env, tail))
-            out = (enclosure_apply("dotminus", [ea, eb]), dotminus(a, b))
-        elif isinstance(phi, (Neg, Half)):
-            conn, op = ("neg", neg) if isinstance(phi, Neg) else ("half", half)
-            enc, est = self._walk(phi.body, space, tok, env, tail)
-            out = (enclosure_apply(conn, [enc]), op(est))
+            a_lo, a_hi, a = self._walk(phi.left, space, tok, env, tail)
+            b_lo, b_hi, b = self._walk(phi.right, space, tok, env, tail)
+            out = (dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
+        elif isinstance(phi, Neg):
+            lo, hi, est = self._walk(phi.body, space, tok, env, tail)
+            out = (neg(hi), neg(lo), neg(est))
+        elif isinstance(phi, Half):
+            out = tuple(map(half, self._walk(phi.body, space, tok, env, tail)))
         elif isinstance(phi, (InfQ, SupQ)):
-            conn, op = ("min", min) if isinstance(phi, InfQ) else ("max", max)
+            op = min if isinstance(phi, InfQ) else max
             parts = [self._walk(phi.body, space, tok,
                                 _bind(env, phi.var, p), tail)
                      for p in range(space.size)]
-            out = (enclosure_apply(conn, [e for e, _ in parts]),
-                   op(v for _, v in parts))
+            out = tuple(map(op, zip(*parts)))
         else:  # CInf / CSup
             if tail is None:
                 raise EngineError("eval_exact needs a finitary formula, got %s"
@@ -320,28 +313,25 @@ class Engine:
         if family.known_size is not None:
             count = min(count, family.known_size)
         inner = tail[1:] or tail
-        pairs = None
+        parts = None
         if isinstance(family, GeneratedFamily) and count >= 4:
             direction = get_generator(family.generator).monotone(family.params)
             falling = direction == "nonincreasing"
             if direction in ("nonincreasing", "nondecreasing"):
-                picks = [_as_pair(self._walk(family.member(n), space, tok, env,
-                                             inner))
+                picks = [self._walk(family.member(n), space, tok, env, inner)
                          for n in (0, count // 2, count - 1)]
-                ends = [e.hi if is_inf else e.lo for e, _ in picks]
-                ests = [v for _, v in picks]
+                ends = [hi if is_inf else lo for lo, hi, _ in picks]
+                ests = [est for _, _, est in picks]
                 if ends == sorted(ends, reverse=falling) \
                         and ests == sorted(ests, reverse=falling):
-                    pairs = [picks[-1] if is_inf == falling else picks[0]]
-        if pairs is None:
-            pairs = [_as_pair(self._walk(family.member(n), space, tok, env,
-                                         inner))
+                    parts = [picks[-1] if is_inf == falling else picks[0]]
+        if parts is None:
+            parts = [self._walk(family.member(n), space, tok, env, inner)
                      for n in range(count)]
+        los, his, ests = zip(*parts)
         if is_inf:
-            return (Enclosure(ZERO, min(e.hi for e, _ in pairs)),
-                    min(v for _, v in pairs))
-        return (Enclosure(max(e.lo for e, _ in pairs), ONE),
-                max(v for _, v in pairs))
+            return ZERO, min(his), min(ests)
+        return max(los), ONE, max(ests)
 
     # ------------------------------------------------------------- harness
 

@@ -222,8 +222,9 @@ def get_generator(name):
 
 
 def _var_index(tok):
-    if isinstance(tok, sexpr.Atom) and len(tok) > 1 and tok[0] == "x" and tok[1:].isdigit():
-        return int(tok[1:])
+    digits = tok[1:] if isinstance(tok, sexpr.Atom) and tok[:1] == "x" else ""
+    if digits.isascii() and digits.isdigit():
+        return int(digits)
     pos = getattr(tok, "position", 0)
     raise FormulaSyntaxError("expected a variable like x0, got %r" % str(tok), pos)
 

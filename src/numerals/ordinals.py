@@ -25,9 +25,6 @@ class OrdinalCNF:
     def is_zero(self):
         return not self.terms
 
-    def is_finite(self):
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
     def is_successor(self):
         return bool(self.terms) and self.terms[-1][0] == 0
 
@@ -119,6 +116,14 @@ def from_int(n):
     return OrdinalCNF() if n == 0 else OrdinalCNF(((0, n),))
 
 
+def _natural(text):
+    """An ASCII decimal numeral, which int() alone would widen to signs,
+    spaces, underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError
+    return int(text)
+
+
 def parse_ordinal(text):
     """Parse "0", "7", "w", "w*2", "w^2*3+w*2+5" style notation."""
     text = text.strip()
@@ -137,20 +142,20 @@ def parse_ordinal(text):
                     rest = rest[1:]
                     if "*" in rest:
                         e, rest = rest.split("*", 1)
-                        exp = int(e)
-                        coeff = int(rest)
+                        exp = _natural(e)
+                        coeff = _natural(rest)
                     else:
-                        exp = int(rest)
+                        exp = _natural(rest)
                         coeff = 1
                 elif rest.startswith("*"):
-                    coeff = int(rest[1:])
+                    coeff = _natural(rest[1:])
                 elif rest == "":
                     coeff = 1
                 else:
                     raise ValueError
                 terms.append((exp, coeff))
             else:
-                n = int(part)
+                n = _natural(part)
                 if n == 0:
                     if len(text.split("+")) > 1:
                         raise ValueError

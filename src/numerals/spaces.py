@@ -42,9 +42,6 @@ class FiniteMetricSpace:
     size: int
     dist: tuple  # size x size tuple of tuples of Dyadic
 
-    def d(self, i, j):
-        return self.dist[i][j]
-
     def __str__(self):
         return "%s(%d points)" % (self.name, self.size)
 

@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from numerals.dyadics import (ArityError, Dyadic, Enclosure, HALF, ONE, ZERO,
-                              dotminus, enclosure_apply, from_fraction, half,
-                              is_dyadic_fraction, neg, parse_dyadic, point)
+from numerals.dyadics import (Dyadic, Enclosure, HALF, ONE, ZERO, dotminus,
+                              from_fraction, half, is_dyadic_fraction, neg,
+                              parse_dyadic)
 
-FULL = Enclosure(ZERO, ONE)
 units = st.integers(0, 10).flatmap(
     lambda e: st.integers(0, 2 ** e).map(lambda n: Dyadic(n, e)))
 
@@ -75,40 +74,9 @@ def test_dotminus_truncates(a, b):
 
 def test_enclosure_validation():
     assert Enclosure(ZERO, HALF).width == HALF
-    assert point(HALF).lo == point(HALF).hi == HALF
-    assert FULL.contains(ONE)
+    assert Enclosure(HALF, HALF).width == ZERO
+    assert Enclosure(ZERO, ONE).width == ONE
     with pytest.raises(ValueError):
         Enclosure(ONE, ZERO)
     with pytest.raises(ValueError):
         Enclosure(ZERO, Dyadic(3, 1))
-
-
-enclosures = st.tuples(units, units).map(
-    lambda p: Enclosure(min(p), max(p)))
-
-
-@given(enclosures, st.data())
-def test_enclosure_apply_unary_sound(enc, data):
-    frac = data.draw(st.integers(0, 16))
-    inside = enc.lo + Dyadic(frac, 4) * (enc.hi - enc.lo)
-    assert enc.contains(inside)
-    assert enclosure_apply("neg", [enc]).contains(neg(inside))
-    assert enclosure_apply("half", [enc]).contains(half(inside))
-
-
-@given(enclosures, enclosures, st.data())
-def test_enclosure_apply_binary_sound(a, b, data):
-    pa = data.draw(st.sampled_from([a.lo, a.hi]))
-    pb = data.draw(st.sampled_from([b.lo, b.hi]))
-    assert enclosure_apply("dotminus", [a, b]).contains(dotminus(pa, pb))
-    assert enclosure_apply("min", [a, b]).contains(min(pa, pb))
-    assert enclosure_apply("max", [a, b]).contains(max(pa, pb))
-
-
-def test_enclosure_apply_arity():
-    with pytest.raises(ArityError):
-        enclosure_apply("neg", [FULL, FULL])
-    with pytest.raises(ArityError):
-        enclosure_apply("dotminus", [FULL])
-    with pytest.raises(ArityError):
-        enclosure_apply("min", [])

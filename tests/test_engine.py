@@ -107,9 +107,10 @@ class _OutOfRange(Exception):
     pass
 
 
-def _reference(phi, rows, env):
+def _reference(phi, rows, env, k=None):
     """phi's value at one assignment, over Fractions, walking in code order:
-    the first free occurrence without a point raises."""
+    the first free occurrence without a point raises. A CInf / CSup takes
+    the inf / sup of its family's first k members."""
     def point(var):
         if var not in env:
             raise EngineError("unbound variable x%d" % var)
@@ -120,14 +121,17 @@ def _reference(phi, rows, env):
         i = point(phi.left)
         return rows[i][point(phi.right)]
     if isinstance(phi, Neg):
-        return 1 - _reference(phi.body, rows, env)
+        return 1 - _reference(phi.body, rows, env, k)
     if isinstance(phi, Half):
-        return _reference(phi.body, rows, env) / 2
+        return _reference(phi.body, rows, env, k) / 2
     if isinstance(phi, DotMinus):
-        a = _reference(phi.left, rows, env)
-        return max(a - _reference(phi.right, rows, env), 0)
+        a = _reference(phi.left, rows, env, k)
+        return max(a - _reference(phi.right, rows, env, k), 0)
+    if isinstance(phi, (CInf, CSup)):
+        op = min if isinstance(phi, CInf) else max
+        return op(_reference(m, rows, env, k) for m in phi.family.members[:k])
     op = min if isinstance(phi, InfQ) else max
-    return op(_reference(phi.body, rows, {**env, phi.var: p})
+    return op(_reference(phi.body, rows, {**env, phi.var: p}, k)
               for p in range(len(rows)))
 
 
@@ -472,7 +476,7 @@ def test_shortcut_encloses_full_scan(node, direction, members, ordered):
         members.sort(key=lambda m: _member_key(node, m), reverse=falling)
     (enc, est), scan = _shortcut_and_scan(node, direction, tuple(members))
     assert enc.lo <= scan[0].lo and scan[0].hi <= enc.hi
-    assert enc.contains(est)
+    assert enc.lo <= est <= enc.hi
     count = len(members)
     keys = [_member_key(node, members[n]) for n in (0, count // 2, count - 1)]
     if all([k[i] for k in keys] == sorted((k[i] for k in keys), reverse=falling)
@@ -523,7 +527,43 @@ def test_truncation_value_inside_enclosure(phi, depth):
     sched = TruncationSchedule.uniform(depth)
     enc = eng.eval_enclosure(phi, PAIR, sched)
     tv = eng.truncation_value(phi, PAIR, sched)
-    assert enc.contains(tv)
+    assert enc.lo <= tv <= enc.hi
+
+
+def _interval_tree(var):
+    """neg / half / dotminus / inf / sup trees over explicit cinf / csup
+    families of dyadic numerals and of atomics on the variables var draws."""
+    member = st.one_of(st.builds(lambda n: dn(n, 3), st.integers(0, 8)),
+                       st.builds(Atomic, var, var))
+    family = st.builds(lambda node, ms: node(ExplicitFamily(tuple(ms))),
+                       st.sampled_from([CInf, CSup]),
+                       st.lists(member, min_size=1, max_size=4))
+    return st.recursive(family, lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Half, sub),
+        st.builds(DotMinus, sub, sub),
+        st.builds(InfQ, var, sub), st.builds(SupQ, var, sub)), max_leaves=5)
+
+
+quantifier = st.sampled_from([InfQ, SupQ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interval_tree(st.integers(0, 1)), quantifier, quantifier,
+       st.sampled_from([PAIR, PATH5]))
+def test_enclosure_holds_untruncated_value(body, q0, q1, space):
+    # at every depth k the bounds, mapped up from the truncated families by
+    # each connective, hold the value at depth 4, where every family is
+    # whole; the estimate is the value of the k-truncated formula
+    phi = q0(0, q1(1, body))
+    rows = [[d.as_fraction() for d in row] for row in space.dist]
+    eng = Engine()
+    truth = eng.truncation_value(phi, space, TruncationSchedule.uniform(4))
+    for k in range(1, 5):
+        sched = TruncationSchedule.uniform(k)
+        enc = eng.eval_enclosure(phi, space, sched)
+        assert enc.lo <= truth <= enc.hi
+        assert eng.truncation_value(phi, space, sched).as_fraction() == \
+            _reference(phi, rows, {}, k)
 
 
 def test_sandwich_certifies():
@@ -581,7 +621,7 @@ def test_convergence_report_rows():
     assert [r.estimate for r in rows] == his
     assert all(r.distance >= 0 for r in rows)
     assert rows[-1].distance < rows[0].distance
-    assert rows[0].width == rows[0].enclosure.width
+    assert all(r.enclosure.width == r.enclosure.hi for r in rows)
 
 
 class _BumpyGenerator:

@@ -56,6 +56,13 @@ def test_syntax_errors_carry_position():
                 "(cinf (list))", "(dist x0 x1) junk", "(inf x0)"]:
         with pytest.raises(FormulaSyntaxError):
             parse(bad)
+    # a variable index is ASCII digits: int() fails on "\u00b2" and reads
+    # "\u0663" as 3, which would not round-trip
+    for bad, offset in [("(inf x\u00b2 (dist x\u00b2 x\u00b2))", 5),
+                        ("(dist x0 x\u0663)", 9)]:
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(bad)
+        assert err.value.position == offset
 
 
 def test_unknown_generator_rejected_at_parse():

@@ -13,14 +13,14 @@ Q = Dyadic(1, 2)
 
 def test_triangle_entry_list():
     sp = make_space("pair", 2, [ZERO, H, ZERO])
-    assert sp.d(0, 1) == H
-    assert sp.d(1, 0) == H
-    assert sp.d(1, 1) == ZERO
+    assert sp.dist[0][1] == H
+    assert sp.dist[1][0] == H
+    assert sp.dist[1][1] == ZERO
 
 
 def test_full_matrix_entry_list():
     sp = make_space("pair", 2, [ZERO, H, H, ZERO])
-    assert sp.d(0, 1) == H
+    assert sp.dist[0][1] == H
 
 
 def test_wrong_entry_count():
@@ -61,7 +61,7 @@ def test_load_space_round_trip():
     text = "name: pair-half\nsize: 2\ndist: 0 1/2 0\n"
     sp = load_space(text)
     assert sp.name == "pair-half"
-    assert sp.d(0, 1) == H
+    assert sp.dist[0][1] == H
     assert load_space(serialize_space(sp)).dist == sp.dist
 
 
@@ -75,7 +75,7 @@ def test_load_space_rejects_malformed():
 def test_load_space_file(tmp_path):
     path = tmp_path / "sp.txt"
     path.write_text("name: pair-half\nsize: 2\ndist: 0 1/2 0\n")
-    assert load_space_file(str(path)).d(0, 1) == H
+    assert load_space_file(str(path)).dist[0][1] == H
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,8 +90,8 @@ def test_builtin_suite_shape_and_determinism():
     names = [sp.name for sp in suite]
     assert names == ["point", "pair-half", "path5", "grid16", "ultra8"]
     assert [sp.size for sp in suite] == [1, 2, 5, 16, 8]
-    assert suite[1].d(0, 1) == H
-    assert suite[2].d(0, 4) == ONE
+    assert suite[1].dist[0][1] == H
+    assert suite[2].dist[0][4] == ONE
     again = builtin_suite()
     assert [sp.dist for sp in again] == [sp.dist for sp in suite]
 
@@ -102,4 +102,4 @@ def test_ultra8_is_ultrametric():
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert ultra.d(i, j) <= max(ultra.d(i, k), ultra.d(k, j))
+                assert ultra.dist[i][j] <= max(ultra.dist[i][k], ultra.dist[k][j])
