@@ -10,7 +10,7 @@ interval evaluation over finite metric spaces.
 
 from .builders import (EXISTS, FORALL, BuildError, NumeralRecipe,
                        base_numeral, build_numeral, dyadic_numeral,
-                       parse_recipe, strip_double_neg)
+                       parse_recipe)
 from .dyadics import Dyadic, Enclosure, parse_dyadic
 from .engine import (Engine, EngineError, SandwichError, TruncationSchedule,
                      VerificationReport)
@@ -18,14 +18,14 @@ from .formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                        FormulaError, GeneratedFamily, Half, InfQ, Neg, Rank,
                        SupQ, classify, parse, register_generator)
 from .ordinals import OMEGA, OrdinalCNF, parse_ordinal
-from .reals import (LEFT, RIGHT, RealSourceError, builtin_real,
-                    parse_real_source, parse_target, sigma2_predicate)
+from .reals import (LEFT, RIGHT, RealSourceError, parse_real_source,
+                    parse_target, sigma2_predicate)
 from .spaces import (FiniteMetricSpace, builtin_suite, load_space_file,
                      make_space, serialize_space, validate)
 
 __all__ = [
     "EXISTS", "FORALL", "BuildError", "NumeralRecipe", "base_numeral",
-    "build_numeral", "dyadic_numeral", "parse_recipe", "strip_double_neg",
+    "build_numeral", "dyadic_numeral", "parse_recipe",
     "Dyadic", "Enclosure", "parse_dyadic",
     "Engine", "EngineError", "SandwichError", "TruncationSchedule",
     "VerificationReport",
@@ -33,7 +33,7 @@ __all__ = [
     "GeneratedFamily", "Half", "InfQ", "Neg", "Rank", "SupQ", "classify",
     "parse", "register_generator",
     "OMEGA", "OrdinalCNF", "parse_ordinal",
-    "LEFT", "RIGHT", "RealSourceError", "builtin_real", "parse_real_source",
+    "LEFT", "RIGHT", "RealSourceError", "parse_real_source",
     "parse_target", "sigma2_predicate",
     "FiniteMetricSpace", "builtin_suite", "load_space_file", "make_space",
     "serialize_space", "validate",

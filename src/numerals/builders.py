@@ -20,9 +20,9 @@ registered with each makes the same value from the text of a code.
 from dataclasses import dataclass
 
 from . import reals, sexpr
-from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit
-from .formulas import (Atomic, CInf, CSup, ExplicitFamily, GeneratedFamily, Half,
-                       InfQ, Neg, SupQ, free_vars, register_generator)
+from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit, natural
+from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
+                       SupQ, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .reals import LEFT, RIGHT, LEVEL_ONE
 
@@ -90,12 +90,6 @@ def dyadic_numeral(r, flavor):
         node = Neg(node) if key[0] > HALF else Half(node)
         _DYADICS[key] = node
     return node
-
-
-def strip_double_neg(phi):
-    while isinstance(phi, Neg) and isinstance(phi.body, Neg):
-        phi = phi.body.body
-    return phi
 
 
 # ----------------------------------------------------------- level-1 numerals
@@ -174,36 +168,15 @@ def read_stage(text):
         raise BuildError('staged-approx params must be '
                          '(stage pred-name "param" index)')
     pred = reals.sigma2_predicate(str(node[1]), str(node[2]))
-    index = str(node[3])
-    if not (index.isascii() and index.isdigit()):
-        raise BuildError("stage index must be a nonnegative integer, got %r" % index)
-    return reals.StagedChildSource(pred, int(index))
-
-
-def staged_child_numeral(source):
-    family = GeneratedFamily("staged-approx", source)
-    return CSup(family) if source.side == LEFT else CInf(family)
+    try:
+        index = natural(str(node[3]))
+    except ValueError:
+        raise BuildError("stage index must be a nonnegative integer, got %r"
+                         % str(node[3])) from None
+    return reals.StagedChildSource(pred, index)
 
 
 # ----------------------------------------------------- successor and limit
-
-
-def successor_numeral(side, family):
-    """Wrap a family of opposite-side numerals in one infinitary node.
-
-    Explicit members are checked for free variables. Generated members are
-    not built here: every builtin generator yields dyadic numerals or
-    nodes wrapping generated families, which are closed by construction
-    (verify_recipe still checks free_vars of the whole numeral)."""
-    if not isinstance(family, (ExplicitFamily, GeneratedFamily)):
-        family = ExplicitFamily(tuple(family))
-    if isinstance(family, ExplicitFamily):
-        for n, member in enumerate(family.members):
-            fv = free_vars(member)
-            if fv:
-                raise BuildError("family member %d has free variables %s"
-                                 % (n, sorted(fv)))
-    return CInf(family) if side == RIGHT else CSup(family)
 
 
 @dataclass(frozen=True)
@@ -277,20 +250,22 @@ def build_numeral(side, level, source):
     if level.is_zero():
         raise BuildError("numerals start at level 1")
     if level == LEVEL_ONE:
-        if isinstance(source, reals.StagedChildSource):
-            return staged_child_numeral(source)
         if isinstance(source, reals.BuiltinSource):
             return base_numeral(side, reals.CutEnumerator(source.target, side))
         if isinstance(source, reals.ConstantSource):
             target = reals.RationalTarget(source.value, str(source.value))
             return base_numeral(side, reals.CutEnumerator(target, side))
-        raise BuildError("cannot build a level-1 numeral from %s"
-                         % type(source).__name__)
-    name = "successor-members" if level.is_successor() else "limit-members"
-    if level.is_limit() and isinstance(source, reals.ConstantSource):
-        source = reals.LeveledSource(side, level, "constant", source.value)
-    reals.check_step(source, side, level.is_limit())
-    return successor_numeral(side, GeneratedFamily(name, StepParams(side, source)))
+        if not isinstance(source, reals.StagedChildSource):
+            raise BuildError("cannot build a level-1 numeral from %s"
+                             % type(source).__name__)
+        family = GeneratedFamily("staged-approx", source)
+    else:
+        name = "successor-members" if level.is_successor() else "limit-members"
+        if level.is_limit() and isinstance(source, reals.ConstantSource):
+            source = reals.LeveledSource(side, level, "constant", source.value)
+        reals.check_step(source, side, level.is_limit())
+        family = GeneratedFamily(name, StepParams(side, source))
+    return CInf(family) if side == RIGHT else CSup(family)
 
 
 # ------------------------------------------------------------------ recipes

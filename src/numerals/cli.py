@@ -12,7 +12,7 @@ import sys
 
 from . import acceptance
 from .builders import BuildError, dyadic_numeral, parse_recipe
-from .dyadics import parse_dyadic
+from .dyadics import natural, parse_dyadic
 from .engine import Engine, EngineError, TruncationSchedule
 from .formulas import FormulaError, classify, parse
 from .reals import RealSourceError
@@ -26,7 +26,7 @@ _USAGE_ERRORS = (BuildError, FormulaError, RealSourceError, SpaceFormatError,
 
 
 def _positive(text):
-    value = int(text)
+    value = natural(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value

@@ -94,10 +94,30 @@ def is_dyadic_fraction(f):
     return (1 << (d.bit_length() - 1)) == d
 
 
+def _plain(text):
+    """text, unless it holds a non-ASCII character or an underscore: int()
+    and Fraction() would read non-ASCII digits and underscores in numbers."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("not a plain ASCII number: %r" % text)
+    return text
+
+
+def natural(text):
+    """A nonnegative integer in ASCII decimal digits, with no sign or space."""
+    if not _plain(text).isdigit():
+        raise ValueError("not a natural number: %r" % text)
+    return int(text)
+
+
+def rational(text):
+    """Fraction(text), of ASCII text with no underscore."""
+    return Fraction(_plain(text))
+
+
 def parse_dyadic(text):
     """Accept "3/8", "3/2^3", "1", "0.75" style inputs."""
-    text = text.strip()
     try:
+        text = _plain(text.strip())
         if "^" in text:
             numpart, exppart = text.split("/", 1)
             base, exp = exppart.split("^", 1)

@@ -137,7 +137,6 @@ class ConvergenceRow:
     depth: int
     enclosure: Enclosure
     estimate: Dyadic
-    distance: Fraction = None  # signed estimate - truth, when truth is known
 
 
 @dataclass(frozen=True)
@@ -164,75 +163,61 @@ class VerificationReport(IndependenceReport):
 
 class Engine:
     def __init__(self):
-        self._memo = {}
-        self._space_tokens = {}
-        self._pinned_spaces = []
+        self._memo = {}  # keys hold their spaces, so no id is reused
         self._spreads = {}  # (variables, superset, size) -> table index map
         self.atomic_evals = 0
 
-    def _token(self, space):
-        tok = self._space_tokens.get(id(space))
-        if tok is None:
-            tok = len(self._pinned_spaces)
-            self._space_tokens[id(space)] = tok
-            self._pinned_spaces.append(space)
-        return tok
-
     def eval_exact(self, phi, space, env=None):
         """The exact dyadic value of a finitary formula."""
-        return self._walk(phi, space, self._token(space), _freeze_env(env),
-                          None)[2]
+        return self._walk(phi, space, _freeze_env(env), None)[2]
 
     def eval_enclosure(self, phi, space, schedule, env=None):
         """A certified enclosure of the formula's value under the schedule."""
-        lo, hi, _ = self._walk(phi, space, self._token(space),
-                               _freeze_env(env), schedule.depths)
+        lo, hi, _ = self._walk(phi, space, _freeze_env(env), schedule.depths)
         return Enclosure(lo, hi)
 
     def truncation_value(self, phi, space, schedule, env=None):
         """Exact value of the schedule-truncated formula (the active
         estimate; not a certified bound on the untruncated value)."""
-        return self._walk(phi, space, self._token(space), _freeze_env(env),
-                          schedule.depths)[2]
+        return self._walk(phi, space, _freeze_env(env), schedule.depths)[2]
 
-    def _walk(self, phi, space, tok, env, tail):
+    def _walk(self, phi, space, env, tail):
         """(lo, hi, est) of the formula truncated by tail: certified bounds
         on its value and the truncated formula's own value, (v, v, v) for a
         finitary node of value v. With no tail the walk is exact
         evaluation, and a CInf / CSup is an error."""
         if phi.finitary:
-            v = _read(self._memo.get((phi.code, tok))
-                      or self._table(phi, space, tok), env, space)
+            v = _read(self._memo.get((phi.code, space))
+                      or self._table(phi, space), env, space)
             return v, v, v
-        key = (phi.code, tok, env, tail)
+        key = (phi.code, space, env, tail)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if isinstance(phi, DotMinus):
-            a_lo, a_hi, a = self._walk(phi.left, space, tok, env, tail)
-            b_lo, b_hi, b = self._walk(phi.right, space, tok, env, tail)
+            a_lo, a_hi, a = self._walk(phi.left, space, env, tail)
+            b_lo, b_hi, b = self._walk(phi.right, space, env, tail)
             out = (dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
         elif isinstance(phi, Neg):
-            lo, hi, est = self._walk(phi.body, space, tok, env, tail)
+            lo, hi, est = self._walk(phi.body, space, env, tail)
             out = (neg(hi), neg(lo), neg(est))
         elif isinstance(phi, Half):
-            out = tuple(map(half, self._walk(phi.body, space, tok, env, tail)))
+            out = tuple(map(half, self._walk(phi.body, space, env, tail)))
         elif isinstance(phi, (InfQ, SupQ)):
             op = min if isinstance(phi, InfQ) else max
-            parts = [self._walk(phi.body, space, tok,
-                                _bind(env, phi.var, p), tail)
+            parts = [self._walk(phi.body, space, _bind(env, phi.var, p), tail)
                      for p in range(space.size)]
             out = tuple(map(op, zip(*parts)))
         else:  # CInf / CSup
             if tail is None:
                 raise EngineError("eval_exact needs a finitary formula, got %s"
                                   % type(phi).__name__)
-            out = self._family(phi.family, space, tok, env, tail,
+            out = self._family(phi.family, space, env, tail,
                                isinstance(phi, CInf))
         self._memo[key] = out
         return out
 
-    def _table(self, phi, space, tok):
+    def _table(self, phi, space):
         """Tabulate a finitary node on the whole space and memoize it under
         (code, space) as (variables, exp, numerators): one int numerator
         per assignment of points to its free variables, in order of first
@@ -251,23 +236,23 @@ class Engine:
                 out = ((phi.left, phi.right), exp,
                        [d for row in rows for d in row])
         elif isinstance(phi, DotMinus):
-            a = memo.get((phi.left.code, tok)) \
-                or self._table(phi.left, space, tok)
-            b = memo.get((phi.right.code, tok)) \
-                or self._table(phi.right, space, tok)
+            a = memo.get((phi.left.code, space)) \
+                or self._table(phi.left, space)
+            b = memo.get((phi.right.code, space)) \
+                or self._table(phi.right, space)
             exp = max(a[1], b[1])
             names = a[0] + tuple(v for v in b[0] if v not in a[0])
             out = (names, exp, [x - y if x > y else 0 for x, y in zip(
                 self._spread(a, exp, names, n),
                 self._spread(b, exp, names, n))])
         elif isinstance(phi, (Neg, Half)):
-            names, exp, values = memo.get((phi.body.code, tok)) \
-                or self._table(phi.body, space, tok)
+            names, exp, values = memo.get((phi.body.code, space)) \
+                or self._table(phi.body, space)
             out = (names, exp + 1, values) if isinstance(phi, Half) \
                 else (names, exp, [(1 << exp) - v for v in values])
         else:  # InfQ / SupQ
-            body = memo.get((phi.body.code, tok)) \
-                or self._table(phi.body, space, tok)
+            body = memo.get((phi.body.code, space)) \
+                or self._table(phi.body, space)
             names, exp, values = body
             if phi.var not in names:  # vacuous
                 out = body
@@ -280,7 +265,7 @@ class Engine:
                        [op(values[b + i:b + block:stride])
                         for b in range(0, len(values), block)
                         for i in range(stride)])
-        memo[(phi.code, tok)] = out
+        memo[(phi.code, space)] = out
         return out
 
     def _spread(self, table, exp, names, n):
@@ -306,7 +291,7 @@ class Engine:
             self._spreads[key] = index
         return [values[i] for i in index]
 
-    def _family(self, family, space, tok, env, tail, is_inf):
+    def _family(self, family, space, env, tail, is_inf):
         """The truncated CInf / CSup step: the declared end member when the
         monotone shortcut applies (module docstring), else the prefix."""
         count = tail[0]
@@ -318,7 +303,7 @@ class Engine:
             direction = get_generator(family.generator).monotone(family.params)
             falling = direction == "nonincreasing"
             if direction in ("nonincreasing", "nondecreasing"):
-                picks = [self._walk(family.member(n), space, tok, env, inner)
+                picks = [self._walk(family.member(n), space, env, inner)
                          for n in (0, count // 2, count - 1)]
                 ends = [hi if is_inf else lo for lo, hi, _ in picks]
                 ests = [est for _, _, est in picks]
@@ -326,7 +311,7 @@ class Engine:
                         and ests == sorted(ests, reverse=falling):
                     parts = [picks[-1] if is_inf == falling else picks[0]]
         if parts is None:
-            parts = [self._walk(family.member(n), space, tok, env, inner)
+            parts = [self._walk(family.member(n), space, env, inner)
                      for n in range(count)]
         los, his, ests = zip(*parts)
         if is_inf:
@@ -362,21 +347,16 @@ class Engine:
         expected = Rank(SIGMA if recipe.side == RIGHT else PI, recipe.level)
         return classify(phi) == expected
 
-    def convergence_report(self, phi, space, depths, truth=None):
+    def convergence_report(self, phi, space, depths):
         """Enclosure ladder over depths; the sound endpoint must be monotone.
 
         For a Sigma-rooted sentence the upper endpoints are asserted
         nonincreasing, for Pi-rooted the lower endpoints nondecreasing.
-        truth, when given as a Fraction, adds signed estimate distances.
         """
         rows, problem = self._convergence_rows(phi, space, depths,
                                                classify(phi))
         if problem is not None:
             raise EngineError(problem)
-        if truth is not None:
-            rows = tuple(ConvergenceRow(r.depth, r.enclosure, r.estimate,
-                                        r.estimate.as_fraction() - truth)
-                         for r in rows)
         return rows
 
     def _convergence_rows(self, phi, space, depths, rank):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import sexpr
+from .dyadics import natural
 from .ordinals import OrdinalCNF, ZERO_ORD, from_int
 
 SIGMA = "Sigma"
@@ -223,10 +224,12 @@ def get_generator(name):
 
 def _var_index(tok):
     digits = tok[1:] if isinstance(tok, sexpr.Atom) and tok[:1] == "x" else ""
-    if digits.isascii() and digits.isdigit():
-        return int(digits)
-    pos = getattr(tok, "position", 0)
-    raise FormulaSyntaxError("expected a variable like x0, got %r" % str(tok), pos)
+    try:
+        return natural(digits)
+    except ValueError:
+        pos = getattr(tok, "position", 0)
+        raise FormulaSyntaxError("expected a variable like x0, got %r"
+                                 % str(tok), pos) from None
 
 
 def _family_from(node):

@@ -8,9 +8,13 @@ comparison and the fundamental sequences purely syntactic.
 
 from dataclasses import dataclass
 
+from .dyadics import natural
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, order=True)
 class OrdinalCNF:
+    """Ordered lexicographically on terms, which is the ordinal order."""
+
     terms: tuple = ()
 
     def __post_init__(self):
@@ -31,22 +35,6 @@ class OrdinalCNF:
     def is_limit(self):
         return bool(self.terms) and self.terms[-1][0] > 0
 
-    def _key(self):
-        # lexicographic on the term list compares CNF ordinals correctly
-        return tuple(self.terms)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
-
     def __add__(self, other):
         """Ordinal addition: left terms below the right head are absorbed."""
         if not other.terms:
@@ -56,9 +44,6 @@ class OrdinalCNF:
         carried = sum(c for e, c in self.terms if e == head_exp)
         merged = ((head_exp, head_coeff + carried),) + tuple(other.terms[1:])
         return OrdinalCNF(kept + merged)
-
-    def successor(self):
-        return self + from_int(1)
 
     def predecessor(self):
         if not self.is_successor():
@@ -116,14 +101,6 @@ def from_int(n):
     return OrdinalCNF() if n == 0 else OrdinalCNF(((0, n),))
 
 
-def _natural(text):
-    """An ASCII decimal numeral, which int() alone would widen to signs,
-    spaces, underscores and non-ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError
-    return int(text)
-
-
 def parse_ordinal(text):
     """Parse "0", "7", "w", "w*2", "w^2*3+w*2+5" style notation."""
     text = text.strip()
@@ -142,20 +119,20 @@ def parse_ordinal(text):
                     rest = rest[1:]
                     if "*" in rest:
                         e, rest = rest.split("*", 1)
-                        exp = _natural(e)
-                        coeff = _natural(rest)
+                        exp = natural(e)
+                        coeff = natural(rest)
                     else:
-                        exp = _natural(rest)
+                        exp = natural(rest)
                         coeff = 1
                 elif rest.startswith("*"):
-                    coeff = _natural(rest[1:])
+                    coeff = natural(rest[1:])
                 elif rest == "":
                     coeff = 1
                 else:
                     raise ValueError
                 terms.append((exp, coeff))
             else:
-                n = _natural(part)
+                n = natural(part)
                 if n == 0:
                     if len(text.split("+")) > 1:
                         raise ValueError

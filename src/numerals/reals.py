@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import count, islice
 
 from . import sexpr
-from .dyadics import Dyadic, is_dyadic_fraction
+from .dyadics import Dyadic, is_dyadic_fraction, rational
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 
 RIGHT = "right"
@@ -171,7 +171,7 @@ def parse_target(text):
     if text in _NAMED_TARGETS:
         return _NAMED_TARGETS[text]()
     try:
-        value = Fraction(text)
+        value = rational(text)
     except (ValueError, ZeroDivisionError):
         raise RealSourceError("unknown builtin real %r" % text) from None
     if not 0 <= value <= 1:
@@ -261,15 +261,6 @@ class CutEnumerator:
                    Dyadic(self._edge(level - 1), level - 1))
 
 
-def get_cut(target_text, side):
-    return CutEnumerator(parse_target(target_text), side)
-
-
-def builtin_real(name):
-    """Both cut enumerators (left, right) of a named computable real."""
-    return get_cut(name, LEFT), get_cut(name, RIGHT)
-
-
 # --------------------------------------------------------- sigma-2 predicates
 #
 # Each predicate family encodes one real r as a total decidable relation
@@ -296,7 +287,7 @@ class Sigma2Predicate:
 
     @cached_property
     def c(self):
-        return Fraction(self.param)
+        return rational(self.param)
 
     def _threshold(self, x0):
         gap = Fraction(1, 1 << x0)
@@ -451,7 +442,7 @@ class SequenceExtraction:
 
 # --------------------------------------------------------------- real sources
 #
-# A RealSource is a description of a real with a declared recursion level;
+# A real source is a description of a real with a declared recursion level;
 # the numeral builders dispatch on its kind. Sources whose side is None fit
 # either side of a recipe. A source that can take a step (see check_step)
 # gives the real source of member n of its step family as child(n).
@@ -527,25 +518,21 @@ class GeometricSource:
     """A rational at a declared successor level >= 2; its successor children
     are the constants value +/- 2^-n pushed one level down on the other side."""
 
-    side_tag: str
+    side: str
     level: OrdinalCNF
     value: Fraction
-
-    @property
-    def side(self):
-        return self.side_tag
 
     def cmp_to(self, q):
         return _sign(self.value - q)
 
     def child(self, n):
         gap = Fraction(1, 1 << n)
-        value = self.value + gap if self.side_tag == RIGHT else self.value - gap
+        value = self.value + gap if self.side == RIGHT else self.value - gap
         return ConstantSource(clamp01(value), self.level.predecessor())
 
     @property
     def descriptor(self):
-        return "(real geometric %s %s %s)" % (self.side_tag, self.level,
+        return "(real geometric %s %s %s)" % (self.side, self.level,
                                               sexpr.quote(str(self.value)))
 
 
@@ -559,14 +546,10 @@ class LeveledSource:
     sequence of the limit, floored at 1.
     """
 
-    side_tag: str
+    side: str
     level: OrdinalCNF
     scheme: str
     value: Fraction
-
-    @property
-    def side(self):
-        return self.side_tag
 
     def cmp_to(self, q):
         return _sign(self.value - q)
@@ -582,7 +565,7 @@ class LeveledSource:
         and no prefix need be kept."""
         if self.scheme == "constant":
             return self.value
-        if self.side_tag == RIGHT:
+        if self.side == RIGHT:
             return clamp01(self.value + Fraction(1, 1 << n))
         return clamp01(self.value - Fraction(1, 1 << n))
 
@@ -592,7 +575,7 @@ class LeveledSource:
     @property
     def descriptor(self):
         return "(real leveled %s %s (members %s %s))" % (
-            self.side_tag, self.level, self.scheme, sexpr.quote(str(self.value)))
+            self.side, self.level, self.scheme, sexpr.quote(str(self.value)))
 
 
 @dataclass(frozen=True)
@@ -618,15 +601,11 @@ class StagedChildSource:
                                      self.index)
 
 
-RealSource = (BuiltinSource | ConstantSource | Sigma2Source | GeometricSource
-              | LeveledSource | StagedChildSource)
-
-
 def _rational_text(node, what):
     if not isinstance(node, sexpr.QuotedString):
         raise RealSourceError("%s must be a quoted rational" % what)
     try:
-        value = Fraction(str(node))
+        value = rational(str(node))
     except (ValueError, ZeroDivisionError):
         raise RealSourceError("%s %r is not rational" % (what, str(node))) from None
     return value

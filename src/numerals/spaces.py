@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from operator import add
 
-from .dyadics import Dyadic, ZERO, ONE, parse_dyadic
+from .dyadics import Dyadic, ZERO, ONE, natural, parse_dyadic
 
 QUARTER = Dyadic(1, 2)
 
@@ -36,7 +36,7 @@ class SpaceValidationError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity, so a memo can key on it
 class FiniteMetricSpace:
     name: str
     size: int
@@ -151,7 +151,7 @@ def load_space(text):
         raise SpaceFormatError("expected 'name: N size: K dist: ...'")
     name = tokens[1]
     try:
-        size = int(tokens[3])
+        size = natural(tokens[3])
     except ValueError:
         raise SpaceFormatError("size must be an integer, got %r" % tokens[3]) from None
     if size < 1:

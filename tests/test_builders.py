@@ -9,21 +9,31 @@ from numerals.builders import (EXISTS, FORALL, BuildError,
                                LimitMembersGenerator, StepParams,
                                SuccessorMembersGenerator, base_numeral,
                                build_numeral, dyadic_numeral, other_flavor,
-                               other_side, parse_recipe, staged_child_numeral,
-                               strip_double_neg, successor_numeral)
+                               other_side, parse_recipe)
 from numerals.dyadics import Dyadic, HALF, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
 from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
                                classify, free_vars, parse)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (LEFT, RIGHT, ConstantSource, GeometricSource,
-                            LeveledSource, RealSourceError, SequenceExtraction,
-                            Sigma2Source, get_cut, sigma2_predicate)
+from numerals.reals import (LEFT, LEVEL_ONE, RIGHT, ConstantSource,
+                            CutEnumerator, GeometricSource, LeveledSource,
+                            RealSourceError, SequenceExtraction, Sigma2Source,
+                            parse_target, sigma2_predicate)
 from numerals.spaces import builtin_suite
 
 F = Fraction
 NU_E0 = "(inf x0 (dist x0 x0))"
 NU_A0 = "(sup x0 (dist x0 x0))"
+
+def get_cut(text, side):
+    return CutEnumerator(parse_target(text), side)
+
+
+def strip_double_neg(phi):
+    while isinstance(phi, Neg) and isinstance(phi.body, Neg):
+        phi = phi.body.body
+    return phi
+
 
 units = st.integers(0, 8).flatmap(
     lambda e: st.integers(0, 2 ** e).map(lambda n: Dyadic(n, e)))
@@ -101,12 +111,6 @@ def test_dyadic_numeral_duality(r):
             eng.eval_exact(dyadic_numeral(r, EXISTS), point) == r
 
 
-def test_strip_double_neg():
-    nu = dyadic_numeral(ZERO, EXISTS)
-    assert strip_double_neg(Neg(Neg(Neg(nu)))) == Neg(nu)
-    assert strip_double_neg(nu) == nu
-
-
 def test_helpers():
     assert other_side(RIGHT) == LEFT and other_side(LEFT) == RIGHT
     assert other_flavor(EXISTS) == FORALL and other_flavor(FORALL) == EXISTS
@@ -151,23 +155,13 @@ def test_base_numeral_shapes():
 
 def test_staged_child_numeral_members():
     pred = sigma2_predicate("geometric-above", "1/3")
-    phi = staged_child_numeral(Sigma2Source(pred).child(11))
+    phi = build_numeral(LEFT, LEVEL_ONE, Sigma2Source(pred).child(11))
     assert phi.code == \
         '(csup (gen staged-approx "(stage geometric-above \\"1/3\\" 11)"))'
     ex = SequenceExtraction(pred)
     for t in (1, 16, 64):
         member = phi.family.member(t)
         assert member.code == code(ex.r_approx(11, t), FORALL)
-
-
-def test_successor_numeral_explicit():
-    members = [dyadic_numeral(Dyadic(1, 1), FORALL),
-               dyadic_numeral(Dyadic(1, 2), FORALL)]
-    phi = successor_numeral(RIGHT, members)
-    assert isinstance(phi, CInf)
-    assert isinstance(successor_numeral(LEFT, members), CSup)
-    with pytest.raises(BuildError):
-        successor_numeral(RIGHT, [Atomic(0, 1)])
 
 
 def test_successor_members_requested_once(monkeypatch):
@@ -371,8 +365,13 @@ MALFORMED_PARAMS = (
     ('(cinf (gen dyadic-upper-cut "7/3"))', "builtin real 7/3 outside [0,1]"),
     ('(cinf (gen staged-approx "(stage geometric-above \\"1/3\\" -1)"))',
      "stage index must be a nonnegative integer, got '-1'"),
+    ('(cinf (gen dyadic-upper-cut "\u0663/8"))',
+     "unknown builtin real '\u0663/8'"),
+    ('(csup (gen staged-approx "(stage geometric-above \\"1_1/16\\" 1)"))',
+     "predicate parameter '1_1/16' is not rational"),
 )
-MALFORMED_IDS = ("succ", "limit", "stage", "cut", "stage-index")
+MALFORMED_IDS = ("succ", "limit", "stage", "cut", "stage-index",
+                 "cut-non-ascii", "stage-underscore")
 
 
 @pytest.mark.parametrize("code, message", MALFORMED_PARAMS, ids=MALFORMED_IDS)

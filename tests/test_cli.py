@@ -39,6 +39,32 @@ def test_dyadic_rejects_non_dyadic(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dyadic", "1_1/2^4", "exists"),
+    ("build", '(numeral right 1 (real builtin "\u0663/8"))'),
+    ("verify", '(numeral right 1 (real builtin "1/3"))', "--depth", "\u0663"),
+    ("eval", UPPER_THIRD, "--depth", "1_6"),
+])
+def test_non_ascii_and_underscore_numbers_exit_2(capsys, argv):
+    # int() and Fraction() alone read these as 11/16, 3/8, 3 and 16
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:  # argparse rejects an option's value
+        code = stop.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_ascii_space_size(capsys, tmp_path):
+    path = tmp_path / "sp.txt"
+    path.write_text("name: pair\nsize: \u0662\ndist: 0 1/2 0\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, "eval", "(sup x0 (sup x1 (dist x0 x1)))",
+                       str(path))
+    assert code == 2
+    assert "size must be an integer" in err
+
+
 def test_build_prints_numeral(capsys):
     code, out, _ = run(capsys, "build", '(numeral right 1 (real builtin "1/3"))')
     assert code == 0

@@ -32,8 +32,12 @@ def test_parse_forms():
     assert parse_dyadic("0.75") == Dyadic(3, 2)
     with pytest.raises(ValueError):
         parse_dyadic("1/3")
-    with pytest.raises(ValueError):
-        parse_dyadic("spam")
+    # only ASCII without underscores: int() and Fraction() alone would read
+    # 1_1/2^4 as 11/16 and \u0663/8 as 3/8
+    for text in ["spam", "1_1/2^4", "1/2^1_0", "\u0663/8", "3/2^\u0663",
+                 "0.7_5"]:
+        with pytest.raises(ValueError):
+            parse_dyadic(text)
 
 
 def test_fraction_bridge():

@@ -14,11 +14,15 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                GeneratedFamily, Half, InfQ, Neg, Rank, SIGMA,
                                SupQ, parse, register_generator)
 from numerals.ordinals import from_int
-from numerals.reals import LEFT, RIGHT, get_cut
+from numerals.reals import LEFT, RIGHT, CutEnumerator, parse_target
 from numerals.spaces import FiniteMetricSpace, builtin_suite
 
 F = Fraction
 POINT, PAIR, PATH5 = builtin_suite()[:3]
+
+
+def get_cut(text, side):
+    return CutEnumerator(parse_target(text), side)
 
 
 def dn(num, exp, flavor=EXISTS):
@@ -87,6 +91,17 @@ def test_atomic_eval_count():
     assert eng.atomic_evals == 25
     eng.eval_exact(diameter, PATH5)
     assert eng.atomic_evals == 25  # memoized
+
+
+def test_memo_keys_keep_their_spaces_alive():
+    # each space is dropped before the next is made, so a key on id(space)
+    # alone could meet a new space at the freed address and read its table
+    eng = Engine()
+    diameter = parse("(sup x0 (sup x1 (dist x0 x1)))")
+    for d in [Dyadic(num, 3) for num in range(1, 9)]:
+        space = FiniteMetricSpace("pair", 2, ((ZERO, d), (d, ZERO)))
+        assert eng.eval_exact(diameter, space) == d
+        del space
 
 
 def test_tables_read_only_free_variables():
@@ -614,13 +629,13 @@ def test_classification_check():
 def test_convergence_report_rows():
     eng = Engine()
     phi = parse_recipe('(numeral right 1 (real builtin "1/3"))').build()
-    rows = eng.convergence_report(phi, POINT, (16, 64, 256), truth=F(1, 3))
+    rows = eng.convergence_report(phi, POINT, (16, 64, 256))
     assert [r.depth for r in rows] == [16, 64, 256]
     his = [r.enclosure.hi for r in rows]
     assert his == sorted(his, reverse=True)
     assert [r.estimate for r in rows] == his
-    assert all(r.distance >= 0 for r in rows)
-    assert rows[-1].distance < rows[0].distance
+    assert F(1, 3) < rows[-1].estimate.as_fraction() \
+        < rows[0].estimate.as_fraction()
     assert all(r.enclosure.width == r.enclosure.hi for r in rows)
 
 

@@ -43,6 +43,20 @@ def test_addition_absorbs_small_left_terms():
     assert parse_ordinal("w*5+3") + parse_ordinal("w^2") == parse_ordinal("w^2")
 
 
+@given(ordinals, ordinals)
+def test_order_matches_base_n_value(a, b):
+    # with N above every coefficient, sum c * N^e reads a CNF ordinal as a
+    # base-N numeral, whose order does not depend on how terms compare
+    n = 1 + max((c for _, c in a.terms + b.terms), default=0)
+
+    def value(x):
+        return sum(c * n ** e for e, c in x.terms)
+
+    assert (a < b, a <= b, a > b, a >= b) == (
+        value(a) < value(b), value(a) <= value(b),
+        value(a) > value(b), value(a) >= value(b))
+
+
 @given(ordinals, ordinals, ordinals)
 def test_addition_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -55,9 +69,9 @@ def test_addition_right_monotone(a, b):
 
 
 def test_successor_predecessor():
-    assert ZERO_ORD.successor() == from_int(1)
+    assert ZERO_ORD + from_int(1) == from_int(1)
     assert parse_ordinal("w+3").predecessor() == parse_ordinal("w+2")
-    assert from_int(9).successor().predecessor() == from_int(9)
+    assert (from_int(9) + from_int(1)).predecessor() == from_int(9)
     with pytest.raises(ValueError):
         OMEGA.predecessor()
     with pytest.raises(ValueError):

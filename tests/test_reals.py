@@ -12,13 +12,16 @@ from numerals.reals import (LEFT, RIGHT, BuiltinSource, ConstantSource,
                             CutEnumerator, GeometricSource, LeveledSource,
                             RealSourceError, SequenceExtraction,
                             Sigma2Predicate, Sigma2Source, StagedChildSource,
-                            builtin_real, check_step, clamp01, get_cut, pair,
-                            parse_real_source, parse_target, rationals,
-                            sigma2_predicate, unpair)
+                            check_step, clamp01, pair, parse_real_source,
+                            parse_target, rationals, sigma2_predicate, unpair)
 
 from test_engine import cut_targets
 
 F = Fraction
+
+
+def get_cut(text, side):
+    return CutEnumerator(parse_target(text), side)
 
 # the fixed interleaving of unit dyadics, zigzag integers and signed
 # Calkin-Wilf fractions, frozen as a regression anchor
@@ -91,7 +94,7 @@ def padded(cut, n):
 
 
 def test_target_rejects():
-    for text in ["spam", "3/2", "-1/4", "1/0"]:
+    for text in ["spam", "3/2", "-1/4", "1/0", "\u0663/8", "1_1/16"]:
         with pytest.raises(RealSourceError):
             parse_target(text)
 
@@ -138,7 +141,6 @@ def no_enumeration(monkeypatch):
 def test_trivial_cut_hit_fails_at_once(monkeypatch):
     # no dyadic of (0,1) lies in the right cut of 1 or the left cut of 0, so
     # asking for one raises before any stage reads the enumeration
-    assert builtin_real("1")[1] == get_cut("1", RIGHT)
     no_enumeration(monkeypatch)
     for name, side in (("1", RIGHT), ("0", LEFT)):
         with pytest.raises(RealSourceError):
@@ -148,7 +150,7 @@ def test_trivial_cut_hit_fails_at_once(monkeypatch):
 
 
 def test_cut_hits_follow_raw_stages():
-    left, right = builtin_real("sqrt-half")
+    left, right = get_cut("sqrt-half", LEFT), get_cut("sqrt-half", RIGHT)
     assert left.side == LEFT and right.side == RIGHT
     for cut in (left, right):
         stages = [raw(cut, q) for q in islice(rationals(), 400)]
@@ -209,7 +211,7 @@ def test_deep_cut_extrema_close_in(name):
         assert target.cmp_to(best) == sign
         assert target.cmp_to(best + sign * gap) == -sign
 def test_sqrt_half_cut_brackets():
-    left, right = builtin_real("sqrt-half")
+    left, right = get_cut("sqrt-half", LEFT), get_cut("sqrt-half", RIGHT)
     lo = max(padded(left, 200))
     hi = min(padded(right, 200))
     assert lo < hi
@@ -237,7 +239,7 @@ def test_lagged_predicate_needs_large_x1():
 def test_predicate_rejects():
     with pytest.raises(RealSourceError):
         sigma2_predicate("exponential-above", "1/3")
-    for param in ["spam", "1/0", "3/2"]:
+    for param in ["spam", "1/0", "3/2", "\u0663/8", "1_1/16"]:
         with pytest.raises(RealSourceError):
             sigma2_predicate("geometric-above", param)
 
@@ -484,6 +486,9 @@ def test_source_rejects():
            '(real constant "3/2" 1)',
            '(real constant "1/2" 0)',
            '(real constant 1/2 1)',
+           '(real constant "\u0663/8" 1)',
+           '(real geometric right 2 "1_1/16")',
+           '(real leveled right w (members constant "\u0663/8"))',
            '(real sigma2-left geometric-above "1/3")',
            '(real geometric right 1 "1/3")',
            '(real geometric right w "1/3")',

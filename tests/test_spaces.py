@@ -67,7 +67,9 @@ def test_load_space_round_trip():
 
 def test_load_space_rejects_malformed():
     for text in ["", "name: x\nsize: 2\ndist: 0", "size: 2\ndist: 0 0 0",
-                 "name: x\nsize: two\ndist: 0", "name: x\nsize: 1\ndist: 1/3"]:
+                 "name: x\nsize: two\ndist: 0", "name: x\nsize: 1\ndist: 1/3",
+                 "name: x\nsize: \u0662\ndist: 0 1/2 0",
+                 "name: x\nsize: 2\ndist: 0 1_1/2^4 0"]:
         with pytest.raises((SpaceFormatError, SpaceValidationError)):
             load_space(text)
 
