@@ -8,7 +8,6 @@ computed values.
 """
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .builders import EXISTS, FORALL, dyadic_numeral, parse_recipe
@@ -16,6 +15,7 @@ from .dyadics import Dyadic
 from .engine import Engine, TruncationSchedule
 from .formulas import parse
 from .reals import RIGHT, SequenceExtraction, sigma2_predicate
+from .records import record
 from .spaces import builtin_suite
 
 RIGHT_CORPUS = (
@@ -45,7 +45,7 @@ LEFT_CORPUS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CriterionResult:
     index: int
     title: str

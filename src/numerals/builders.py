@@ -17,7 +17,6 @@ StepParams of a successor or limit step), handed over as values; the reader
 registered with each makes the same value from the text of a code.
 """
 
-from dataclasses import dataclass
 
 from . import reals, sexpr
 from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit, natural
@@ -25,6 +24,7 @@ from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        SupQ, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .reals import LEFT, RIGHT, LEVEL_ONE
+from .records import record
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -179,7 +179,7 @@ def read_stage(text):
 # ----------------------------------------------------- successor and limit
 
 
-@dataclass(frozen=True)
+@record
 class StepParams:
     """Params of a successor- or limit-members family: the numeral's side and
     its real source, whose level is the level of the step. The builders make
@@ -271,7 +271,7 @@ def build_numeral(side, level, source):
 # ------------------------------------------------------------------ recipes
 
 
-@dataclass(frozen=True)
+@record
 class NumeralRecipe:
     side: str
     level: OrdinalCNF

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 
-from . import acceptance
 from .builders import BuildError, dyadic_numeral, parse_recipe
 from .dyadics import natural, parse_dyadic
 from .engine import Engine, EngineError, TruncationSchedule
@@ -30,6 +29,11 @@ def _positive(text):
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
+
+
+def _seed(text):
+    """An integer in ASCII decimal digits, with an optional leading minus."""
+    return -natural(text[1:]) if text.startswith("-") else natural(text)
 
 
 def _parser():
@@ -57,7 +61,7 @@ def _parser():
     v.add_argument("--depth", type=_positive, default=256)
     v.add_argument("--tol", type=_positive, default=6,
                    help="tolerance exponent k, target accuracy 2^-k")
-    v.add_argument("--seed", type=int, default=2026,
+    v.add_argument("--seed", type=_seed, default=2026,
                    help="seed for the extra randomized suite space")
     v.add_argument("--suite", nargs="+", default=None, metavar="PATH",
                    help="structure files replacing the builtin suite")
@@ -161,6 +165,7 @@ def _cmd_verify(args):
 
 
 def _cmd_demo(args):
+    from . import acceptance  # the demo corpus: no other command needs it
     results = acceptance.run_all()
     for res in results:
         if args.format == "structured":

@@ -6,8 +6,9 @@ truncated subtraction, halving, min and max never leave the class, so
 evaluation over a finite structure with dyadic distances is exact.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import record
 
 
 def _canonical(num, exp):
@@ -21,7 +22,7 @@ def _canonical(num, exp):
     return (num >> shift, exp - shift) if shift < exp else (num >> exp, 0)
 
 
-@dataclass(frozen=True, order=False, init=False)
+@record
 class Dyadic:
     """num / 2**exp, canonicalized so exp == 0 or num is odd."""
 
@@ -32,6 +33,16 @@ class Dyadic:
         num, exp = _canonical(num, exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
+
+    # equal and hashed as the record's field tuple, written out: it is hot
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.exp == other.exp
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.exp))
 
     # comparisons via cross-shifting, no Fraction round trip
 
@@ -155,7 +166,7 @@ def half(d):
     return d * HALF
 
 
-@dataclass(frozen=True)
+@record
 class Enclosure:
     """A closed dyadic subinterval [lo, hi] of [0, 1]."""
 

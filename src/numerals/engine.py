@@ -48,7 +48,6 @@ environment, schedule tail). Family generation is pure, so member formulas
 with equal codes share results.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
@@ -57,6 +56,7 @@ from .formulas import (Atomic, CInf, CSup, DotMinus, GeneratedFamily, Half,
                        InfQ, Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
                        get_generator)
 from .reals import RIGHT
+from .records import record
 from .spaces import numerators
 
 
@@ -68,7 +68,7 @@ class SandwichError(EngineError):
     """The paired enclosures do not overlap: the inputs disagree on the real."""
 
 
-@dataclass(frozen=True)
+@record
 class TruncationSchedule:
     """Family prefix lengths by nesting level; the last entry repeats for
     deeper nodes. default(N) gives inner nodes a 4x budget, since inner
@@ -132,21 +132,21 @@ def _read(table, env, space):
     return Dyadic(values[index], exp)
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceRow:
     depth: int
     enclosure: Enclosure
     estimate: Dyadic
 
 
-@dataclass(frozen=True)
+@record
 class IndependenceReport:
     entries: tuple           # (space name, Enclosure)
     agreement: tuple         # (name, name, bool) for every pair
     agreement_ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport(IndependenceReport):
     convergence: tuple       # ConvergenceRow ladder
     monotone_ok: bool

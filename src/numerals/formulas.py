@@ -19,12 +19,12 @@ Grammar (whitespace-insensitive, prefix form):
     VAR     := x<digits>
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import sexpr
 from .dyadics import natural
 from .ordinals import OrdinalCNF, ZERO_ORD, from_int
+from .records import record
 
 SIGMA = "Sigma"
 PI = "Pi"
@@ -68,7 +68,7 @@ class _Node:
         object.__setattr__(self, "finitary", finitary)
 
 
-@dataclass(frozen=True)
+@record
 class Atomic(_Node):
     left: int
     right: int
@@ -77,7 +77,7 @@ class Atomic(_Node):
         self._made("(dist x%d x%d)" % (self.left, self.right), True)
 
 
-@dataclass(frozen=True)
+@record
 class Neg(_Node):
     body: "Formula"
 
@@ -85,7 +85,7 @@ class Neg(_Node):
         self._made("(neg %s)" % self.body.code, self.body.finitary)
 
 
-@dataclass(frozen=True)
+@record
 class DotMinus(_Node):
     left: "Formula"
     right: "Formula"
@@ -95,7 +95,7 @@ class DotMinus(_Node):
                    self.left.finitary and self.right.finitary)
 
 
-@dataclass(frozen=True)
+@record
 class Half(_Node):
     body: "Formula"
 
@@ -103,7 +103,7 @@ class Half(_Node):
         self._made("(half %s)" % self.body.code, self.body.finitary)
 
 
-@dataclass(frozen=True)
+@record
 class InfQ(_Node):
     var: int
     body: "Formula"
@@ -112,7 +112,7 @@ class InfQ(_Node):
         self._made("(inf x%d %s)" % (self.var, self.body.code), self.body.finitary)
 
 
-@dataclass(frozen=True)
+@record
 class SupQ(_Node):
     var: int
     body: "Formula"
@@ -121,7 +121,7 @@ class SupQ(_Node):
         self._made("(sup x%d %s)" % (self.var, self.body.code), self.body.finitary)
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitFamily:
     members: tuple
 
@@ -144,7 +144,7 @@ class ExplicitFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@record
 class GeneratedFamily:
     generator: str
     params: object  # hashable, compared by value; str(params) is its code text
@@ -161,7 +161,7 @@ class GeneratedFamily:
     known_size = None
 
 
-@dataclass(frozen=True)
+@record
 class CInf(_Node):
     family: "FamilySpec"
 
@@ -169,7 +169,7 @@ class CInf(_Node):
         self._made("(cinf %s)" % self.family.code, False)
 
 
-@dataclass(frozen=True)
+@record
 class CSup(_Node):
     family: "FamilySpec"
 
@@ -326,7 +326,7 @@ def free_vars(phi):
 # ------------------------------------------------------------- classification
 
 
-@dataclass(frozen=True)
+@record
 class Rank:
     flavor: str
     level: OrdinalCNF

@@ -6,12 +6,11 @@ enough to index every recursion level the construction uses, and it keeps
 comparison and the fundamental sequences purely syntactic.
 """
 
-from dataclasses import dataclass
-
 from .dyadics import natural
+from .records import record
 
 
-@dataclass(frozen=True, order=True)
+@record
 class OrdinalCNF:
     """Ordered lexicographically on terms, which is the ordinal order."""
 
@@ -25,6 +24,18 @@ class OrdinalCNF:
             if last_exp is not None and exp >= last_exp:
                 raise ValueError("CNF exponents must strictly decrease")
             last_exp = exp
+
+    def __lt__(self, other):
+        return self.terms < other.terms
+
+    def __le__(self, other):
+        return self.terms <= other.terms
+
+    def __gt__(self, other):
+        return self.terms > other.terms
+
+    def __ge__(self, other):
+        return self.terms >= other.terms
 
     def is_zero(self):
         return not self.terms

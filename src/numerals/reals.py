@@ -21,7 +21,6 @@ values, and nothing here keeps state between calls.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
@@ -29,6 +28,7 @@ from itertools import count, islice
 from . import sexpr
 from .dyadics import Dyadic, is_dyadic_fraction, rational
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
+from .records import record
 
 RIGHT = "right"
 LEFT = "left"
@@ -122,7 +122,7 @@ def rationals():
 # ------------------------------------------------------- comparison targets
 
 
-@dataclass(frozen=True)
+@record
 class RationalTarget:
     value: Fraction
     text: str
@@ -139,7 +139,7 @@ class RationalTarget:
         return (self.value.numerator << level) // self.value.denominator
 
 
-@dataclass(frozen=True)
+@record
 class SqrtHalfTarget:
     """The square root of 1/2, compared by cross-multiplied squaring."""
 
@@ -182,7 +182,7 @@ def parse_target(text):
 # ------------------------------------------------------------ cut enumerators
 
 
-@dataclass(frozen=True)
+@record
 class CutEnumerator:
     """One Dedekind cut of a target real r, enumerated in closed form.
 
@@ -276,7 +276,7 @@ _PREDICATE_SIDES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Sigma2Predicate:
     name: str
     param: str
@@ -333,7 +333,7 @@ def sigma2_predicate(name, param):
 # -------------------------------------------------------- staged extraction
 
 
-@dataclass(frozen=True)
+@record
 class SequenceExtraction:
     """The monotone sequence extracted from one sigma-2 predicate, as a
     plain value of the predicate.
@@ -451,7 +451,7 @@ LEVEL_ONE = from_int(1)
 LEVEL_TWO = from_int(2)
 
 
-@dataclass(frozen=True)
+@record
 class BuiltinSource:
     text: str
 
@@ -470,7 +470,7 @@ class BuiltinSource:
         return "(real builtin %s)" % sexpr.quote(self.text)
 
 
-@dataclass(frozen=True)
+@record
 class ConstantSource:
     value: Fraction
     level: OrdinalCNF
@@ -489,7 +489,7 @@ class ConstantSource:
         return "(real constant %s %s)" % (sexpr.quote(str(self.value)), self.level)
 
 
-@dataclass(frozen=True)
+@record
 class Sigma2Source:
     pred: Sigma2Predicate
 
@@ -513,7 +513,7 @@ class Sigma2Source:
         return "(real %s %s %s)" % (tag, self.pred.name, sexpr.quote(self.pred.param))
 
 
-@dataclass(frozen=True)
+@record
 class GeometricSource:
     """A rational at a declared successor level >= 2; its successor children
     are the constants value +/- 2^-n pushed one level down on the other side."""
@@ -536,7 +536,7 @@ class GeometricSource:
                                               sexpr.quote(str(self.value)))
 
 
-@dataclass(frozen=True)
+@record
 class LeveledSource:
     """A limit-level real given with its cofinal member scheme.
 
@@ -578,7 +578,7 @@ class LeveledSource:
             self.side, self.level, self.scheme, sexpr.quote(str(self.value)))
 
 
-@dataclass(frozen=True)
+@record
 class StagedChildSource:
     """Level-1 source for r_n of an extraction, known only through stages."""
 

@@ -18,12 +18,10 @@ matrix (n*n entries). Anything else is a format error.
 
 import functools
 import random
-from dataclasses import dataclass
 from operator import add
 
 from .dyadics import Dyadic, ZERO, ONE, natural, parse_dyadic
-
-QUARTER = Dyadic(1, 2)
+from .records import record
 
 
 class SpaceFormatError(Exception):
@@ -36,17 +34,19 @@ class SpaceValidationError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True, eq=False)  # by identity, so a memo can key on it
 class FiniteMetricSpace:
-    name: str
-    size: int
-    dist: tuple  # size x size tuple of tuples of Dyadic
+    """Equal and hashed by identity, so a memo can key on it."""
+
+    def __init__(self, name, size, dist):
+        self.name = name
+        self.size = size
+        self.dist = dist  # size x size tuple of tuples of Dyadic
 
     def __str__(self):
         return "%s(%d points)" % (self.name, self.size)
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     violations: tuple  # of (axiom name, witness index tuple, detail text)
 
@@ -181,15 +181,16 @@ def serialize_space(space):
 
 
 def _metric_closure(rows):
-    """Min-plus shortest-path repair; preserves symmetry and zero diagonal."""
-    n = len(rows)
+    """Min-plus shortest-path repair of integer rows; preserves symmetry and
+    the zero diagonal."""
     d = [list(r) for r in rows]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = d[i][k] + d[k][j]
-                if via < d[i][j]:
-                    d[i][j] = via
+    for k, dk in enumerate(d):
+        for di in d:
+            dik = di[k]
+            for j, dkj in enumerate(dk):
+                via = dik + dkj
+                if via < di[j]:
+                    di[j] = via
     return d
 
 
@@ -197,16 +198,17 @@ _GRID_SEED = 3571
 
 
 def random_repaired_space(seed, size, name=None):
-    """Random symmetric matrix over {1/4, 1/2, 3/4, 1}, repaired to a metric."""
+    """Random symmetric matrix over {1/4, 1/2, 3/4, 1}, repaired to a metric
+    on the numerators over 4."""
     rng = random.Random(seed)
-    choices = [QUARTER, Dyadic(1, 1), Dyadic(3, 2), ONE]
-    rows = [[ZERO] * size for _ in range(size)]
+    rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i):
-            v = rng.choice(choices)
+            v = rng.choice((1, 2, 3, 4))
             rows[i][j] = v
             rows[j][i] = v
-    rows = _metric_closure(rows)
+    quarters = [Dyadic(v, 2) for v in range(5)]
+    rows = [[quarters[v] for v in row] for row in _metric_closure(rows)]
     name = name or ("random%d-seed%d" % (size, seed))
     return _checked(FiniteMetricSpace(name, size, _freeze(rows)))
 

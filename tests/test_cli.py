@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import numerals
 from numerals.cli import main
 from numerals.dyadics import Dyadic
 
@@ -44,9 +49,11 @@ def test_dyadic_rejects_non_dyadic(capsys):
     ("build", '(numeral right 1 (real builtin "\u0663/8"))'),
     ("verify", '(numeral right 1 (real builtin "1/3"))', "--depth", "\u0663"),
     ("eval", UPPER_THIRD, "--depth", "1_6"),
+    ("verify", '(numeral right 1 (real builtin "1/3"))', "--seed", "\u0663"),
+    ("verify", '(numeral right 1 (real builtin "1/3"))', "--seed", "1_0"),
 ])
 def test_non_ascii_and_underscore_numbers_exit_2(capsys, argv):
-    # int() and Fraction() alone read these as 11/16, 3/8, 3 and 16
+    # int() and Fraction() alone read these as 11/16, 3/8, 3, 16, 3 and 10
     try:
         code = main(list(argv))
     except SystemExit as stop:  # argparse rejects an option's value
@@ -176,6 +183,26 @@ def test_verify_passes_level_one(capsys):
     assert "independence: pass" in out
     assert "structure point" in out
     assert "seeded6" in out
+
+
+@pytest.mark.parametrize("seed", ["-5", "0"])
+def test_verify_takes_signed_seeds(capsys, seed):
+    code, out, _ = run(capsys, "verify",
+                       '(numeral right 1 (real builtin "1/3"))',
+                       "--depth", "64", "--seed", seed)
+    assert code == 0
+    assert "structure seeded6" in out
+
+
+def test_cli_import_leaves_dataclasses_and_demo_out():
+    # a fresh interpreter without site, so only numerals decides what loads
+    src = os.path.dirname(os.path.dirname(numerals.__file__))
+    probe = ("import sys, numerals.cli; print(*sorted({'dataclasses', "
+             "'inspect', 'numerals.acceptance'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_verify_fails_tight_tolerance(capsys):

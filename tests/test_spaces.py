@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,11 +82,32 @@ def test_load_space_file(tmp_path):
     assert load_space_file(str(path)).dist[0][1] == H
 
 
+def _dyadic_repair(seed, size):
+    """The random matrix of random_repaired_space, repaired by min-plus
+    closure over Dyadic entries."""
+    rng = random.Random(seed)
+    choices = [Q, H, Dyadic(3, 2), ONE]
+    d = [[ZERO] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i):
+            d[i][j] = d[j][i] = rng.choice(choices)
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return tuple(tuple(row) for row in d)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 7))
 def test_random_repair_always_valid(seed, size):
     sp = random_repaired_space(seed, size)
     assert validate(sp).ok
+    assert sp.dist == _dyadic_repair(seed, size)
+
+
+def test_grid16_is_the_dyadic_repair():
+    assert builtin_suite()[3].dist == _dyadic_repair(3571, 16)
 
 
 def test_builtin_suite_shape_and_determinism():
