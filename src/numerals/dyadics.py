@@ -100,11 +100,6 @@ def from_fraction(f):
     return Dyadic(f.numerator, exp)
 
 
-def is_dyadic_fraction(f):
-    d = f.denominator
-    return (1 << (d.bit_length() - 1)) == d
-
-
 def _plain(text):
     """text, unless it holds a non-ASCII character or an underscore: int()
     and Fraction() would read non-ASCII digits and underscores in numbers."""

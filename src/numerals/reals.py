@@ -15,9 +15,9 @@ Both are part of the artifact's contract: changing either changes every
 extracted sequence, so the tests freeze prefixes of both.
 
 The odd stages list the dyadics of (0,1) level by level, so the cut
-enumerators and staged extractions read their values in closed form
-instead of walking the stages. Enumerators and extractions are plain
-values, and nothing here keeps state between calls.
+enumerators and staged extractions read their values in closed form, on
+ints: q_n is a (num, den) pair, and a Fraction is built only at the public
+edges. Both are plain values that keep no state between calls.
 """
 
 import math
@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import count, islice
 
 from . import sexpr
-from .dyadics import Dyadic, is_dyadic_fraction, rational
+from .dyadics import Dyadic, rational
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .records import record
 
@@ -43,11 +43,7 @@ def _sign(d):
 
 
 def clamp01(q):
-    if q < 0:
-        return Fraction(0)
-    if q > 1:
-        return Fraction(1)
-    return Fraction(q)
+    return Fraction(min(max(q, 0), 1))
 
 
 # ------------------------------------------------------------ pairing codec
@@ -67,10 +63,10 @@ def unpair(n):
 
 
 def _unit_dyadic(i):
-    """i-th dyadic of (0,1) in refinement order: 1/2, 1/4, 3/4, 1/8, ..."""
+    """(num, den) of the i-th dyadic of (0,1): 1/2, 1/4, 3/4, 1/8, ..."""
     k = (i + 1).bit_length()
     t = (i + 1) - (1 << (k - 1))
-    return Fraction(2 * t + 1, 1 << k)
+    return 2 * t + 1, 1 << k
 
 
 def _zigzag(a):
@@ -80,41 +76,42 @@ def _zigzag(a):
 
 
 def _calkin_wilf():
-    """The non-dyadic positive rationals in Calkin-Wilf order: on a/b in
-    lowest terms, x' = 1/(2*floor(x) - x + 1) is b/(2*(a//b)*b - a + b)."""
+    """The non-dyadic positive rationals in Calkin-Wilf order, as (a, b) in
+    lowest terms: x' = 1/(2*floor(x) - x + 1) is b/(2*(a//b)*b - a + b)."""
     a, b = 1, 1
     while True:
         a, b = b, 2 * (a // b) * b - a + b
-        x = Fraction(a, b)
-        if not is_dyadic_fraction(x):
-            yield x
+        if b & (b - 1):
+            yield a, b
 
 
 def q(n):
-    """q_n: closed form unless n = 0 mod 4 (n >= 4), which walks Calkin-Wilf
-    afresh; the walk's k-th find is q_{8k+4}, and its negation q_{8k+8}."""
+    """q_n as (num, den), in lowest terms with den > 0: closed form unless
+    n = 0 mod 4 (n >= 4), which walks Calkin-Wilf afresh; the walk's k-th
+    find is q_{8k+4}, and its negation q_{8k+8}."""
     if n < 0:
         raise ValueError("negative enumeration index")
     if n % 2 == 1:
         return _unit_dyadic((n - 1) // 2)
     if n % 4 == 2:
         a, b = unpair((n - 2) // 4)
-        return _zigzag(a) + (_unit_dyadic(b - 1) if b else Fraction(0))
+        num, den = _unit_dyadic(b - 1) if b else (0, 1)
+        return _zigzag(a) * den + num, den
     if n == 0:
-        return Fraction(0)
-    x = next(islice(_calkin_wilf(), (n - 4) // 8, None))
-    return x if n % 8 == 4 else -x
+        return 0, 1
+    a, b = next(islice(_calkin_wilf(), (n - 4) // 8, None))
+    return (a, b) if n % 8 == 4 else (-a, b)
 
 
 def rationals():
-    """q_0, q_1, ... in order, sharing one Calkin-Wilf walk."""
+    """q_0, q_1, ... in order as (num, den), sharing one Calkin-Wilf walk."""
     walk = _calkin_wilf()
     for n in count():
         if n % 8 == 4:
-            x = next(walk)
-            yield x
+            a, b = next(walk)
+            yield a, b
         elif n % 8 == 0 and n:
-            yield -x
+            yield -a, b
         else:
             yield q(n)
 
@@ -138,6 +135,10 @@ class RationalTarget:
         """floor(r * 2^level), exactly."""
         return (self.value.numerator << level) // self.value.denominator
 
+    def ceil_scaled(self, level):
+        """ceil(r * 2^level), exactly."""
+        return -((-self.value.numerator << level) // self.value.denominator)
+
 
 @record
 class SqrtHalfTarget:
@@ -160,6 +161,10 @@ class SqrtHalfTarget:
     def floor_scaled(self, level):
         """floor(r * 2^level) = isqrt(2^(2 level - 1)), and 0 at level 0."""
         return math.isqrt((1 << 2 * level) >> 1)
+
+    def ceil_scaled(self, level):
+        """r * 2^level = 2^(level - 1/2) is never an integer."""
+        return self.floor_scaled(level) + 1
 
 
 _NAMED_TARGETS = {"sqrt-half": SqrtHalfTarget}
@@ -190,15 +195,15 @@ class CutEnumerator:
     (above r on the right, below r on the left); hit k is the k-th kept.
     Only odd stages hold one: q_{2i+1} is the i-th unit dyadic, and these
     come level by level (level L >= 1 holds the odd a/2^L, 0 < a < 2^L) in
-    increasing a. So all follows from f_L = floor(r * 2^L), which each
-    target computes exactly (floor_scaled):
+    increasing a. So all follows from floor(r * 2^L) and ceil(r * 2^L),
+    which each target computes exactly on ints (floor_scaled, ceil_scaled):
 
     * Level L's hits are the odd a in [lo_L, 2^L) on the right, with
-      lo_L = f_L + 1 the least a/2^L above r, and the odd a in [1, hi_L]
-      on the left, with hi_L = ceil(r * 2^L) - 1 the greatest a/2^L below
-      r (f_L - 1 when r * 2^L is an integer, else f_L). Counting them
-      level by level places hit k as the j-th of level L: it is
-      ((lo_L | 1) + 2j)/2^L on the right and (2j + 1)/2^L on the left.
+      lo_L = floor(r * 2^L) + 1 the least a/2^L above r, and the odd a in
+      [1, hi_L] on the left, with hi_L = ceil(r * 2^L) - 1 the greatest
+      a/2^L below r. Counting them level by level places hit k as the j-th
+      of level L: it is ((lo_L | 1) + 2j)/2^L on the right and
+      (2j + 1)/2^L on the left.
     * Right: best(k) = lo_L/2^L, the least dyadic above r with denominator
       at most 2^L. No hit up to level L is smaller, and it is a hit by
       then: the first of level L when lo_L is odd, else its reduced form,
@@ -207,8 +212,8 @@ class CutEnumerator:
       greatest hit of the levels before L (0 when they have none), and the
       numerators rise within level L.
 
-    Both walk the levels up to hit k's, about log k of them, and the
-    enumerator holds no state.
+    Both walk the levels up to hit k's, about log k of them, on int edges
+    alone, and the enumerator holds no state.
     """
 
     target: object
@@ -218,15 +223,14 @@ class CutEnumerator:
     def trivial(self):
         """The right cut of 1 and the left cut of 0 hold no hit at all."""
         if self.side == RIGHT:
-            return self.target.cmp_to(Fraction(1)) >= 0
-        return self.target.cmp_to(Fraction(0)) <= 0
+            return self.target.floor_scaled(0) >= 1
+        return self.target.ceil_scaled(0) <= 0
 
     def _edge(self, level):
         """lo_L on the right, hi_L on the left."""
-        f = self.target.floor_scaled(level)
         if self.side == RIGHT:
-            return f + 1
-        return f - 1 if self.target.cmp_to(Fraction(f, 1 << level)) == 0 else f
+            return self.target.floor_scaled(level) + 1
+        return self.target.ceil_scaled(level) - 1
 
     def _place(self, k):
         """(L, j, edge): hit k is the j-th of level L, whose edge is given."""
@@ -265,8 +269,9 @@ class CutEnumerator:
 #
 # Each predicate family encodes one real r as a total decidable relation
 # R(x0, x1, q) with: q > r <=> exists x0 forall x1 R (right side), and
-# q < r <=> exists x0 forall x1 R (left side). The witnesses decay like
-# 2^-x0; the "lagged" variants additionally make the x1 search nontrivial.
+# q < r <=> exists x0 forall x1 R (left side). R holds when q lies beyond
+# r = c by more than 2^-x0 (above on the right, below on the left) or, in
+# the "lagged" variants, which make the x1 search nontrivial, when x1 <= x0.
 
 _PREDICATE_SIDES = {
     "geometric-above": RIGHT,
@@ -289,32 +294,23 @@ class Sigma2Predicate:
     def c(self):
         return rational(self.param)
 
-    def _threshold(self, x0):
-        gap = Fraction(1, 1 << x0)
-        return self.c + gap if self.side == RIGHT else self.c - gap
+    @cached_property
+    def _rule(self):
+        """(c's numerator, c's denominator, right-sided, lagged)."""
+        return (self.c.numerator, self.c.denominator, self.side == RIGHT,
+                self.name.startswith("lagged"))
 
-    def R(self, x0, x1, q):
-        cut = self._threshold(x0)
-        if self.name == "geometric-above":
-            return q > cut
-        if self.name == "lagged-above":
-            return q > cut or x1 <= x0
-        if self.name == "geometric-below":
-            return q < cut
-        return q < cut or x1 <= x0
-
-    def neg_witness(self, x0, q):
-        """Least x1 with not R(x0, x1, q), or None when R holds for all x1:
-        when q's gap num/den beyond c exceeds 2^-x0, as a gap of at least
-        1/den does once 2^x0 > den (so the shift stays small)."""
-        c = self.c
-        num = q.numerator * c.denominator - c.numerator * q.denominator
-        if self.side == LEFT:
-            num = -num
-        den = q.denominator * c.denominator
-        if num > 0 and (x0 >= den.bit_length() or num << x0 > den):
+    def neg_witness(self, x0, num, den):
+        """Least x1 with not R(x0, x1, num/den), den > 0, or None when R
+        holds for all x1: when q's gap beyond c, over d = den * cd, exceeds
+        2^-x0, as a gap of at least 1/d does once 2^x0 > d (so the shift
+        stays small)."""
+        cn, cd, right, lagged = self._rule
+        gap = num * cd - cn * den if right else cn * den - num * cd
+        den *= cd
+        if gap > 0 and (x0 >= den.bit_length() or gap << x0 > den):
             return None
-        return 0 if self.name.startswith("geometric") else x0 + 1
+        return x0 + 1 if lagged else 0
 
 
 def sigma2_predicate(name, param):
@@ -370,7 +366,8 @@ class SequenceExtraction:
     so it never falls as e grows: j contributes exactly when row (e_j, j)
     does. With (a, b) = unpair(n) and w = a + b, e_j is w - j for j <= b
     and w - 1 - j for b < j < w, so each call scans about sqrt(2n) values
-    of j. limit_s and limit_r are the same with t = infinity, clamped.
+    of j, on int (num, den) pairs compared by cross-multiplication.
+    limit_s and limit_r are the same with t = infinity, clamped.
     """
 
     pred: Sigma2Predicate
@@ -381,17 +378,17 @@ class SequenceExtraction:
 
     @property
     def _edge(self):
-        return Fraction(1) if self.side == RIGHT else Fraction(0)
+        return (1, 1) if self.side == RIGHT else (0, 1)
 
     def _row(self, m):
         e, j = unpair(m)
         qj = q(j)
-        return qj, self.pred.neg_witness(e, qj)
+        return qj, self.pred.neg_witness(e, *qj)
 
     def _grid(self, x, t):
         """g_t(x): the nearest dyadic in play at stage t strictly beyond x."""
         k = t // 2
-        num, den = x.numerator, x.denominator
+        num, den = x
         lvl = (k + 1).bit_length() - 1
         odd_top = 2 * (k + 1 - (1 << lvl)) - 1  # last odd numerator in play
         scale = lvl + 1
@@ -413,13 +410,15 @@ class SequenceExtraction:
         that have not fully arrived by stage t, read from row (e_j, j)."""
         a, b = unpair(n)
         w = a + b
-        pick = min if self.side == RIGHT else max
-        x = self._edge
-        for j, qj in zip(range(max(b, w - 1) + 1), rationals()):
-            wb = self.pred.neg_witness(w - j if j <= b else w - 1 - j, qj)
-            if wb is None or wb >= t:
-                x = pick(x, qj)
-        return x
+        right = self.side == RIGHT
+        witness = self.pred.neg_witness
+        xn, xd = self._edge
+        for j, (num, den) in zip(range(max(b, w - 1) + 1), rationals()):
+            wb = witness(w - j if j <= b else w - 1 - j, num, den)
+            if (wb is None or wb >= t) and (
+                    num * xd < xn * den if right else num * xd > xn * den):
+                xn, xd = num, den
+        return xn, xd
 
     def s_approx(self, m, t):
         """Stage-t approximation of s_m, as a Dyadic (closed form above)."""
@@ -434,10 +433,10 @@ class SequenceExtraction:
 
     def limit_s(self, m):
         qj, wb = self._row(m)
-        return clamp01(qj) if wb is None else self._edge
+        return clamp01(Fraction(*(qj if wb is None else self._edge)))
 
     def limit_r(self, n):
-        return clamp01(self._extremum(n, math.inf))
+        return clamp01(Fraction(*self._extremum(n, math.inf)))
 
 
 # --------------------------------------------------------------- real sources

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from numerals.dyadics import (Dyadic, Enclosure, HALF, ONE, ZERO, dotminus,
-                              from_fraction, half, is_dyadic_fraction, neg,
-                              parse_dyadic)
+                              from_fraction, half, neg, parse_dyadic)
 
 units = st.integers(0, 10).flatmap(
     lambda e: st.integers(0, 2 ** e).map(lambda n: Dyadic(n, e)))
@@ -42,8 +41,6 @@ def test_parse_forms():
 
 def test_fraction_bridge():
     assert from_fraction(Fraction(5, 16)) == Dyadic(5, 4)
-    assert is_dyadic_fraction(Fraction(7, 8))
-    assert not is_dyadic_fraction(Fraction(1, 3))
     with pytest.raises(ValueError):
         from_fraction(Fraction(1, 6))
 

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from numerals import reals
-from numerals.dyadics import Dyadic, from_fraction, is_dyadic_fraction
+from numerals.dyadics import Dyadic, from_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, RIGHT, BuiltinSource, ConstantSource,
                             CutEnumerator, GeometricSource, LeveledSource,
@@ -23,6 +24,21 @@ F = Fraction
 def get_cut(text, side):
     return CutEnumerator(parse_target(text), side)
 
+
+def q_fraction(n):
+    """q_n as a Fraction; the enumeration gives (num, den) pairs."""
+    return F(*reals.q(n))
+
+
+def fraction_walk():
+    """rationals() read through Fraction."""
+    return (F(num, den) for num, den in rationals())
+
+
+def is_dyadic_fraction(q):
+    return q.denominator & (q.denominator - 1) == 0
+
+
 # the fixed interleaving of unit dyadics, zigzag integers and signed
 # Calkin-Wilf fractions, frozen as a regression anchor
 PREFIX = [F(0), F(1, 2), F(1), F(1, 4), F(1, 3), F(3, 4), F(-1), F(1, 8),
@@ -32,13 +48,16 @@ PREFIX = [F(0), F(1, 2), F(1), F(1, 4), F(1, 3), F(3, 4), F(-1), F(1, 8),
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
+PREDICATES = ["geometric-above", "lagged-above", "geometric-below",
+              "lagged-below"]
+
 
 def test_enumeration_prefix():
-    assert [reals.q(n) for n in range(25)] == PREFIX
+    assert [q_fraction(n) for n in range(25)] == PREFIX
 
 
 def test_enumeration_injective_prefix():
-    seen = [reals.q(n) for n in range(400)]
+    seen = [q_fraction(n) for n in range(400)]
     assert len(set(seen)) == 400
 
 
@@ -86,7 +105,7 @@ def padded(cut, n):
     the cut, else the element before it, starting from a far member of
     the cut (2 on the right, -1 on the left)."""
     out, last = [], F(2) if cut.side == RIGHT else F(-1)
-    for q in islice(rationals(), n):
+    for q in islice(fraction_walk(), n):
         if raw(cut, q) is not None:
             last = q
         out.append(last)
@@ -153,7 +172,7 @@ def test_cut_hits_follow_raw_stages():
     left, right = get_cut("sqrt-half", LEFT), get_cut("sqrt-half", RIGHT)
     assert left.side == LEFT and right.side == RIGHT
     for cut in (left, right):
-        stages = [raw(cut, q) for q in islice(rationals(), 400)]
+        stages = [raw(cut, q) for q in islice(fraction_walk(), 400)]
         units = [from_fraction(q) for q in stages if q is not None
                  and is_dyadic_fraction(q) and 0 < q < 1]
         assert len(units) >= 10
@@ -176,7 +195,7 @@ def test_cut_hits_skip_the_enumeration_memo(monkeypatch):
 def walked(cut, k):
     """Hits 0..k of a cut and their running extrema, by a walk over every
     stage of its enumeration: the reference for the closed form."""
-    hits, stages = [], rationals()
+    hits, stages = [], fraction_walk()
     while len(hits) <= k:
         q = raw(cut, next(stages))
         if q is not None and is_dyadic_fraction(q) and 0 < q < 1:
@@ -201,6 +220,77 @@ def test_closed_form_cut_matches_stage_walk(text, side, k):
     assert (cut.hit(k), cut.best(k)) == (hits[k], best[k])
 
 
+def fraction_edge(cut, level):
+    """lo_L on the right, hi_L on the left, with hi_L read through a
+    Fraction comparison: the definition the int edges replace."""
+    f = cut.target.floor_scaled(level)
+    if cut.side == RIGHT:
+        return f + 1
+    return f - 1 if cut.target.cmp_to(F(f, 1 << level)) == 0 else f
+
+
+def fraction_trivial(cut):
+    if cut.side == RIGHT:
+        return cut.target.cmp_to(F(1)) >= 0
+    return cut.target.cmp_to(F(0)) <= 0
+
+
+# rationals in [0,1], half of them dyadic, whose left edge sits one below
+# r * 2^L from some level on
+cut_values = (st.fractions(0, 1, max_denominator=1 << 20)
+              | st.integers(0, 64).flatmap(
+                  lambda e: st.integers(0, 1 << e).map(lambda a: F(a, 1 << e))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_values.map(str) | st.just("sqrt-half"),
+       st.sampled_from([LEFT, RIGHT]), st.integers(0, 64))
+@example("sqrt-half", LEFT, 0)
+@example("3/8", LEFT, 3)
+@example("0", LEFT, 0)
+@example("1", RIGHT, 0)
+def test_int_cut_edges_match_fraction_definitions(text, side, level):
+    cut = get_cut(text, side)
+    assert cut.trivial == fraction_trivial(cut)
+    assert cut._edge(level) == fraction_edge(cut, level)
+
+
+def fraction_constructions(call):
+    """How many Fractions call() builds, counted as the Python-level calls
+    of Fraction.__new__ and, where the class has it, _from_coprime_ints."""
+    codes = {F.__new__.__code__}
+    if hasattr(F, "_from_coprime_ints"):
+        codes.add(F._from_coprime_ints.__func__.__code__)
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in codes:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+@pytest.mark.parametrize("predicate,target", [("geometric-above", "1/3"),
+                                              ("lagged-below", "sqrt-half")])
+def test_row_scan_and_cut_edges_build_no_fraction(predicate, target):
+    # the staged row scan and the cut edges run on ints alone: the count
+    # stays 0 however many rows or levels a call reads
+    ex = SequenceExtraction(sigma2_predicate(predicate, "1/3"))
+    cuts = [get_cut(target, LEFT), get_cut(target, RIGHT)]
+    assert fraction_constructions(lambda: F(1, 3) + F(1, 5)) >= 2
+    assert fraction_constructions(lambda: ex.limit_r(1023)) >= 1
+    for n, k in ((1023, 4095), (10 ** 6, 10 ** 9)):
+        assert fraction_constructions(lambda: ex.r_approx(n, 512)) == 0
+        for cut in cuts:
+            assert fraction_constructions(lambda: cut.best(k)) == 0
+
+
 @pytest.mark.parametrize("name", ["1/3", "sqrt-half"])
 def test_deep_cut_extrema_close_in(name):
     # the closed form reads hit 10^12 at level 41; a walk would step
@@ -219,21 +309,55 @@ def test_sqrt_half_cut_brackets():
     assert lo * lo < F(1, 2) < hi * hi
 
 
+def threshold(pred, x0):
+    """c moved 2^-x0 toward the predicate's side: up on the right."""
+    gap = F(1, 1 << x0)
+    return pred.c + gap if pred.side == RIGHT else pred.c - gap
+
+
+def R(pred, x0, x1, q):
+    """The predicate's decidable relation R(x0, x1, q), as defined: the
+    reference that neg_witness reads in closed form."""
+    cut = threshold(pred, x0)
+    if pred.name == "geometric-above":
+        return q > cut
+    if pred.name == "lagged-above":
+        return q > cut or x1 <= x0
+    if pred.name == "geometric-below":
+        return q < cut
+    return q < cut or x1 <= x0
+
+
 def test_predicate_threshold_logic():
     pred = sigma2_predicate("geometric-above", "1/3")
     assert pred.side == RIGHT
-    assert pred.R(3, 0, F(1, 2))            # 1/2 > 1/3 + 1/8
-    assert not pred.R(3, 0, F(11, 24))      # exactly the threshold
-    assert pred.R(3, 7, F(1, 2)) == pred.R(3, 0, F(1, 2))
-    assert pred.neg_witness(3, F(1, 2)) is None
-    assert pred.neg_witness(3, F(11, 24)) == 0
+    assert R(pred, 3, 0, F(1, 2))           # 1/2 > 1/3 + 1/8
+    assert not R(pred, 3, 0, F(11, 24))     # exactly the threshold
+    assert R(pred, 3, 7, F(1, 2)) == R(pred, 3, 0, F(1, 2))
+    assert pred.neg_witness(3, 1, 2) is None
+    assert pred.neg_witness(3, 11, 24) == 0
 
 
 def test_lagged_predicate_needs_large_x1():
     pred = sigma2_predicate("lagged-above", "1/3")
-    assert pred.R(3, 3, F(0))               # small x1 always passes
-    assert not pred.R(3, 4, F(0))
-    assert pred.neg_witness(3, F(0)) == 4
+    assert R(pred, 3, 3, F(0))              # small x1 always passes
+    assert not R(pred, 3, 4, F(0))
+    assert pred.neg_witness(3, 0, 1) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PREDICATES), st.fractions(0, 1, max_denominator=1 << 12),
+       st.fractions(-3, 3, max_denominator=1 << 12), st.integers(0, 20))
+@example("geometric-above", F(1, 3), F(11, 24), 3)   # exactly the threshold
+@example("lagged-below", F(2, 3), F(13, 24), 3)
+@example("lagged-above", F(0), F(1, 4096), 12)       # a gap of 2^-x0
+@example("geometric-below", F(1), F(4095, 4096), 11)
+def test_int_neg_witness_matches_brute_force(name, param, q, x0):
+    # R(x0, x1, q) is the same for every x1 > x0, so a search up to 63
+    # covers x0 <= 20 with room to spare
+    pred = sigma2_predicate(name, str(param))
+    brute = next((x1 for x1 in range(64) if not R(pred, x0, x1, q)), None)
+    assert pred.neg_witness(x0, q.numerator, q.denominator) == brute
 
 
 def test_predicate_rejects():
@@ -258,22 +382,22 @@ class TransformedR1:
 
     def holds(self, x0, x1, q):
         e, j = unpair(x0)
-        qj = reals.q(j)
+        qj = q_fraction(j)
         if self.pred.side == RIGHT:
-            return qj <= q and self.pred.R(e, x1, qj)
-        return q <= qj and self.pred.R(e, x1, qj)
+            return qj <= q and R(self.pred, e, x1, qj)
+        return q <= qj and R(self.pred, e, x1, qj)
 
     def neg_witness(self, x0, q):
         """Least x1 refuting R1(x0, x1, q), or None."""
         e, j = unpair(x0)
-        qj = reals.q(j)
+        qj = q_fraction(j)
         if self.pred.side == RIGHT:
             if q < qj:
                 return 0
         else:
             if qj < q:
                 return 0
-        return self.pred.neg_witness(e, qj)
+        return self.pred.neg_witness(e, qj.numerator, qj.denominator)
 
 
 def test_transform_guard_sides():
@@ -354,7 +478,7 @@ def _entering(t):
     """The find each stage 1..t takes in: q_{s-1} as a Dyadic when it is a
     dyadic of (0,1), else None."""
     return [from_fraction(q) if is_dyadic_fraction(q) and 0 < q < 1 else None
-            for q in islice(rationals(), t)]
+            for q in islice(fraction_walk(), t)]
 
 
 def _simulated_row(pred, m, entering):
@@ -368,8 +492,8 @@ def _simulated_row(pred, m, entering):
     """
     right = pred.side == RIGHT
     e, j = unpair(m)
-    qj = reals.q(j)
-    core_wb = pred.neg_witness(e, qj)
+    qj = q_fraction(j)
+    core_wb = pred.neg_witness(e, qj.numerator, qj.denominator)
     best = Dyadic(0) if right else Dyadic(1)
     row = [best]
     pending = {}  # stage -> finds arriving at it
@@ -403,8 +527,6 @@ def test_closed_form_matches_simulation(name, param):
         assert [ex.s_approx(m, t) for t in range(521)] == row, m
 
 
-PREDICATES = ["geometric-above", "lagged-above", "geometric-below",
-              "lagged-below"]
 # t = 2^L - 2 and 2^L - 1 give K = t // 2 = 2^(L-1) - 1, where a level of
 # the dyadics in play completes, and t = 2^L gives one dyadic more
 LEVEL_EDGES = st.integers(1, 11).flatmap(
@@ -435,7 +557,7 @@ def test_extremum_scan_matches_running_extrema(name, param, n, t):
 def test_rationals_walk_matches_q():
     walk = list(islice(rationals(), 5000))
     assert walk == [reals.q(n) for n in range(5000)]
-    assert walk[:len(PREFIX)] == PREFIX
+    assert [F(*x) for x in walk[:len(PREFIX)]] == PREFIX
 
 
 def test_prefix_extremum_monotone_in_n():
