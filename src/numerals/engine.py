@@ -36,8 +36,8 @@ prefix scan gives both.
   members fall on the right and rise on the left, as their sources do.
 
 A finitary node is evaluated once per space, as a table over its own free
-variables, of int numerators at one exponent: an atomic is the distance
-matrix (its diagonal for d(x, x)) at the space's largest exponent, neg and
+variables, of int numerators at one exponent: an atomic is the space's
+stored rows (their diagonal for d(x, x)) at the space's exponent, neg and
 half map the numerators or raise the exponent, dotminus zips its children
 spread onto the union of their variables at the larger exponent, and inf /
 sup reduce one axis; a closed node's table has one entry. The walk reads a
@@ -57,7 +57,6 @@ from .formulas import (Atomic, CInf, CSup, DotMinus, GeneratedFamily, Half,
                        get_generator)
 from .reals import RIGHT
 from .records import record
-from .spaces import numerators
 
 
 class EngineError(Exception):
@@ -227,7 +226,7 @@ class Engine:
         n = space.size
         memo = self._memo
         if isinstance(phi, Atomic):
-            exp, rows = numerators(space)
+            exp, rows = space.exp, space.rows
             if phi.left == phi.right:
                 self.atomic_evals += n
                 out = ((phi.left,), exp, [rows[i][i] for i in range(n)])

@@ -1,9 +1,12 @@
 """Finite metric spaces with dyadic distances in [0, 1].
 
 These are the structures formulas get evaluated on. A space is a name, a
-size, and a symmetric distance matrix; validate() re-checks the four axioms
-(zero diagonal, symmetry, triangle inequality, range) and reports every
-violation with witnessing indices.
+size, and a symmetric distance matrix, stored as int numerators at one
+exponent: d(i, j) = rows[i][j] / 2**exp, where exp is the largest exponent
+of an entry in lowest terms; `dist` is the same matrix as Dyadic values.
+validate() re-checks the four axioms (zero diagonal, symmetry, triangle
+inequality, range) on the numerators and reports every violation with
+witnessing indices.
 
 File format, strict, no defaults:
 
@@ -13,15 +16,19 @@ File format, strict, no defaults:
 
 The dist block is whitespace-separated dyadic literals, either the row-major
 lower triangle (n(n+1)/2 entries, diagonal included) or a full row-major
-matrix (n*n entries). Anything else is a format error.
+matrix (n*n entries). Anything else is a format error, and so is an entry
+whose exponent in lowest terms is above MAX_EXP: every numerator of a space
+carries its largest exponent's bits.
 """
 
 import functools
 import random
 from operator import add
 
-from .dyadics import Dyadic, ZERO, ONE, natural, parse_dyadic
+from .dyadics import Dyadic, _canonical, natural, parse_dyadic
 from .records import record
+
+MAX_EXP = 1024  # largest exponent of an entry a/2^k in lowest terms
 
 
 class SpaceFormatError(Exception):
@@ -35,12 +42,19 @@ class SpaceValidationError(Exception):
 
 
 class FiniteMetricSpace:
-    """Equal and hashed by identity, so a memo can key on it."""
+    """Equal and hashed by identity, so a memo can key on it. The builders
+    here set exp to the largest exponent of an entry in lowest terms."""
 
-    def __init__(self, name, size, dist):
+    def __init__(self, name, size, exp, rows):
         self.name = name
         self.size = size
-        self.dist = dist  # size x size tuple of tuples of Dyadic
+        self.exp = exp
+        self.rows = rows  # size x size tuple of tuples of int over 2**exp
+
+    @functools.cached_property
+    def dist(self):
+        return tuple(tuple(Dyadic(v, self.exp) for v in row)
+                     for row in self.rows)
 
     def __str__(self):
         return "%s(%d points)" % (self.name, self.size)
@@ -60,48 +74,39 @@ class ValidationReport:
         return "; ".join("%s at %s: %s" % v for v in self.violations)
 
 
-def numerators(space):
-    """(exp, rows): the distances as integer numerators at the space's
-    largest exponent, so that d(i, j) == rows[i][j] / 2**exp."""
-    top = max(d.exp for row in space.dist for d in row)
-    return top, [[d.num << (top - d.exp) for d in row] for row in space.dist]
-
-
 def validate(space):
     """Check all four axioms; dimension mismatches are structural errors."""
-    n = space.size
+    n, exp, rows = space.size, space.exp, space.rows
     if n < 1:
         raise ValueError("space must have at least one point")
-    if len(space.dist) != n or any(len(row) != n for row in space.dist):
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("distance matrix does not match size %d" % n)
     bad = []
     for i in range(n):
-        if space.dist[i][i] != ZERO:
-            bad.append(("diagonal", (i,), "d(%d,%d) = %s" % (i, i, space.dist[i][i])))
+        if rows[i][i]:
+            bad.append(("diagonal", (i,),
+                        "d(%d,%d) = %s" % (i, i, Dyadic(rows[i][i], exp))))
+    one = 1 << exp
     for i in range(n):
         for j in range(n):
-            dij = space.dist[i][j]
-            if not (ZERO <= dij <= ONE):
-                bad.append(("range", (i, j), "d = %s" % dij))
+            if not 0 <= rows[i][j] <= one:
+                bad.append(("range", (i, j), "d = %s" % Dyadic(rows[i][j], exp)))
+    cols = list(zip(*rows))
     for i in range(n):
         for j in range(i + 1, n):
-            if space.dist[i][j] != space.dist[j][i]:
-                bad.append(("symmetry", (i, j),
-                            "%s vs %s" % (space.dist[i][j], space.dist[j][i])))
-    # the triangle inequality on integer numerators at the largest exponent
-    nums = numerators(space)[1]
-    cols = list(zip(*nums))
+            if rows[i][j] != cols[i][j]:
+                bad.append(("symmetry", (i, j), "%s vs %s" % (
+                    Dyadic(rows[i][j], exp), Dyadic(cols[i][j], exp))))
     for i in range(n):
-        row = nums[i]
+        row = rows[i]
         for j in range(n):
             if row[j] <= min(map(add, row, cols[j])):
                 continue
             for k in range(n):
                 if row[j] > row[k] + cols[j][k]:
-                    bad.append(("triangle", (i, k, j),
-                                "%s > %s + %s" % (space.dist[i][j],
-                                                  space.dist[i][k],
-                                                  space.dist[k][j])))
+                    bad.append(("triangle", (i, k, j), "%s > %s + %s" % (
+                        Dyadic(row[j], exp), Dyadic(row[k], exp),
+                        Dyadic(cols[j][k], exp))))
     return ValidationReport(tuple(bad))
 
 
@@ -112,35 +117,58 @@ def _checked(space):
     return space
 
 
-def _freeze(rows):
-    return tuple(tuple(row) for row in rows)
+def _from_pairs(name, size, pairs):
+    """An unvalidated space from entries (num, exp) in lowest terms, each
+    num / 2**exp, in a lower triangle or a full row-major matrix."""
+    tri = size * (size + 1) // 2
+    if len(pairs) not in (tri, size * size):
+        raise SpaceFormatError(
+            "dist needs %d (triangle) or %d (full) entries, got %d"
+            % (tri, size * size, len(pairs)))
+    top = max((e for _, e in pairs), default=0)
+    if top > MAX_EXP:
+        raise SpaceFormatError("dist entry exponent %d is above %d"
+                               % (top, MAX_EXP))
+    nums = [num << (top - e) for num, e in pairs]
+    if len(nums) == tri:
+        rows = [[0] * size for _ in range(size)]
+        it = iter(nums)
+        for i in range(size):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = next(it)
+    else:
+        rows = [nums[i * size:(i + 1) * size] for i in range(size)]
+    return FiniteMetricSpace(name, size, top, tuple(map(tuple, rows)))
 
 
-def from_lower_triangle(name, size, entries):
-    rows = [[ZERO] * size for _ in range(size)]
-    it = iter(entries)
-    for i in range(size):
-        for j in range(i + 1):
-            v = next(it)
-            rows[i][j] = v
-            rows[j][i] = v
-    return FiniteMetricSpace(name, size, _freeze(rows))
+def from_entries(name, size, entries):
+    """An unvalidated space from a triangular or full list of Dyadic entries."""
+    return _from_pairs(name, size, [(d.num, d.exp) for d in entries])
 
 
 def make_space(name, size, entries):
     """Build a space from a triangular or full entry list and validate it."""
-    entries = list(entries)
-    tri = size * (size + 1) // 2
-    if len(entries) == tri:
-        space = from_lower_triangle(name, size, entries)
-    elif len(entries) == size * size:
-        rows = [entries[i * size:(i + 1) * size] for i in range(size)]
-        space = FiniteMetricSpace(name, size, _freeze(rows))
-    else:
-        raise SpaceFormatError(
-            "dist needs %d (triangle) or %d (full) entries, got %d"
-            % (tri, size * size, len(entries)))
-    return _checked(space)
+    return _checked(from_entries(name, size, entries))
+
+
+def _entry(token):
+    """(num, exp) of a dist token, num / 2**exp: a plain literal, a or a/b
+    in ASCII digits with b a power of two, read directly and any other
+    through parse_dyadic, which reads the same values and words every
+    error."""
+    num, slash, den = token.partition("/")
+    if token.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        try:
+            num, den = int(num), int(den) if slash else 1
+        except ValueError:  # past int()'s digit limit: parse_dyadic says so
+            den = 0
+        if den and not den & (den - 1):
+            return _canonical(num, den.bit_length() - 1)
+    try:
+        d = parse_dyadic(token)
+    except ValueError as err:
+        raise SpaceFormatError(str(err)) from None
+    return d.num, d.exp
 
 
 def load_space(text):
@@ -156,11 +184,9 @@ def load_space(text):
         raise SpaceFormatError("size must be an integer, got %r" % tokens[3]) from None
     if size < 1:
         raise SpaceFormatError("size must be positive")
-    try:
-        entries = [parse_dyadic(t) for t in tokens[5:]]
-    except ValueError as err:
-        raise SpaceFormatError(str(err)) from None
-    return make_space(name, size, entries)
+    # one read per distinct token, in order, so the first bad one is reported
+    entries = {t: _entry(t) for t in dict.fromkeys(tokens[5:])}
+    return _checked(_from_pairs(name, size, [entries[t] for t in tokens[5:]]))
 
 
 def load_space_file(path):
@@ -194,6 +220,12 @@ def _metric_closure(rows):
     return d
 
 
+def _quarters(name, size, rows):
+    """An unvalidated space from int rows over 4."""
+    quarters = [_canonical(v, 2) for v in range(5)]
+    return _from_pairs(name, size, [quarters[v] for row in rows for v in row])
+
+
 _GRID_SEED = 3571
 
 
@@ -207,28 +239,27 @@ def random_repaired_space(seed, size, name=None):
             v = rng.choice((1, 2, 3, 4))
             rows[i][j] = v
             rows[j][i] = v
-    quarters = [Dyadic(v, 2) for v in range(5)]
-    rows = [[quarters[v] for v in row] for row in _metric_closure(rows)]
     name = name or ("random%d-seed%d" % (size, seed))
-    return _checked(FiniteMetricSpace(name, size, _freeze(rows)))
+    return _checked(_quarters(name, size, _metric_closure(rows)))
+
 
 
 def _ultrametric8():
     # leaves of a depth-3 binary tree: d = 2^-(shared prefix length), and
-    # i ^ j has 3 - (shared prefix length) bits
-    rows = [[ZERO if i == j else Dyadic(1, 3 - (i ^ j).bit_length())
-             for j in range(8)] for i in range(8)]
-    return FiniteMetricSpace("ultra8", 8, _freeze(rows))
+    # i ^ j has 3 - (shared prefix length) bits, so d is 2^(bits - 1) / 4
+    rows = [[(1 << (i ^ j).bit_length()) >> 1 for j in range(8)]
+            for i in range(8)]
+    return _quarters("ultra8", 8, rows)
 
 
 @functools.lru_cache(maxsize=1)
 def builtin_suite():
     """Deterministic suite of five valid spaces of varied shape, each
     validated once (grid16 by random_repaired_space)."""
-    singleton = FiniteMetricSpace("point", 1, ((ZERO,),))
-    pair = from_lower_triangle("pair-half", 2, [ZERO, Dyadic(1, 1), ZERO])
-    path_rows = [[Dyadic(abs(i - j), 2) for j in range(5)] for i in range(5)]
-    path5 = FiniteMetricSpace("path5", 5, _freeze(path_rows))
+    singleton = FiniteMetricSpace("point", 1, 0, ((0,),))
+    pair = FiniteMetricSpace("pair-half", 2, 1, ((0, 1), (1, 0)))
+    path5 = _quarters("path5", 5, [[abs(i - j) for j in range(5)]
+                                   for i in range(5)])
     grid16 = random_repaired_space(_GRID_SEED, 16, name="grid16")
     suite = (singleton, pair, path5, grid16, _ultrametric8())
     return tuple(space if space is grid16 else _checked(space)

@@ -72,6 +72,21 @@ def test_eval_rejects_non_ascii_space_size(capsys, tmp_path):
     assert "size must be an integer" in err
 
 
+@pytest.mark.parametrize("exp, status", [(1024, 0), (1025, 2),
+                                         (99999999999, 2)])
+def test_eval_space_entry_exponent_bound(capsys, tmp_path, exp, status):
+    # one shared exponent would give every numerator that many bits
+    path = tmp_path / "sp.txt"
+    path.write_text("name: a\nsize: 2\ndist: 0 1/2^%d 0\n" % exp)
+    code, out, err = run(capsys, "eval", "(sup x0 (sup x1 (dist x0 x1)))",
+                         str(path), "--format", "structured")
+    assert code == status
+    if status:
+        assert "exponent %d is above 1024" % exp in err
+    else:
+        assert out.strip() == "(enclosure %s %s)" % ((Dyadic(1, exp),) * 2)
+
+
 def test_build_prints_numeral(capsys):
     code, out, _ = run(capsys, "build", '(numeral right 1 (real builtin "1/3"))')
     assert code == 0

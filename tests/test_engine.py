@@ -15,7 +15,7 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                SupQ, parse, register_generator)
 from numerals.ordinals import from_int
 from numerals.reals import LEFT, RIGHT, CutEnumerator, parse_target
-from numerals.spaces import FiniteMetricSpace, builtin_suite
+from numerals.spaces import builtin_suite, from_entries
 
 F = Fraction
 POINT, PAIR, PATH5 = builtin_suite()[:3]
@@ -99,7 +99,7 @@ def test_memo_keys_keep_their_spaces_alive():
     eng = Engine()
     diameter = parse("(sup x0 (sup x1 (dist x0 x1)))")
     for d in [Dyadic(num, 3) for num in range(1, 9)]:
-        space = FiniteMetricSpace("pair", 2, ((ZERO, d), (d, ZERO)))
+        space = from_entries("pair", 2, [ZERO, d, ZERO])
         assert eng.eval_exact(diameter, space) == d
         del space
 
@@ -172,8 +172,7 @@ def test_tables_match_reference(data):
     entry = st.integers(0, 6).flatmap(
         lambda e: st.builds(Dyadic, st.integers(0, 1 << e), st.just(e)))
     grid = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
-    space = FiniteMetricSpace("m", n, tuple(
-        tuple(grid[i * n:(i + 1) * n]) for i in range(n)))
+    space = from_entries("m", n, grid)
     rows = [[grid[i * n + j].as_fraction() for j in range(n)]
             for i in range(n)]
     phi = data.draw(_finitary(5))

@@ -131,8 +131,8 @@ def test_record_defaults_and_own_methods():
 
 
 def test_spaces_are_equal_by_identity():
-    a = FiniteMetricSpace("point", 1, ((ZERO,),))
-    b = FiniteMetricSpace("point", 1, ((ZERO,),))
+    a = FiniteMetricSpace("point", 1, 0, ((0,),))
+    b = FiniteMetricSpace("point", 1, 0, ((0,),))
     assert a == a and a != b
     assert len({a: 1, b: 2}) == 2
     assert str(a) == "point(1 points)"

@@ -65,3 +65,44 @@ def test_empty_input():
 def test_quote_round_trips():
     for text in ["plain", 'has "quotes"', "back\\slash", ""]:
         assert read("(x %s)" % quote(text))[1] == text
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("", "unexpected end of input", 0),
+    ("  ", "unexpected end of input", 2),
+    ("(a (b)", "unclosed '('", 0),
+    ("(a (b", "unclosed '('", 3),
+    ("a)", "trailing input after expression", 1),
+    ("(a) (b)", "trailing input after expression", 4),
+    ('a "unterminated', "trailing input after expression", 2),
+    (") a", "unmatched ')'", 0),
+    ('(a "oops)', "unterminated string", 3),
+    (r'(a "\n")', "unknown escape \\n", 4),
+    ('(a "x\\', "dangling escape in string", 5),
+])
+def test_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(SexprError) as err:
+        read(text)
+    assert str(err.value) == "%s (at offset %d)" % (message, offset)
+    assert err.value.position == offset
+
+
+def test_positions_of_every_node_kind():
+    node = read(' ( a\t"q\\"" (b) )')
+    assert node.position == 1
+    assert [(type(n).__name__, n.position) for n in node] == [
+        ("Atom", 3), ("QuotedString", 5), ("Group", 11)]
+    assert node[1] == 'q"' and node[2][0].position == 12
+
+
+def test_reads_deeply_nested_groups():
+    # the reader keeps open groups on a stack, not on the call stack
+    depth = 100_000
+    node = read("(" * depth + "x" + ")" * depth)
+    for level in range(depth):
+        assert isinstance(node, Group) and len(node) == 1
+        assert node.position == level
+        node = node[0]
+    assert node == "x" and node.position == depth
+    with pytest.raises(SexprError, match="unclosed"):
+        read("(" * depth)

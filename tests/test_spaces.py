@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals.dyadics import Dyadic, ONE, ZERO
-from numerals.spaces import (SpaceFormatError, SpaceValidationError,
-                             builtin_suite, from_lower_triangle, load_space,
-                             load_space_file, make_space,
+from numerals.dyadics import Dyadic, ONE, ZERO, parse_dyadic
+from numerals.spaces import (MAX_EXP, SpaceFormatError, SpaceValidationError,
+                             ValidationReport, builtin_suite, from_entries,
+                             load_space, load_space_file, make_space,
                              random_repaired_space, serialize_space, validate)
 
 H = Dyadic(1, 1)
@@ -51,11 +51,11 @@ def test_triangle_violation_reported():
 
 
 def test_diagonal_and_range_violations():
-    sp = from_lower_triangle("odd", 2, [Q, H, ZERO])
+    sp = from_entries("odd", 2, [Q, H, ZERO])
     report = validate(sp)
     assert not report.ok
     assert {"diagonal"} <= {v[0] for v in report.violations}
-    big = from_lower_triangle("wide", 2, [ZERO, Dyadic(3, 1), ZERO])
+    big = from_entries("wide", 2, [ZERO, Dyadic(3, 1), ZERO])
     assert "range" in {v[0] for v in validate(big).violations}
 
 
@@ -128,3 +128,92 @@ def test_ultra8_is_ultrametric():
         for j in range(n):
             for k in range(n):
                 assert ultra.dist[i][j] <= max(ultra.dist[i][k], ultra.dist[k][j])
+
+
+def _reference_validate(space):
+    """The four axioms checked by Dyadic comparisons on space.dist, in
+    validate's order: diagonal, range, symmetry, triangle (i, k, j)."""
+    d, n = space.dist, space.size
+    bad = []
+    for i in range(n):
+        if d[i][i] != ZERO:
+            bad.append(("diagonal", (i,), "d(%d,%d) = %s" % (i, i, d[i][i])))
+    for i in range(n):
+        for j in range(n):
+            if not ZERO <= d[i][j] <= ONE:
+                bad.append(("range", (i, j), "d = %s" % d[i][j]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                bad.append(("symmetry", (i, j), "%s vs %s" % (d[i][j], d[j][i])))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > d[i][k] + d[k][j]:
+                    bad.append(("triangle", (i, k, j),
+                                "%s > %s + %s" % (d[i][j], d[i][k], d[k][j])))
+    return ValidationReport(tuple(bad))
+
+
+def _dyadic(max_exp, low, high):
+    """Dyadics num / 2**e, e in 0..max_exp, with num / 2**e in [low, high]."""
+    return st.integers(0, max_exp).flatmap(lambda e: st.builds(
+        Dyadic, st.integers(low << e, high << e), st.just(e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_matches_dyadic_reference(data):
+    # a symmetric matrix with a zero diagonal and entries in [0, 1] at mixed
+    # exponents (so triangles fail often), then injected diagonal, range
+    # and symmetry faults
+    n = data.draw(st.integers(1, 6))
+    d = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i] = data.draw(_dyadic(6, 0, 1))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)))
+        d[i][j] = data.draw(_dyadic(6, -1, 2))
+    space = from_entries("m", n, [v for row in d for v in row])
+    assert space.dist == tuple(map(tuple, d))
+    assert validate(space) == _reference_validate(space)
+
+
+@pytest.mark.parametrize("token", [
+    "0", "1", "3/8", "6/16", "08/16", "3/2^3", "0.75", "+1/2", "-1/2",
+    "1e-1", "2/6", "1/3", "3/0", "\u0663/8", "1_1/2", "9" * 5000,
+    "1/" + "9" * 5000], ids=lambda t: t if len(t) < 20 else "%d chars" % len(t))
+def test_load_space_reads_entries_as_parse_dyadic(token):
+    # the same entry, or the same error text, as parse_dyadic gives
+    try:
+        expected = parse_dyadic(token)
+    except ValueError as err:
+        with pytest.raises(SpaceFormatError) as got:
+            load_space("name: t size: 2 dist: 0 %s 0" % token)
+        assert str(got.value) == str(err)
+        return
+    sp = from_entries("t", 2, [ZERO, expected, ZERO])
+    try:
+        loaded = load_space("name: t size: 2 dist: 0 %s 0" % token)
+    except SpaceValidationError as err:
+        assert err.report == validate(sp)
+        return
+    assert loaded.dist == sp.dist and (loaded.exp, loaded.rows) == (sp.exp, sp.rows)
+
+
+def test_entry_exponent_bound():
+    at = load_space("name: a size: 2 dist: 0 1/2^%d 0" % MAX_EXP)
+    assert at.dist[0][1] == Dyadic(1, MAX_EXP) and at.exp == MAX_EXP
+    # written finer than the bound, but at it in lowest terms
+    assert load_space("name: a size: 2 dist: 0 2/2^%d 0"
+                      % (MAX_EXP + 1)).exp == MAX_EXP
+    assert load_space("name: a size: 2 dist: 0 %d/%d 0"
+                      % (1 << 10, 1 << (MAX_EXP + 10))).exp == MAX_EXP
+    for entry in ["1/2^%d" % (MAX_EXP + 1), "3/%d" % (1 << (MAX_EXP + 1)),
+                  "1/2^99999999999"]:
+        with pytest.raises(SpaceFormatError, match="exponent"):
+            load_space("name: a size: 2 dist: 0 %s 0" % entry)
+    with pytest.raises(SpaceFormatError, match="exponent"):
+        make_space("a", 1, [Dyadic(1, MAX_EXP + 1)])
