@@ -1,12 +1,15 @@
 """The demo corpus: seven end-to-end checks over the whole pipeline.
 
-Each check returns a CriterionResult with a single pass/fail line. The
-fourth check states an accuracy clause on the staged extraction that the
-frozen rational enumeration cannot meet at the stated indices; it is
-implemented exactly as stated and reports its failure honestly with the
-computed values.
-"""
+Each check is a body check(engine) -> (passed, detail), made criterion
+index by one runner, _criterion(index, title, budget): criterion_N(engine=
+None) makes an Engine when given none, times the body and returns a
+CriterionResult with one pass/fail line, failing a pass that took budget
+seconds or more. The fourth check states an accuracy clause on the staged
+extraction that the frozen rational enumeration cannot meet at the stated
+indices; it is implemented exactly as stated and reports its failure
+honestly with the computed values."""
 
+import functools
 import time
 from fractions import Fraction
 
@@ -58,18 +61,27 @@ class CriterionResult:
         return "[%s] %d %s: %s" % (tag, self.index, self.title, self.detail)
 
 
-def _done(index, title, started, budget, passed, detail):
-    elapsed = time.perf_counter() - started
-    if passed and elapsed >= budget:
-        passed = False
-        detail += " (exceeded %.0fs budget)" % budget
-    return CriterionResult(index, title, passed, elapsed, detail)
+def _criterion(index, title, budget):
+    """The runner that makes check(engine) -> (passed, detail) criterion
+    index: see the module docstring."""
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion(engine=None):
+            engine = engine or Engine()
+            started = time.perf_counter()
+            passed, detail = check(engine)
+            elapsed = time.perf_counter() - started
+            if passed and elapsed >= budget:
+                passed = False
+                detail += " (exceeded %.0fs budget)" % budget
+            return CriterionResult(index, title, passed, elapsed, detail)
+        return criterion
+    return wrap
 
 
-def criterion_1(engine=None):
+@_criterion(1, "dyadic exactness", 5.0)
+def criterion_1(engine):
     """Dyadic numerals evaluate exactly to their dyadic on every structure."""
-    engine = engine or Engine()
-    started = time.perf_counter()
     suite = builtin_suite()
     checked = 0
     for m in range(257):
@@ -79,36 +91,30 @@ def criterion_1(engine=None):
             for sp in suite:
                 got = engine.eval_exact(phi, sp)
                 if got != r:
-                    return _done(1, "dyadic exactness", started, 5.0, False,
-                                 "%s numeral of %s evaluated to %s on %s"
-                                 % (flavor, r, got, sp.name))
+                    return False, ("%s numeral of %s evaluated to %s on %s"
+                                   % (flavor, r, got, sp.name))
                 checked += 1
-    return _done(1, "dyadic exactness", started, 5.0, True,
-                 "%d exact evaluations across %d structures"
-                 % (checked, len(suite)))
+    return True, ("%d exact evaluations across %d structures"
+                  % (checked, len(suite)))
 
 
-def criterion_2(engine=None):
+@_criterion(2, "structure independence", 30.0)
+def criterion_2(engine):
     """Twenty built numerals get identical enclosures on all suite spaces."""
-    engine = engine or Engine()
-    started = time.perf_counter()
     suite = builtin_suite()
     sched = TruncationSchedule.default(128)
     for text in RIGHT_CORPUS + LEFT_CORPUS:
         phi = parse_recipe(text).build()
         report = engine.independence_check(phi, suite, sched)
         if not report.agreement_ok:
-            bad = [pair for pair in report.agreement if not pair[2]]
-            return _done(2, "structure independence", started, 30.0, False,
-                         "%s disagrees on %s vs %s" % (text, bad[0][0], bad[0][1]))
-    return _done(2, "structure independence", started, 30.0, True,
-                 "20 numerals agree bitwise across %d structures" % len(suite))
+            a, b, _ = next(pair for pair in report.agreement if not pair[2])
+            return False, "%s disagrees on %s vs %s" % (text, a, b)
+    return True, "20 numerals agree bitwise across %d structures" % len(suite)
 
 
-def criterion_3(engine=None):
+@_criterion(3, "sandwich convergence", 60.0)
+def criterion_3(engine):
     """Dual level-1 pairs sandwich their real to width 2^-10 by depth 4096."""
-    engine = engine or Engine()
-    started = time.perf_counter()
     space = builtin_suite()[0]
     goal = Dyadic(1, 10)
     reached = []
@@ -116,26 +122,20 @@ def criterion_3(engine=None):
         lower = parse_recipe('(numeral left 1 (real builtin "%s"))' % text)
         upper = parse_recipe('(numeral right 1 (real builtin "%s"))' % text)
         low_phi, high_phi = lower.build(), upper.build()
-        hit = None
         for depth in (64, 256, 1024, 4096):
             enc = engine.sandwich(low_phi, high_phi, space,
                                   TruncationSchedule.default(depth))
             if enc.width <= goal:
-                hit = (depth, enc)
                 break
-        if hit is None:
-            return _done(3, "sandwich convergence", started, 60.0, False,
-                         "%s never reached width 2^-10, ended at %s"
-                         % (text, enc))
-        depth, enc = hit
+        else:
+            return False, ("%s never reached width 2^-10, ended at %s"
+                           % (text, enc))
         cmp = upper.source.cmp_to
         if not (cmp(enc.lo.as_fraction()) >= 0 and cmp(enc.hi.as_fraction()) <= 0):
-            return _done(3, "sandwich convergence", started, 60.0, False,
-                         "%s escaped its sandwich %s at depth %d"
-                         % (text, enc, depth))
+            return False, ("%s escaped its sandwich %s at depth %d"
+                           % (text, enc, depth))
         reached.append("%s@%d" % (text, depth))
-    return _done(3, "sandwich convergence", started, 60.0, True,
-                 "certified width <= 2^-10: %s" % ", ".join(reached))
+    return True, "certified width <= 2^-10: %s" % ", ".join(reached)
 
 
 def _staged_side(name, param, target):
@@ -145,15 +145,13 @@ def _staged_side(name, param, target):
     grid = (1, 4, 16, 64, 256, 1024)
     for m in range(0, 33, 4):
         vals = [ext.s_approx(m, t) for t in grid]
-        for a, b in zip(vals, vals[1:]):
-            if (a > b) if rising else (a < b):
-                return False, "stage approximations not monotone at m=%d" % m
+        if vals != sorted(vals, reverse=not rising):
+            return False, "stage approximations not monotone at m=%d" % m
         if any(v < Dyadic(0, 0) or v > Dyadic(1, 0) for v in vals):
             return False, "stage approximation out of range at m=%d" % m
     limits = [ext.limit_r(n) for n in range(33)]
-    for a, b in zip(limits, limits[1:]):
-        if (b > a) if rising else (b < a):
-            return False, "limits not monotone"
+    if limits != sorted(limits, reverse=rising):
+        return False, "limits not monotone"
     if any(v < 0 or v > 1 for v in limits):
         return False, "limit out of range"
     v = ext.r_approx(32, 1024).as_fraction()
@@ -164,20 +162,17 @@ def _staged_side(name, param, target):
     return True, "approx(32,1024) = %s within 2^-8" % v
 
 
-def criterion_4(engine=None):
+@_criterion(4, "staged extraction pipeline", 60.0)
+def criterion_4(engine):
     """Staged extraction: monotone in both indices, in range, and accurate."""
-    started = time.perf_counter()
     ok_r, msg_r = _staged_side("geometric-above", "1/3", Fraction(1, 3))
     ok_l, msg_l = _staged_side("geometric-below", "2/3", Fraction(2, 3))
-    passed = ok_r and ok_l
-    detail = "right: %s; left: %s" % (msg_r, msg_l)
-    return _done(4, "staged extraction pipeline", started, 60.0, passed, detail)
+    return ok_r and ok_l, "right: %s; left: %s" % (msg_r, msg_l)
 
 
-def criterion_5(engine=None):
+@_criterion(5, "classification mapping", 5.0)
+def criterion_5(engine):
     """Recipes over five ordinal levels classify to the expected rank."""
-    engine = engine or Engine()
-    started = time.perf_counter()
     recipes = (
         '(numeral right 1 (real builtin "1/3"))',
         '(numeral left 1 (real builtin "1/3"))',
@@ -193,53 +188,39 @@ def criterion_5(engine=None):
     for text in recipes:
         recipe = parse_recipe(text)
         if not engine.classification_check(recipe, recipe.build()):
-            return _done(5, "classification mapping", started, 5.0, False,
-                         "wrong rank for %s" % text)
-    return _done(5, "classification mapping", started, 5.0, True,
-                 "all 10 recipes ranked Sigma/Pi at their level")
+            return False, "wrong rank for %s" % text
+    return True, "all 10 recipes ranked Sigma/Pi at their level"
 
 
-def criterion_6(engine=None):
+@_criterion(6, "monotone truncation", 30.0)
+def criterion_6(engine):
     """Sound enclosure endpoints tighten monotonically with depth."""
-    engine = engine or Engine()
-    started = time.perf_counter()
     space = builtin_suite()[0]
     ladder = (16, 64, 256, 1024)
-    for text in RIGHT_CORPUS:
-        phi = parse_recipe(text).build()
-        his = [engine.eval_enclosure(phi, space, TruncationSchedule.uniform(n)).hi
-               for n in ladder]
-        if any(b > a for a, b in zip(his, his[1:])):
-            return _done(6, "monotone truncation", started, 30.0, False,
-                         "upper bounds rose for %s: %s" % (text, his))
-    for text in LEFT_CORPUS:
-        phi = parse_recipe(text).build()
-        los = [engine.eval_enclosure(phi, space, TruncationSchedule.uniform(n)).lo
-               for n in ladder]
-        if any(b < a for a, b in zip(los, los[1:])):
-            return _done(6, "monotone truncation", started, 30.0, False,
-                         "lower bounds fell for %s: %s" % (text, los))
-    return _done(6, "monotone truncation", started, 30.0, True,
-                 "20 numerals monotone over depths %s" % (ladder,))
+    schedules = [TruncationSchedule.uniform(n) for n in ladder]
+    for text in RIGHT_CORPUS + LEFT_CORPUS:
+        recipe = parse_recipe(text)
+        _, problem = engine.convergence_rows(recipe.build(), space, schedules,
+                                             recipe.rank)
+        if problem is not None:
+            return False, "%s: %s" % (text, problem)
+    return True, "20 numerals monotone over depths %s" % (ladder,)
 
 
-def criterion_7(engine=None):
+@_criterion(7, "negative control", 1.0)
+def criterion_7(engine):
     """The harness rejects the diameter sentence, which is no numeral."""
-    engine = engine or Engine()
-    started = time.perf_counter()
     phi = parse("(sup x0 (sup x1 (dist x0 x1)))")
     suite = builtin_suite()
     report = engine.independence_check(phi, suite, TruncationSchedule.uniform(8))
     values = dict(report.entries)
     gap = values["pair-half"].lo - values["point"].lo
     if report.agreement_ok:
-        return _done(7, "negative control", started, 1.0, False,
-                     "diameter sentence passed independence")
+        return False, "diameter sentence passed independence"
     if gap != Dyadic(1, 1):
-        return _done(7, "negative control", started, 1.0, False,
-                     "expected gap 1/2 between point and pair-half, got %s" % gap)
-    return _done(7, "negative control", started, 1.0, True,
-                 "diameter sentence rejected, point vs pair-half differ by 1/2")
+        return False, ("expected gap 1/2 between point and pair-half, got %s"
+                       % gap)
+    return True, "diameter sentence rejected, point vs pair-half differ by 1/2"
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -21,7 +21,7 @@ registered with each makes the same value from the text of a code.
 from . import reals, sexpr
 from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit, natural
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
-                       SupQ, register_generator)
+                       PI, Rank, SIGMA, SupQ, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .reals import LEFT, RIGHT, LEVEL_ONE
 from .records import record
@@ -101,15 +101,16 @@ class DyadicCutGenerator:
 
     Member n is the dyadic numeral of the best of the cut's hits
     0..n // 2 in (0,1), in the order the fixed enumeration finds them: the
-    least on the right, the greatest on the left. The members are running
-    extrema, so their values fall on the right and rise on the left, as
-    declared. Each prefix has the inf (sup) of a prefix of the hits, the
-    same as the interleaving of hit k at 2k with the endpoint constant at
-    the odd indices, since the endpoint never wins. The degenerate cuts
-    with no dyadic members at all (right of 1, left of 0) have the
-    endpoint constant (1 on the right, 0 on the left) as every member.
-    A request reads the best hit in closed form from a CutEnumerator of the
-    typed target, so it parses no text and keeps no cut state.
+    least on the right, the greatest on the left. These running extrema
+    fall on the right and rise on the left, as declared for the monotone
+    shortcut (numerals.engine). Each prefix has the inf (sup) of a prefix
+    of the hits, the same as the interleaving of hit k at 2k with the
+    endpoint constant at the odd indices, since the endpoint never wins.
+    The degenerate cuts with no dyadic members at all (right of 1, left of
+    0) have the endpoint constant (1 on the right, 0 on the left) as every
+    member. A request reads the best hit in closed form from a
+    CutEnumerator of the typed target, so it parses no text and keeps no
+    cut state.
     """
 
     def __init__(self, side):
@@ -144,8 +145,9 @@ class StagedApproxGenerator:
     params are the StagedChildSource of r_n.
 
     Member t is the dyadic numeral of the stage-t approximation; for a
-    right-sided predicate these rise from below and the wrapping CSup is
-    the left child numeral, mirrored on the other side.
+    right-sided predicate these rise from below, as declared for the
+    monotone shortcut (numerals.engine), and the wrapping CSup is the left
+    child numeral, mirrored on the other side.
     """
 
     def member(self, source, t):
@@ -212,7 +214,8 @@ def read_step(head, text):
 class SuccessorMembersGenerator:
     """Members of a successor-level numeral: the child numerals one level
     down on the opposite side, values moving monotonically to the real
-    (down on the right, up on the left)."""
+    (down on the right, up on the left), as declared for the monotone
+    shortcut (numerals.engine)."""
 
     def member(self, params, n):
         child = params.source.child(n)
@@ -281,6 +284,11 @@ class NumeralRecipe:
     def descriptor(self):
         return "(numeral %s %s %s)" % (self.side, self.level,
                                        self.source.descriptor)
+
+    @property
+    def rank(self):
+        """Its numeral's rank: Sigma on the right, Pi on the left."""
+        return Rank(SIGMA if self.side == RIGHT else PI, self.level)
 
     def build(self):
         return build_numeral(self.side, self.level, self.source)

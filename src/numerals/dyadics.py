@@ -120,19 +120,32 @@ def rational(text):
     return Fraction(_plain(text))
 
 
+MAX_SCALE = 4096  # largest k of a 2^k or 10^k that parse_dyadic builds
+
+
 def parse_dyadic(text):
-    """Accept "3/8", "3/2^3", "1", "0.75" style inputs."""
+    """Accept "3/8", "3/2^3", "1", "0.75" style inputs. An exponent that
+    makes the reader build 2^k or 10^k, the k of a/2^-k or of a decimal's
+    e-k or ek, must be at most MAX_SCALE, checked before the power is built:
+    10^MAX_SCALE still prints within Python's 4300-digit limit."""
     try:
         text = _plain(text.strip())
-        if "^" in text:
-            numpart, exppart = text.split("/", 1)
-            base, exp = exppart.split("^", 1)
-            if base.strip() != "2":
-                raise ValueError
-            return Dyadic(int(numpart), int(exp))
-        f = Fraction(text)
+        num, _, den = text.partition("/")
+        base, caret, exp = den.partition("^")
+        if caret and base.strip() != "2":
+            raise ValueError
+        if caret:
+            scale = -int(exp)
+        else:  # a decimal's exponent, if it has one
+            scale = abs(int(text.lower().partition("e")[2] or 0))
+        if caret and scale <= MAX_SCALE:
+            return Dyadic(int(num), -scale)
+        f = Fraction(text) if scale <= MAX_SCALE else None
     except (ValueError, ZeroDivisionError):
         raise ValueError("cannot parse dyadic %r" % text) from None
+    if f is None:
+        raise ValueError("exponent of %r is above %d in size"
+                         % (text, MAX_SCALE))
     return from_fraction(f)
 
 

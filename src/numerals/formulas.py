@@ -192,16 +192,9 @@ FamilySpec = ExplicitFamily | GeneratedFamily
 #   monotone(params) -> str | None       "nonincreasing" / "nondecreasing"
 #                                        declared value direction of members
 # The level bound is trusted but spot-checked on a short prefix by classify.
-# The direction feeds the engine's monotone shortcut, which stands the end
-# member of a prefix in for the whole prefix when three sampled members
-# agree with it on both their sound endpoints and their estimates. That
-# bound is attained by a sampled member, so it stays certified whatever the
-# declaration says, for interval members as for points; a wrong declaration
-# only costs tightness, and makes the estimate the end member's rather than
-# the prefix extremum. The builtin declarations hold: cut members are the
-# running minimum (right) or maximum (left) of the cut's hits, staged-approx
-# members are r_approx(n, t), monotone in t, and successor and limit members
-# fall on the right and rise on the left, as their sources do.
+# The direction feeds the engine's monotone shortcut, whose contract (what a
+# wrong declaration costs, and why the builtin ones hold) is stated once, in
+# the numerals.engine docstring.
 
 _GENERATORS = {}  # name -> (generator, reader)
 

@@ -107,3 +107,31 @@ def test_staged_extraction_actual_accuracy():
     assert abs(r - Fraction(1, 3)) == Fraction(253, 1536)
     assert abs(l - Fraction(2, 3)) == Fraction(253, 1536)
     assert abs(r - Fraction(1, 3)) > Fraction(1, 256)
+
+
+def test_runner_fails_a_pass_over_budget():
+    criterion = acceptance._criterion(8, "stub", 0)(
+        lambda engine: (True, "ok"))
+    res = criterion(Engine())
+    assert (res.index, res.title, res.passed) == (8, "stub", False)
+    assert res.detail == "ok (exceeded 0s budget)"
+
+
+def test_runner_keeps_a_failure_verbatim():
+    criterion = acceptance._criterion(9, "stub", 60.0)(
+        lambda engine: (False, "went wrong"))
+    res = criterion(Engine())
+    assert not res.passed and res.detail == "went wrong"
+    assert res.line() == "[FAIL] 9 stub: went wrong"
+
+
+def test_runner_makes_an_engine_when_given_none():
+    seen = []
+
+    def check(engine):
+        seen.append(engine)
+        return True, "ok"
+
+    res = acceptance._criterion(10, "stub", 60.0)(check)()
+    assert res.passed and res.detail == "ok"
+    assert len(seen) == 1 and isinstance(seen[0], Engine)

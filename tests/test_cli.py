@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 import numerals
 from numerals.cli import main
-from numerals.dyadics import Dyadic
+from numerals.dyadics import MAX_SCALE, Dyadic
 
 from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 
@@ -86,6 +88,64 @@ def test_eval_space_entry_exponent_bound(capsys, tmp_path, exp, status):
     else:
         assert out.strip() == "(enclosure %s %s)" % ((Dyadic(1, exp),) * 2)
 
+
+
+@pytest.mark.parametrize("entry", ["1/2^-100000000", "1e-5000",
+                                   "1e-99999999999"])
+@pytest.mark.parametrize("command", ["dyadic", "eval"])
+def test_exponent_bound_before_expansion(capsys, tmp_path, command, entry):
+    # each would build 2^k or 10^k first: the first peaked at 41 MB and the
+    # second ended in Python's text on its 4300-digit limit; the third needs
+    # 10^(10^11)
+    if command == "dyadic":
+        argv = ("dyadic", entry, "exists")
+    else:
+        path = tmp_path / "sp.txt"
+        path.write_text("name: a\nsize: 2\ndist: 0 %s 0\n" % entry)
+        argv = ("eval", "(sup x0 (sup x1 (dist x0 x1)))", str(path))
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, _, err = run(capsys, *argv)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == "error: exponent of %r is above %d in size\n" % (
+        entry, MAX_SCALE)
+    assert seconds < 1 and peak < 1 << 20
+
+
+DEMO_TEXT = """\
+[PASS] 1 dyadic exactness: 2570 exact evaluations across 5 structures
+[PASS] 2 structure independence: 20 numerals agree bitwise across 5 structures
+[PASS] 3 sandwich convergence: certified width <= 2^-10: 1/3@1024, 2/7@1024, sqrt-half@1024
+[FAIL] 4 staged extraction pipeline: right: approx(32,1024) = 255/512, distance 253/1536 from 1/3 exceeds 2^-8; left: approx(32,1024) = 257/512, distance 253/1536 from 2/3 exceeds 2^-8
+[PASS] 5 classification mapping: all 10 recipes ranked Sigma/Pi at their level
+[PASS] 6 monotone truncation: 20 numerals monotone over depths (16, 64, 256, 1024)
+[PASS] 7 negative control: diameter sentence rejected, point vs pair-half differ by 1/2
+"""
+
+DEMO_STRUCTURED = """\
+(criterion 1 pass "dyadic exactness" "2570 exact evaluations across 5 structures")
+(criterion 2 pass "structure independence" "20 numerals agree bitwise across 5 structures")
+(criterion 3 pass "sandwich convergence" "certified width <= 2^-10: 1/3@1024, 2/7@1024, sqrt-half@1024")
+(criterion 4 fail "staged extraction pipeline" "right: approx(32,1024) = 255/512, distance 253/1536 from 1/3 exceeds 2^-8; left: approx(32,1024) = 257/512, distance 253/1536 from 2/3 exceeds 2^-8")
+(criterion 5 pass "classification mapping" "all 10 recipes ranked Sigma/Pi at their level")
+(criterion 6 pass "monotone truncation" "20 numerals monotone over depths (16, 64, 256, 1024)")
+(criterion 7 pass "negative control" "diameter sentence rejected, point vs pair-half differ by 1/2")
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("demo",), DEMO_TEXT),
+    (("demo", "--format", "structured"), DEMO_STRUCTURED)],
+    ids=["text", "structured"])
+def test_demo_golden(capsys, argv, expected):
+    # criterion 4 fails by design (see the README), so the demo exits 1
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (1, expected)
 
 def test_build_prints_numeral(capsys):
     code, out, _ = run(capsys, "build", '(numeral right 1 (real builtin "1/3"))')

@@ -11,8 +11,8 @@ from numerals.dyadics import (Dyadic, Enclosure, ONE, ZERO, from_fraction,
 from numerals.engine import (Engine, EngineError, SandwichError,
                              TruncationSchedule)
 from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
-                               GeneratedFamily, Half, InfQ, Neg, Rank, SIGMA,
-                               SupQ, parse, register_generator)
+                               GeneratedFamily, Half, InfQ, Neg, PI, Rank,
+                               SIGMA, SupQ, parse, register_generator)
 from numerals.ordinals import from_int
 from numerals.reals import LEFT, RIGHT, CutEnumerator, parse_target
 from numerals.spaces import builtin_suite, from_entries
@@ -657,11 +657,47 @@ class _BumpyGenerator:
 register_generator("test-bumpy", _BumpyGenerator())
 
 
+class _BumpyLeftGenerator(_BumpyGenerator):
+    """The left mirror: claims a rising value direction, and the lower
+    bound taken from the sampled end member falls between prefixes."""
+
+    values = {0: ZERO, 2: Dyadic(1, 1), 3: Dyadic(3, 2), 8: Dyadic(1, 2),
+              15: Dyadic(1, 1)}
+
+    def member(self, params, n):
+        return dyadic_numeral(self.values.get(n, ZERO), FORALL)
+
+    def monotone(self, params):
+        return "nondecreasing"
+
+
+register_generator("test-bumpy-left", _BumpyLeftGenerator())
+
+
 def test_convergence_report_catches_false_monotonicity():
     eng = Engine()
     phi = CInf(GeneratedFamily("test-bumpy", ""))
     with pytest.raises(EngineError, match="upper bound rose"):
         eng.convergence_report(phi, POINT, (4, 16))
+
+
+def test_convergence_checks_the_lower_bound_of_a_pi_sentence():
+    # members 0, 2, 3 (depth 4) rise to 3/4; members 0, 8, 15 (depth 16)
+    # rise to 1/2, so the end member's lower bound falls
+    fell = "lower bound fell from 3/4 to 1/2 between depths 4 and 16"
+    phi = CSup(GeneratedFamily("test-bumpy-left", ""))
+    with pytest.raises(EngineError, match=fell):
+        Engine().convergence_report(phi, POINT, (4, 16))
+    rows, problem = Engine().convergence_rows(
+        phi, POINT, [TruncationSchedule.uniform(n) for n in (4, 16)],
+        Rank(PI, from_int(1)))
+    assert problem == fell
+    assert [(r.depth, r.enclosure.lo) for r in rows] == \
+        [(4, Dyadic(3, 2)), (16, Dyadic(1, 1))]
+    # under a Sigma rank only the upper endpoint counts, and it stays 1
+    assert Engine().convergence_rows(
+        phi, POINT, [TruncationSchedule.uniform(n) for n in (4, 16)],
+        Rank(SIGMA, from_int(1)))[1] is None
 
 
 def test_verify_recipe_level_one():

@@ -184,7 +184,8 @@ def test_validate_matches_dyadic_reference(data):
 @pytest.mark.parametrize("token", [
     "0", "1", "3/8", "6/16", "08/16", "3/2^3", "0.75", "+1/2", "-1/2",
     "1e-1", "2/6", "1/3", "3/0", "\u0663/8", "1_1/2", "9" * 5000,
-    "1/" + "9" * 5000], ids=lambda t: t if len(t) < 20 else "%d chars" % len(t))
+    "1/" + "9" * 5000, "1/2^-3", "0/2^-5", "5e-1", "1e-3"],
+    ids=lambda t: t if len(t) < 20 else "%d chars" % len(t))
 def test_load_space_reads_entries_as_parse_dyadic(token):
     # the same entry, or the same error text, as parse_dyadic gives
     try:
