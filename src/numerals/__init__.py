@@ -9,8 +9,7 @@ interval evaluation over finite metric spaces.
 """
 
 from .builders import (EXISTS, FORALL, BuildError, NumeralRecipe,
-                       base_numeral, build_numeral, dyadic_numeral,
-                       parse_recipe)
+                       build_numeral, dyadic_numeral, parse_recipe)
 from .dyadics import Dyadic, Enclosure, parse_dyadic
 from .engine import (Engine, EngineError, SandwichError, TruncationSchedule,
                      VerificationReport)
@@ -24,8 +23,8 @@ from .spaces import (FiniteMetricSpace, builtin_suite, load_space_file,
                      make_space, serialize_space, validate)
 
 __all__ = [
-    "EXISTS", "FORALL", "BuildError", "NumeralRecipe", "base_numeral",
-    "build_numeral", "dyadic_numeral", "parse_recipe",
+    "EXISTS", "FORALL", "BuildError", "NumeralRecipe", "build_numeral",
+    "dyadic_numeral", "parse_recipe",
     "Dyadic", "Enclosure", "parse_dyadic",
     "Engine", "EngineError", "SandwichError", "TruncationSchedule",
     "VerificationReport",

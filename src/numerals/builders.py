@@ -1,5 +1,6 @@
 """Numeral builders: dyadic numerals, the level-1 base case from cut
-enumerators, successor and limit steps, and the recipe driver.
+targets and staged sources, successor and limit steps, and the recipe
+driver.
 
 A numeral here is a sentence whose value is the same real in every metric
 space. The recursion is the standard one: at level 1 a right numeral is a
@@ -19,7 +20,7 @@ registered with each makes the same value from the text of a code.
 
 
 from . import reals, sexpr
-from .dyadics import Dyadic, ZERO, ONE, HALF, in_unit, natural
+from .dyadics import Dyadic, MAX_EXP, ZERO, ONE, HALF, in_unit, natural
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        PI, Rank, SIGMA, SupQ, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
@@ -71,15 +72,23 @@ def dyadic_numeral(r, flavor):
     their chains, which have smaller denominators and are mostly asked for
     themselves. Family members repeat the same dyadics many times over: the
     whole demo asks for about 1,600 numerals and leaves 559 entries.
+
+    A value whose exponent in lowest terms is above MAX_EXP is refused
+    before any node is built: each node of the chain holds its whole code,
+    so the chain of 1/2^k holds about k^2 characters.
     """
     if flavor not in (EXISTS, FORALL):
         raise BuildError("flavor must be exists or forall")
     if not isinstance(r, Dyadic):
         raise BuildError("dyadic numerals need a Dyadic value, got %r" % (r,))
-    if not in_unit(r):
-        raise BuildError("value %s outside [0,1]" % r)
     key = (r, flavor)
     node = _DYADICS.get(key)
+    if node is not None:
+        return node
+    if r.exp > MAX_EXP:
+        raise BuildError("dyadic exponent %d is above %d" % (r.exp, MAX_EXP))
+    if not in_unit(r):
+        raise BuildError("value %s outside [0,1]" % r)
     chain = []
     while node is None:
         chain.append(key)
@@ -128,16 +137,6 @@ class DyadicCutGenerator:
 
     def monotone(self, target):
         return "nonincreasing" if self.side == RIGHT else "nondecreasing"
-
-
-def base_numeral(side, enumerator):
-    """Level-1 numeral from a cut enumerator; inf on the right, sup left."""
-    if enumerator.side != side:
-        raise BuildError("enumerator is %s-sided, wanted %s"
-                         % (enumerator.side, side))
-    name = "dyadic-upper-cut" if side == RIGHT else "dyadic-lower-cut"
-    family = GeneratedFamily(name, enumerator.target)
-    return CInf(family) if side == RIGHT else CSup(family)
 
 
 class StagedApproxGenerator:
@@ -253,15 +252,16 @@ def build_numeral(side, level, source):
     if level.is_zero():
         raise BuildError("numerals start at level 1")
     if level == LEVEL_ONE:
-        if isinstance(source, reals.BuiltinSource):
-            return base_numeral(side, reals.CutEnumerator(source.target, side))
         if isinstance(source, reals.ConstantSource):
-            target = reals.RationalTarget(source.value, str(source.value))
-            return base_numeral(side, reals.CutEnumerator(target, side))
-        if not isinstance(source, reals.StagedChildSource):
+            source = reals.RationalTarget(source.value, str(source.value))
+        if isinstance(source, reals.Target):
+            name = "dyadic-upper-cut" if side == RIGHT else "dyadic-lower-cut"
+        elif isinstance(source, reals.StagedChildSource):
+            name = "staged-approx"
+        else:
             raise BuildError("cannot build a level-1 numeral from %s"
                              % type(source).__name__)
-        family = GeneratedFamily("staged-approx", source)
+        family = GeneratedFamily(name, source)
     else:
         name = "successor-members" if level.is_successor() else "limit-members"
         if level.is_limit() and isinstance(source, reals.ConstantSource):

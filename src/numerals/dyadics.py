@@ -121,6 +121,7 @@ def rational(text):
 
 
 MAX_SCALE = 4096  # largest k of a 2^k or 10^k that parse_dyadic builds
+MAX_EXP = 1024  # largest k of a/2^k in lowest terms in a space or a numeral
 
 
 def parse_dyadic(text):

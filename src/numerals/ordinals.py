@@ -6,7 +6,8 @@ enough to index every recursion level the construction uses, and it keeps
 comparison and the fundamental sequences purely syntactic.
 """
 
-from .dyadics import natural
+import re
+
 from .records import record
 
 
@@ -112,43 +113,32 @@ def from_int(n):
     return OrdinalCNF() if n == 0 else OrdinalCNF(((0, n),))
 
 
+# one term: w, w^e, w*c, w^e*c or a natural, in ASCII digits
+_TERM = re.compile(r"w(?:\^([0-9]+))?(?:\*([0-9]+))?|([0-9]+)")
+
+
 def parse_ordinal(text):
     """Parse "0", "7", "w", "w*2", "w^2*3+w*2+5" style notation."""
     text = text.strip()
     if not text:
         raise ValueError("empty ordinal")
+    parts = text.split("+")
     terms = []
-    for part in text.split("+"):
+    for part in parts:
         part = part.strip()
         if not part:
             raise ValueError("empty term in ordinal %r" % text)
-        try:
-            if part.startswith("w"):
-                rest = part[1:]
-                exp = 1
-                if rest.startswith("^"):
-                    rest = rest[1:]
-                    if "*" in rest:
-                        e, rest = rest.split("*", 1)
-                        exp = natural(e)
-                        coeff = natural(rest)
-                    else:
-                        exp = natural(rest)
-                        coeff = 1
-                elif rest.startswith("*"):
-                    coeff = natural(rest[1:])
-                elif rest == "":
-                    coeff = 1
-                else:
-                    raise ValueError
-                terms.append((exp, coeff))
-            else:
-                n = natural(part)
-                if n == 0:
-                    if len(text.split("+")) > 1:
-                        raise ValueError
-                    return ZERO_ORD
-                terms.append((0, n))
+        match = _TERM.fullmatch(part)
+        try:  # int() refuses a number past Python's digit limit
+            if not match:
+                raise ValueError
+            exp, coeff, n = match.groups()
+            if n is None:
+                terms.append((int(exp or 1), int(coeff or 1)))
+            elif int(n):
+                terms.append((0, int(n)))
+            elif len(parts) > 1:
+                raise ValueError
         except ValueError:
             raise ValueError("cannot parse ordinal %r" % text) from None
     return OrdinalCNF(tuple(terms))

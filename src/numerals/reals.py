@@ -33,6 +33,9 @@ from .records import record
 RIGHT = "right"
 LEFT = "left"
 
+LEVEL_ONE = from_int(1)
+LEVEL_TWO = from_int(2)
+
 
 class RealSourceError(Exception):
     pass
@@ -119,13 +122,25 @@ def rationals():
 # ------------------------------------------------------- comparison targets
 
 
-@record
-class RationalTarget:
-    value: Fraction
-    text: str
+class Target:
+    """A builtin real: the level-1 source of the numeral of its cut, on
+    either side, named by its text in codes and descriptors."""
+
+    side = None
+    level = LEVEL_ONE
 
     def __str__(self):
         return self.text
+
+    @property
+    def descriptor(self):
+        return "(real builtin %s)" % sexpr.quote(self.text)
+
+
+@record
+class RationalTarget(Target):
+    value: Fraction
+    text: str
 
     def cmp_to(self, q):
         """sign(r - q), decided exactly."""
@@ -141,13 +156,10 @@ class RationalTarget:
 
 
 @record
-class SqrtHalfTarget:
+class SqrtHalfTarget(Target):
     """The square root of 1/2, compared by cross-multiplied squaring."""
 
     text = "sqrt-half"
-
-    def __str__(self):
-        return self.text
 
     def cmp_to(self, q):
         if q <= 0:
@@ -367,7 +379,7 @@ class SequenceExtraction:
     does. With (a, b) = unpair(n) and w = a + b, e_j is w - j for j <= b
     and w - 1 - j for b < j < w, so each call scans about sqrt(2n) values
     of j, on int (num, den) pairs compared by cross-multiplication.
-    limit_s and limit_r are the same with t = infinity, clamped.
+    limit_r is the same with t = infinity, clamped.
     """
 
     pred: Sigma2Predicate
@@ -379,11 +391,6 @@ class SequenceExtraction:
     @property
     def _edge(self):
         return (1, 1) if self.side == RIGHT else (0, 1)
-
-    def _row(self, m):
-        e, j = unpair(m)
-        qj = q(j)
-        return qj, self.pred.neg_witness(e, *qj)
 
     def _grid(self, x, t):
         """g_t(x): the nearest dyadic in play at stage t strictly beyond x."""
@@ -422,20 +429,17 @@ class SequenceExtraction:
 
     def s_approx(self, m, t):
         """Stage-t approximation of s_m, as a Dyadic (closed form above)."""
-        qj, wb = self._row(m)
+        e, j = unpair(m)
+        qj = q(j)
+        wb = self.pred.neg_witness(e, *qj)
         return self._grid(self._edge if wb is not None and wb < t else qj, t)
 
     def r_approx(self, n, t):
         """Stage-t approximation of r_n = prefix extremum of s_0..s_n."""
         return self._grid(self._extremum(n, t), t)
 
-    # exact limits, by direct evaluation of the defining sets
-
-    def limit_s(self, m):
-        qj, wb = self._row(m)
-        return clamp01(Fraction(*(qj if wb is None else self._edge)))
-
     def limit_r(self, n):
+        """The exact limit r_n, by direct evaluation of the defining sets."""
         return clamp01(Fraction(*self._extremum(n, math.inf)))
 
 
@@ -444,29 +448,8 @@ class SequenceExtraction:
 # A real source is a description of a real with a declared recursion level;
 # the numeral builders dispatch on its kind. Sources whose side is None fit
 # either side of a recipe. A source that can take a step (see check_step)
-# gives the real source of member n of its step family as child(n).
-
-LEVEL_ONE = from_int(1)
-LEVEL_TWO = from_int(2)
-
-
-@record
-class BuiltinSource:
-    text: str
-
-    side = None
-    level = LEVEL_ONE
-
-    @property
-    def target(self):
-        return parse_target(self.text)
-
-    def cmp_to(self, q):
-        return self.target.cmp_to(q)
-
-    @property
-    def descriptor(self):
-        return "(real builtin %s)" % sexpr.quote(self.text)
+# gives the real source of member n of its step family as child(n). The
+# source of (real builtin "...") is its comparison target, a Target above.
 
 
 @record
@@ -591,9 +574,6 @@ class StagedChildSource:
         # children sit on the opposite side of the parent predicate
         return LEFT if self.pred.side == RIGHT else RIGHT
 
-    def cmp_to(self, q):
-        return _sign(SequenceExtraction(self.pred).limit_r(self.index) - q)
-
     def __str__(self):
         """The text of this source as staged-approx params."""
         return "(stage %s %s %d)" % (self.pred.name, sexpr.quote(self.pred.param),
@@ -627,8 +607,7 @@ def _source_from(node):
     if kind == "builtin":
         if len(args) != 1 or not isinstance(args[0], sexpr.QuotedString):
             raise RealSourceError('(real builtin "name") takes one quoted name')
-        parse_target(str(args[0]))
-        return BuiltinSource(str(args[0]))
+        return parse_target(str(args[0]))
     if kind == "constant":
         if len(args) != 2:
             raise RealSourceError('(real constant "value" level) takes two arguments')

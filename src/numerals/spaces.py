@@ -25,10 +25,8 @@ import functools
 import random
 from operator import add
 
-from .dyadics import Dyadic, _canonical, natural, parse_dyadic
+from .dyadics import MAX_EXP, Dyadic, _canonical, natural, parse_dyadic
 from .records import record
-
-MAX_EXP = 1024  # largest exponent of an entry a/2^k in lowest terms
 
 
 class SpaceFormatError(Exception):

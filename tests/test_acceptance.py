@@ -16,6 +16,8 @@ from numerals import acceptance
 from numerals.engine import Engine
 from numerals.reals import RIGHT, SequenceExtraction, sigma2_predicate
 
+from test_reals import limit_s
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -60,9 +62,9 @@ def _check_staged_side(name, param, target, first_index):
     # n*: the least n whose limit r_n lies within 2^-8 of the target,
     # searched over a bounded range so that a regression fails, not hangs
     extremum = min if rising else max
-    r = ext.limit_s(0)
+    r = limit_s(ext, 0)
     for n in range(1 << 16):
-        r = extremum(r, ext.limit_s(n))
+        r = extremum(r, limit_s(ext, n))
         if abs(r - target) <= tol:
             break
     assert n == first_index

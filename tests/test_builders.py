@@ -3,22 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals import reals, sexpr
+from numerals import builders, reals, sexpr
 from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
 from numerals.builders import (EXISTS, FORALL, BuildError,
                                LimitMembersGenerator, StepParams,
-                               SuccessorMembersGenerator, base_numeral,
-                               build_numeral, dyadic_numeral, other_flavor,
-                               other_side, parse_recipe)
-from numerals.dyadics import Dyadic, HALF, ONE, ZERO
+                               SuccessorMembersGenerator, build_numeral,
+                               dyadic_numeral, other_flavor, other_side,
+                               parse_recipe)
+from numerals.dyadics import Dyadic, HALF, MAX_EXP, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
 from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
                                classify, free_vars, parse)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, LEVEL_ONE, RIGHT, ConstantSource,
                             CutEnumerator, GeometricSource, LeveledSource,
-                            RealSourceError, SequenceExtraction, Sigma2Source,
-                            parse_target, sigma2_predicate)
+                            RationalTarget, RealSourceError,
+                            SequenceExtraction, Sigma2Source, parse_target,
+                            sigma2_predicate)
 from numerals.spaces import builtin_suite
 
 F = Fraction
@@ -88,6 +89,16 @@ def test_dyadic_numeral_rejects():
         dyadic_numeral(ZERO, "some")
 
 
+def test_dyadic_numeral_exponent_bound():
+    # each node of the chain holds its whole code, so the numeral of 1/2^k
+    # holds about k^2 characters: past MAX_EXP none is built at all
+    size = len(builders._DYADICS)
+    with pytest.raises(BuildError) as err:
+        dyadic_numeral(Dyadic(1, MAX_EXP + 1), EXISTS)
+    assert str(err.value) == "dyadic exponent 1025 is above 1024"
+    assert len(builders._DYADICS) == size
+
+
 @settings(max_examples=60, deadline=None)
 @given(units, st.sampled_from([EXISTS, FORALL]))
 def test_dyadic_numeral_value(r, flavor):
@@ -145,12 +156,26 @@ def test_trivial_cuts_use_endpoints_only():
 
 
 def test_base_numeral_shapes():
-    phi = base_numeral(RIGHT, get_cut("1/3", RIGHT))
+    phi = build_numeral(RIGHT, LEVEL_ONE, parse_target("1/3"))
     assert phi.code == '(cinf (gen dyadic-upper-cut "1/3"))'
-    psi = base_numeral(LEFT, get_cut("sqrt-half", LEFT))
+    psi = build_numeral(LEFT, LEVEL_ONE, parse_target("sqrt-half"))
     assert psi.code == '(csup (gen dyadic-lower-cut "sqrt-half"))'
-    with pytest.raises(BuildError):
-        base_numeral(LEFT, get_cut("1/3", RIGHT))
+
+
+def test_level_one_recipe_sources_are_cut_targets():
+    # a builtin recipe's source is the target its cut family reads, and a
+    # level-1 constant's is the target of its value; both read back whole
+    recipes = map(parse_recipe, RIGHT_CORPUS + LEFT_CORPUS)
+    level_one = [recipe for recipe in recipes if recipe.level == LEVEL_ONE]
+    assert len(level_one) == 10
+    for recipe in level_one:
+        phi = recipe.build()
+        source = recipe.source
+        if isinstance(source, ConstantSource):
+            source = RationalTarget(source.value, str(source.value))
+        assert phi.family.params == source
+        assert parse_recipe(recipe.descriptor) == recipe
+        assert parse(phi.code).code == phi.code
 
 
 def test_staged_child_numeral_members():

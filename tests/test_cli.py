@@ -8,7 +8,7 @@ import pytest
 
 import numerals
 from numerals.cli import main
-from numerals.dyadics import MAX_SCALE, Dyadic
+from numerals.dyadics import MAX_EXP, MAX_SCALE, Dyadic
 
 from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 
@@ -38,6 +38,30 @@ def test_dyadic_deep(capsys):
     assert code == 0
     assert out.strip() == \
         "(half " * 600 + "(neg (sup x0 (dist x0 x0)))" + ")" * 600
+
+
+def test_dyadic_at_exponent_bound(capsys):
+    code, out, _ = run(capsys, "dyadic", "1/2^%d" % MAX_EXP, "exists")
+    assert code == 0
+    assert out.strip() == \
+        "(half " * MAX_EXP + "(neg (sup x0 (dist x0 x0)))" + ")" * MAX_EXP
+
+
+@pytest.mark.parametrize("value, exp", [("1/2^1025", 1025), ("3/2^5000", 5000)])
+def test_dyadic_exponent_bound(capsys, value, exp):
+    # the numeral's memory grows with the square of its exponent: 1/2^4096
+    # took 73 MB before the bound
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "dyadic", value, "exists")
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: dyadic exponent %d is above %d\n" % (exp, MAX_EXP)
+    assert seconds < 1 and peak < 1 << 20
 
 
 def test_dyadic_rejects_non_dyadic(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals.builders import (EXISTS, FORALL, base_numeral, dyadic_numeral,
+from numerals.builders import (EXISTS, FORALL, build_numeral, dyadic_numeral,
                                parse_recipe)
 from numerals.dyadics import (Dyadic, Enclosure, ONE, ZERO, from_fraction,
                               neg)
@@ -14,7 +14,7 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                GeneratedFamily, Half, InfQ, Neg, PI, Rank,
                                SIGMA, SupQ, parse, register_generator)
 from numerals.ordinals import from_int
-from numerals.reals import LEFT, RIGHT, CutEnumerator, parse_target
+from numerals.reals import LEFT, LEVEL_ONE, RIGHT, CutEnumerator, parse_target
 from numerals.spaces import builtin_suite, from_entries
 
 F = Fraction
@@ -371,7 +371,7 @@ def test_cut_running_extrema_match_interleaved_scan(text, side, count,
     # interleaved hits and endpoints
     space = next(sp for sp in builtin_suite() if sp.name == space_name)
     sched = schedule(count)
-    phi = base_numeral(side, get_cut(text, side))
+    phi = build_numeral(side, LEVEL_ONE, parse_target(text))
     scan = type(phi)(_interleaved(text, side, count))
     eng = Engine()
     assert (eng.eval_enclosure(phi, space, sched),

@@ -16,12 +16,48 @@ def test_parse_and_str_round_trip():
         assert str(parse_ordinal(text)) == text
 
 
+# a number past Python's limit on int() of a digit string, where it has one
+BIG = "9" * 5000
+try:
+    BIG_VALUE = int(BIG)
+except ValueError:
+    BIG_VALUE = None
+
+
+def test_parse_values():
+    # leading zeros are read, and w^0 is the finite part
+    for text, terms in [("00", ()), ("07", ((0, 7),)), ("w^0*3", ((0, 3),)),
+                        ("w^02*03", ((2, 3),)), (" w^2 + 1 ", ((2, 1), (0, 1)))]:
+        assert parse_ordinal(text) == OrdinalCNF(terms), text
+
+
 def test_parse_rejects_junk():
     # only ASCII digits: int() alone would read w*\u0663 as w*3
-    for text in ["", "w^", "2*w", "w+0", "-1", "w**2", "w+w^2", "w*\u0663",
-                 "\u0663", "w^\u00b2", "w*+3", "1_0"]:
-        with pytest.raises(ValueError):
+    junk = ["w^", "2*w", "w+0", "-1", "w**2", "w*\u0663", "\u0663", "w^\u00b2",
+            "w*+3", "1_0", "0+1", "w*", "ww", "w*1_0"]
+    messages = [("", "empty ordinal"), ("w+ +1", "empty term in ordinal 'w+ +1'"),
+                ("w+w^2", "CNF exponents must strictly decrease"),
+                ("w^1+w^2", "CNF exponents must strictly decrease"),
+                ("w*0", "bad CNF term w^1*0")]
+    for text, message in [(t, "cannot parse ordinal %r" % t) for t in junk] \
+            + messages:
+        with pytest.raises(ValueError) as err:
             parse_ordinal(text)
+        assert str(err.value) == message, text
+
+
+@pytest.mark.parametrize("text, terms", [
+    (BIG, ((0, BIG_VALUE),)), ("w*" + BIG, ((1, BIG_VALUE),)),
+    ("w^%s*2" % BIG, ((BIG_VALUE, 2),))], ids=["natural", "coefficient",
+                                              "exponent"])
+def test_parse_past_int_digit_limit(text, terms):
+    # int() raises ValueError past the limit, read as an unparsable term
+    if BIG_VALUE is None:
+        with pytest.raises(ValueError) as err:
+            parse_ordinal(text)
+        assert str(err.value) == "cannot parse ordinal %r" % text
+    else:
+        assert parse_ordinal(text) == OrdinalCNF(terms)
 
 
 def test_basic_order():

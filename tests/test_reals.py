@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from numerals import reals
 from numerals.dyadics import Dyadic, from_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (LEFT, RIGHT, BuiltinSource, ConstantSource,
-                            CutEnumerator, GeometricSource, LeveledSource,
-                            RealSourceError, SequenceExtraction,
-                            Sigma2Predicate, Sigma2Source, StagedChildSource,
-                            check_step, clamp01, pair, parse_real_source,
-                            parse_target, rationals, sigma2_predicate, unpair)
+from numerals.reals import (LEFT, RIGHT, ConstantSource, CutEnumerator,
+                            GeometricSource, LeveledSource, RealSourceError,
+                            SequenceExtraction, Sigma2Predicate, Sigma2Source,
+                            StagedChildSource, check_step, clamp01, pair,
+                            parse_real_source, parse_target, rationals,
+                            sigma2_predicate, unpair)
 
 from test_engine import cut_targets
 
@@ -23,6 +23,17 @@ F = Fraction
 
 def get_cut(text, side):
     return CutEnumerator(parse_target(text), side)
+
+
+def limit_s(ex, m):
+    """The exact s_m of an extraction, from its defining set: with
+    (e, j) = unpair(m), q_j clamped to [0,1] when no x1 refutes R(e, x1, q_j),
+    else the edge (1 on the right, 0 on the left)."""
+    e, j = unpair(m)
+    num, den = reals.q(j)
+    if ex.pred.neg_witness(e, num, den) is None:
+        return clamp01(F(num, den))
+    return F(1 if ex.side == RIGHT else 0)
 
 
 def q_fraction(n):
@@ -445,8 +456,8 @@ def test_staged_values_right():
         vals = [ex.s_approx(m, t) for t in grid]
         assert vals == sorted(vals)
         assert all(Dyadic(0, 0) <= v <= Dyadic(1, 0) for v in vals)
-    assert ex.limit_s(10) == F(1)
-    assert ex.limit_s(11) == F(1, 2)
+    assert limit_s(ex, 10) == F(1)
+    assert limit_s(ex, 11) == F(1, 2)
     assert ex.limit_r(10) == F(1)
     assert ex.limit_r(11) == F(1, 2)
     assert ex.r_approx(32, 1024) == Dyadic(255, 9)
@@ -465,7 +476,7 @@ def test_staged_values_left():
     for m in range(20):
         vals = [ex.s_approx(m, t) for t in grid]
         assert vals == sorted(vals, reverse=True)
-    assert ex.limit_s(11) == F(1, 2)
+    assert limit_s(ex, 11) == F(1, 2)
     assert ex.limit_r(10) == F(0)
     assert ex.limit_r(11) == F(1, 2)
     assert ex.r_approx(32, 1024) == Dyadic(257, 9)
@@ -548,7 +559,7 @@ def test_extremum_scan_matches_running_extrema(name, param, n, t):
     ex = SequenceExtraction(sigma2_predicate(name, param))
     pick = min if ex.side == RIGHT else max
     staged = list(accumulate((ex.s_approx(m, t) for m in range(n + 1)), pick))
-    limits = list(accumulate((ex.limit_s(m) for m in range(n + 1)), pick))
+    limits = list(accumulate((limit_s(ex, m) for m in range(n + 1)), pick))
     for k in {0, n // 3, n}:
         assert ex.r_approx(k, t) == staged[k], (k, t)
         assert ex.limit_r(k) == limits[k], k
@@ -628,7 +639,7 @@ def test_lift_level_one_running_extrema():
     # a level-1 source has no child numerals; the running extrema of its
     # cut enumeration still close in on the real from the cut's side
     with pytest.raises(RealSourceError):
-        check_step(BuiltinSource("1/3"), LEFT, limit=False)
+        check_step(parse_target("1/3"), LEFT, limit=False)
     right = get_cut("1/3", RIGHT)
     vals = list(accumulate(padded(right, 25), min, initial=F(1)))[1:]
     assert vals[0] == F(1)
@@ -646,14 +657,15 @@ def test_lift_level_one_running_extrema():
 def test_lift_successor_sigma2():
     src = Sigma2Source(sigma2_predicate("geometric-above", "1/3"))
     check_step(src, RIGHT, limit=False)
-    limits = [src.child(n).cmp_to(F(1, 2)) for n in range(16)]
+    ex = SequenceExtraction(src.pred)
+    limits = [ex.limit_r(src.child(n).index) for n in range(16)]
     assert limits == sorted(limits, reverse=True)  # falling to the real
     child = src.child(11)
     assert isinstance(child, StagedChildSource)
     assert child.side == LEFT
     assert child.level == from_int(1)
-    assert child.cmp_to(F(1, 2)) == 0
-    assert src.child(10).cmp_to(F(1, 2)) == 1
+    assert ex.limit_r(child.index) == F(1, 2)
+    assert ex.limit_r(src.child(10).index) > F(1, 2)
     assert SequenceExtraction(child.pred).r_approx(child.index, 1024) == \
         Dyadic(255, 9)
 
@@ -675,7 +687,7 @@ def test_lift_guards():
     with pytest.raises(RealSourceError):
         check_step(ConstantSource(F(1, 2), from_int(0)), RIGHT, limit=False)
     with pytest.raises(RealSourceError):  # level 1 has no children
-        check_step(BuiltinSource("1/3"), RIGHT, limit=False)
+        check_step(parse_target("1/3"), RIGHT, limit=False)
     with pytest.raises(RealSourceError):
         check_step(ConstantSource(F(1, 2), OMEGA), RIGHT, limit=False)
 
@@ -706,7 +718,7 @@ def test_limit_decomposition_above_omega():
 
 def test_limit_decomposition_guards():
     with pytest.raises(RealSourceError):
-        check_step(BuiltinSource("1/3"), RIGHT, limit=True)
+        check_step(parse_target("1/3"), RIGHT, limit=True)
     src = parse_real_source('(real leveled right w (members constant "1/2"))')
     with pytest.raises(RealSourceError):
         check_step(src, LEFT, limit=True)

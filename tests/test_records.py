@@ -15,10 +15,10 @@ from numerals.formulas import (SIGMA, Atomic, CInf, CSup, DotMinus,
                                ExplicitFamily, Half, InfQ, Neg, Rank, SupQ,
                                parse)
 from numerals.ordinals import OMEGA, OrdinalCNF, from_int
-from numerals.reals import (RIGHT, BuiltinSource, ConstantSource,
-                            CutEnumerator, GeometricSource, LeveledSource,
-                            RationalTarget, SequenceExtraction, Sigma2Predicate,
-                            Sigma2Source, SqrtHalfTarget, StagedChildSource)
+from numerals.reals import (RIGHT, ConstantSource, CutEnumerator,
+                            GeometricSource, LeveledSource, RationalTarget,
+                            SequenceExtraction, Sigma2Predicate, Sigma2Source,
+                            SqrtHalfTarget, StagedChildSource)
 from numerals.records import record
 from numerals.spaces import FiniteMetricSpace, ValidationReport
 
@@ -59,7 +59,6 @@ EXAMPLES = [
     CutEnumerator(THIRD, RIGHT),
     PRED,
     SequenceExtraction(PRED),
-    BuiltinSource("1/3"),
     ConstantSource(Fraction(1, 2), from_int(2)),
     Sigma2Source(PRED),
     GEOMETRIC,
