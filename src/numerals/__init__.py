@@ -17,8 +17,8 @@ from .formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                        FormulaError, GeneratedFamily, Half, InfQ, Neg, Rank,
                        SupQ, classify, parse, register_generator)
 from .ordinals import OMEGA, OrdinalCNF, parse_ordinal
-from .reals import (LEFT, RIGHT, RealSourceError, parse_real_source,
-                    parse_target, sigma2_predicate)
+from .reals import (LEFT, RIGHT, RealSourceError, parse_target,
+                    sigma2_predicate)
 from .spaces import (FiniteMetricSpace, builtin_suite, load_space_file,
                      make_space, serialize_space, validate)
 
@@ -32,8 +32,7 @@ __all__ = [
     "GeneratedFamily", "Half", "InfQ", "Neg", "Rank", "SupQ", "classify",
     "parse", "register_generator",
     "OMEGA", "OrdinalCNF", "parse_ordinal",
-    "LEFT", "RIGHT", "RealSourceError", "parse_real_source",
-    "parse_target", "sigma2_predicate",
+    "LEFT", "RIGHT", "RealSourceError", "parse_target", "sigma2_predicate",
     "FiniteMetricSpace", "builtin_suite", "load_space_file", "make_space",
     "serialize_space", "validate",
 ]

@@ -17,7 +17,7 @@ from .builders import EXISTS, FORALL, dyadic_numeral, parse_recipe
 from .dyadics import Dyadic
 from .engine import Engine, TruncationSchedule
 from .formulas import parse
-from .reals import RIGHT, SequenceExtraction, sigma2_predicate
+from .reals import RIGHT, sigma2_predicate
 from .records import record
 from .spaces import builtin_suite
 
@@ -139,9 +139,8 @@ def criterion_3(engine):
 
 
 def _staged_side(name, param, target):
-    pred = sigma2_predicate(name, param)
-    ext = SequenceExtraction(pred)
-    rising = pred.side == RIGHT
+    ext = sigma2_predicate(name, param)
+    rising = ext.side == RIGHT
     grid = (1, 4, 16, 64, 256, 1024)
     for m in range(0, 33, 4):
         vals = [ext.s_approx(m, t) for t in grid]

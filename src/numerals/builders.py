@@ -150,7 +150,7 @@ class StagedApproxGenerator:
     """
 
     def member(self, source, t):
-        value = reals.SequenceExtraction(source.pred).r_approx(source.index, t)
+        value = source.pred.r_approx(source.index, t)
         flavor = FORALL if source.pred.side == RIGHT else EXISTS
         return dyadic_numeral(value, flavor)
 
@@ -161,8 +161,13 @@ class StagedApproxGenerator:
         return "nondecreasing" if source.pred.side == RIGHT else "nonincreasing"
 
 
+# A stage index n costs a scan of about sqrt(2n) rationals per member.
+MAX_STAGE_INDEX = 10 ** 12
+
+
 def read_stage(text):
-    """Staged-approx params from their text (stage pred-name "param" index)."""
+    """Staged-approx params from their text (stage pred-name "param" index),
+    with an index of at most MAX_STAGE_INDEX."""
     node = sexpr.read(text)
     if not isinstance(node, sexpr.Group) or len(node) != 4 \
             or node[0] != "stage":
@@ -174,6 +179,8 @@ def read_stage(text):
     except ValueError:
         raise BuildError("stage index must be a nonnegative integer, got %r"
                          % str(node[3])) from None
+    if index > MAX_STAGE_INDEX:
+        raise BuildError("stage index %d is above %d" % (index, MAX_STAGE_INDEX))
     return reals.StagedChildSource(pred, index)
 
 

@@ -52,8 +52,8 @@ from fractions import Fraction
 from itertools import combinations, repeat
 
 from .dyadics import Dyadic, Enclosure, ZERO, ONE, dotminus, half, neg
-from .formulas import (Atomic, CInf, CSup, DotMinus, GeneratedFamily, Half,
-                       InfQ, Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
+from .formulas import (Atomic, CInf, DotMinus, GeneratedFamily, Half, InfQ,
+                       Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
                        get_generator)
 from .records import record
 
@@ -75,10 +75,7 @@ class TruncationSchedule:
     depths: tuple
 
     def __post_init__(self):
-        if isinstance(self.depths, int):
-            object.__setattr__(self, "depths", (self.depths,))
-        else:
-            object.__setattr__(self, "depths", tuple(self.depths))
+        object.__setattr__(self, "depths", tuple(self.depths))
         if not self.depths:
             raise ValueError("schedule needs at least one depth")
         for d in self.depths:
@@ -95,11 +92,7 @@ class TruncationSchedule:
 
 
 def _freeze_env(env):
-    if not env:
-        return ()
-    if isinstance(env, dict):
-        return tuple(sorted(env.items()))
-    return tuple(sorted(env))
+    return tuple(sorted(env.items())) if env else ()
 
 
 def _bind(env, var, p):

@@ -19,8 +19,6 @@ Grammar (whitespace-insensitive, prefix form):
     VAR     := x<digits>
 """
 
-from functools import cached_property
-
 from . import sexpr
 from .dyadics import natural
 from .ordinals import OrdinalCNF, ZERO_ORD, from_int
@@ -57,6 +55,7 @@ class ClassificationError(FormulaError):
 #
 # Every node gets its code and whether it is finitary (no CInf or CSup below
 # it) as it is made, from its children's, so reading either never recurses.
+# A family gets its code as it is made too.
 
 
 class _Node:
@@ -128,10 +127,8 @@ class ExplicitFamily:
     def __post_init__(self):
         if not self.members:
             raise ValueError("explicit family needs at least one member")
-
-    @cached_property
-    def code(self):
-        return "(list %s)" % " ".join(m.code for m in self.members)
+        object.__setattr__(self, "code", "(list %s)" % " ".join(
+            m.code for m in self.members))
 
     def member(self, n):
         if 0 <= n < len(self.members):
@@ -149,9 +146,9 @@ class GeneratedFamily:
     generator: str
     params: object  # hashable, compared by value; str(params) is its code text
 
-    @cached_property
-    def code(self):
-        return "(gen %s %s)" % (self.generator, sexpr.quote(str(self.params)))
+    def __post_init__(self):
+        object.__setattr__(self, "code", "(gen %s %s)" % (
+            self.generator, sexpr.quote(str(self.params))))
 
     def member(self, n):
         if n < 0:

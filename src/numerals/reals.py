@@ -277,7 +277,7 @@ class CutEnumerator:
                    Dyadic(self._edge(level - 1), level - 1))
 
 
-# --------------------------------------------------------- sigma-2 predicates
+# ------------------------------------------------- sigma-2 reals by stages
 #
 # Each predicate family encodes one real r as a total decidable relation
 # R(x0, x1, q) with: q > r <=> exists x0 forall x1 R (right side), and
@@ -294,57 +294,12 @@ _PREDICATE_SIDES = {
 
 
 @record
-class Sigma2Predicate:
-    name: str
-    param: str
-
-    @cached_property
-    def side(self):
-        return _PREDICATE_SIDES[self.name]
-
-    @cached_property
-    def c(self):
-        return rational(self.param)
-
-    @cached_property
-    def _rule(self):
-        """(c's numerator, c's denominator, right-sided, lagged)."""
-        return (self.c.numerator, self.c.denominator, self.side == RIGHT,
-                self.name.startswith("lagged"))
-
-    def neg_witness(self, x0, num, den):
-        """Least x1 with not R(x0, x1, num/den), den > 0, or None when R
-        holds for all x1: when q's gap beyond c, over d = den * cd, exceeds
-        2^-x0, as a gap of at least 1/d does once 2^x0 > d (so the shift
-        stays small)."""
-        cn, cd, right, lagged = self._rule
-        gap = num * cd - cn * den if right else cn * den - num * cd
-        den *= cd
-        if gap > 0 and (x0 >= den.bit_length() or gap << x0 > den):
-            return None
-        return x0 + 1 if lagged else 0
-
-
-def sigma2_predicate(name, param):
-    if name not in _PREDICATE_SIDES:
-        raise RealSourceError("unknown predicate %r" % name)
-    pred = Sigma2Predicate(name, param)
-    try:
-        c = pred.c
-    except (ValueError, ZeroDivisionError):
-        raise RealSourceError("predicate parameter %r is not rational" % param) from None
-    if not 0 <= c <= 1:
-        raise RealSourceError("predicate value %s outside [0,1]" % param)
-    return pred
-
-
-# -------------------------------------------------------- staged extraction
-
-
-@record
 class SequenceExtraction:
-    """The monotone sequence extracted from one sigma-2 predicate, as a
-    plain value of the predicate.
+    """The sigma-2 real of one predicate, as a plain value of its name and
+    parameter: the predicate itself (neg_witness), the monotone sequence
+    extracted from it by stages (s_approx, r_approx, limit_r), and the
+    level-2 real source of (real sigma2-... name "param"), whose child n
+    is the level-1 source of r_n.
 
     Right side: S_n = (-inf,0) union {q < 1 : exists x1 not R1(n,x1,q)},
     s_n = sup S_n, r_n = min{s_0..s_n}; stage t bounds both searches (the
@@ -382,11 +337,49 @@ class SequenceExtraction:
     limit_r is the same with t = infinity, clamped.
     """
 
-    pred: Sigma2Predicate
+    name: str
+    param: str
+
+    level = LEVEL_TWO
+
+    @cached_property
+    def side(self):
+        return _PREDICATE_SIDES[self.name]
+
+    @cached_property
+    def c(self):
+        return rational(self.param)
+
+    @cached_property
+    def _rule(self):
+        """(c's numerator, c's denominator, right-sided, lagged)."""
+        return (self.c.numerator, self.c.denominator, self.side == RIGHT,
+                self.name.startswith("lagged"))
+
+    def neg_witness(self, x0, num, den):
+        """Least x1 with not R(x0, x1, num/den), den > 0, or None when R
+        holds for all x1: when q's gap beyond c, over d = den * cd, exceeds
+        2^-x0, as a gap of at least 1/d does once 2^x0 > d (so the shift
+        stays small)."""
+        cn, cd, right, lagged = self._rule
+        gap = num * cd - cn * den if right else cn * den - num * cd
+        den *= cd
+        if gap > 0 and (x0 >= den.bit_length() or gap << x0 > den):
+            return None
+        return x0 + 1 if lagged else 0
+
+    def cmp_to(self, q):
+        return _sign(self.c - q)
+
+    def child(self, n):
+        """r_n of the extraction, at level 1 on the other side: falling to
+        the real on the right, rising on the left."""
+        return StagedChildSource(self, n)
 
     @property
-    def side(self):
-        return self.pred.side
+    def descriptor(self):
+        tag = "sigma2-right" if self.side == RIGHT else "sigma2-left"
+        return "(real %s %s %s)" % (tag, self.name, sexpr.quote(self.param))
 
     @property
     def _edge(self):
@@ -418,7 +411,7 @@ class SequenceExtraction:
         a, b = unpair(n)
         w = a + b
         right = self.side == RIGHT
-        witness = self.pred.neg_witness
+        witness = self.neg_witness
         xn, xd = self._edge
         for j, (num, den) in zip(range(max(b, w - 1) + 1), rationals()):
             wb = witness(w - j if j <= b else w - 1 - j, num, den)
@@ -431,7 +424,7 @@ class SequenceExtraction:
         """Stage-t approximation of s_m, as a Dyadic (closed form above)."""
         e, j = unpair(m)
         qj = q(j)
-        wb = self.pred.neg_witness(e, *qj)
+        wb = self.neg_witness(e, *qj)
         return self._grid(self._edge if wb is not None and wb < t else qj, t)
 
     def r_approx(self, n, t):
@@ -443,13 +436,27 @@ class SequenceExtraction:
         return clamp01(Fraction(*self._extremum(n, math.inf)))
 
 
+def sigma2_predicate(name, param):
+    if name not in _PREDICATE_SIDES:
+        raise RealSourceError("unknown predicate %r" % name)
+    pred = SequenceExtraction(name, param)
+    try:
+        c = pred.c
+    except (ValueError, ZeroDivisionError):
+        raise RealSourceError("predicate parameter %r is not rational" % param) from None
+    if not 0 <= c <= 1:
+        raise RealSourceError("predicate value %s outside [0,1]" % param)
+    return pred
+
+
 # --------------------------------------------------------------- real sources
 #
 # A real source is a description of a real with a declared recursion level;
 # the numeral builders dispatch on its kind. Sources whose side is None fit
 # either side of a recipe. A source that can take a step (see check_step)
 # gives the real source of member n of its step family as child(n). The
-# source of (real builtin "...") is its comparison target, a Target above.
+# source of (real builtin "...") is its comparison target, a Target above,
+# and that of (real sigma2-... name "param") its SequenceExtraction.
 
 
 @record
@@ -469,30 +476,6 @@ class ConstantSource:
     @property
     def descriptor(self):
         return "(real constant %s %s)" % (sexpr.quote(str(self.value)), self.level)
-
-
-@record
-class Sigma2Source:
-    pred: Sigma2Predicate
-
-    level = LEVEL_TWO
-
-    @property
-    def side(self):
-        return self.pred.side
-
-    def cmp_to(self, q):
-        return _sign(self.pred.c - q)
-
-    def child(self, n):
-        """r_n of the extraction, at level 1 on the other side: falling to
-        the real on the right, rising on the left."""
-        return StagedChildSource(self.pred, n)
-
-    @property
-    def descriptor(self):
-        tag = "sigma2-right" if self.side == RIGHT else "sigma2-left"
-        return "(real %s %s %s)" % (tag, self.pred.name, sexpr.quote(self.pred.param))
 
 
 @record
@@ -564,7 +547,7 @@ class LeveledSource:
 class StagedChildSource:
     """Level-1 source for r_n of an extraction, known only through stages."""
 
-    pred: Sigma2Predicate
+    pred: SequenceExtraction
     index: int
 
     level = LEVEL_ONE
@@ -626,7 +609,7 @@ def _source_from(node):
         want = RIGHT if kind == "sigma2-right" else LEFT
         if pred.side != want:
             raise RealSourceError("predicate %s is %s-sided" % (pred.name, pred.side))
-        return Sigma2Source(pred)
+        return pred
     if kind == "geometric":
         if len(args) != 3:
             raise RealSourceError('(real geometric side level "value") takes three '
@@ -663,14 +646,6 @@ def _source_from(node):
     raise RealSourceError("unknown real-source kind %r" % kind)
 
 
-def parse_real_source(text):
-    try:
-        node = sexpr.read(text)
-    except sexpr.SexprError as err:
-        raise RealSourceError("bad real descriptor: %s" % err) from None
-    return _source_from(node)
-
-
 # ---------------------------------------------------------------- step rules
 
 
@@ -695,6 +670,6 @@ def check_step(source, side, limit):
         raise RealSourceError("nothing to lift at level %s" % level)
     if not level.is_successor():
         raise RealSourceError("level %s is a limit, not a successor" % level)
-    if not isinstance(source, (Sigma2Source, ConstantSource, GeometricSource)):
+    if not isinstance(source, (SequenceExtraction, ConstantSource, GeometricSource)):
         raise RealSourceError("cannot lift %s at level %s"
                               % (type(source).__name__, level))

@@ -14,7 +14,7 @@ import pytest
 
 from numerals import acceptance
 from numerals.engine import Engine
-from numerals.reals import RIGHT, SequenceExtraction, sigma2_predicate
+from numerals.reals import RIGHT, sigma2_predicate
 
 from test_reals import limit_s
 
@@ -46,7 +46,7 @@ def test_criterion_3_sandwich_convergence(results):
 
 
 def _check_staged_side(name, param, target, first_index):
-    ext = SequenceExtraction(sigma2_predicate(name, param))
+    ext = sigma2_predicate(name, param)
     rising = ext.side == RIGHT
     tol = Fraction(1, 256)
     grid = (1, 4, 16, 64, 256, 1024)
@@ -100,8 +100,8 @@ def test_staged_extraction_actual_accuracy():
     # exactly these, 253/1536 from the targets; `numerals demo` reports
     # them as its FAIL line, and the criterion's test checks the 2^-8
     # accuracy at the first index that can reach it
-    right = SequenceExtraction(sigma2_predicate("geometric-above", "1/3"))
-    left = SequenceExtraction(sigma2_predicate("geometric-below", "2/3"))
+    right = sigma2_predicate("geometric-above", "1/3")
+    left = sigma2_predicate("geometric-below", "2/3")
     r = right.r_approx(32, 1024).as_fraction()
     l = left.r_approx(32, 1024).as_fraction()
     assert r == Fraction(255, 512)

@@ -17,8 +17,7 @@ from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, LEVEL_ONE, RIGHT, ConstantSource,
                             CutEnumerator, GeometricSource, LeveledSource,
-                            RationalTarget, RealSourceError,
-                            SequenceExtraction, Sigma2Source, parse_target,
+                            RationalTarget, RealSourceError, parse_target,
                             sigma2_predicate)
 from numerals.spaces import builtin_suite
 
@@ -180,13 +179,12 @@ def test_level_one_recipe_sources_are_cut_targets():
 
 def test_staged_child_numeral_members():
     pred = sigma2_predicate("geometric-above", "1/3")
-    phi = build_numeral(LEFT, LEVEL_ONE, Sigma2Source(pred).child(11))
+    phi = build_numeral(LEFT, LEVEL_ONE, pred.child(11))
     assert phi.code == \
         '(csup (gen staged-approx "(stage geometric-above \\"1/3\\" 11)"))'
-    ex = SequenceExtraction(pred)
     for t in (1, 16, 64):
         member = phi.family.member(t)
-        assert member.code == code(ex.r_approx(11, t), FORALL)
+        assert member.code == code(pred.r_approx(11, t), FORALL)
 
 
 def test_successor_members_requested_once(monkeypatch):
@@ -257,7 +255,7 @@ def test_build_level_one_left_half_value():
 
 
 def test_build_level_two():
-    src = Sigma2Source(sigma2_predicate("geometric-above", "1/3"))
+    src = sigma2_predicate("geometric-above", "1/3")
     phi = build_numeral(RIGHT, from_int(2), src)
     assert isinstance(phi, CInf)
     assert phi.family.generator == "successor-members"
@@ -278,7 +276,7 @@ def test_build_limit_level():
 
 
 def test_build_guards():
-    src = Sigma2Source(sigma2_predicate("geometric-above", "1/3"))
+    src = sigma2_predicate("geometric-above", "1/3")
     with pytest.raises(BuildError):
         build_numeral(LEFT, from_int(2), src)
     with pytest.raises(BuildError):
@@ -358,6 +356,21 @@ CORPUS_RECIPES = RIGHT_CORPUS + LEFT_CORPUS + (
     '(numeral left w (real leveled left w (members constant "1/2")))',
     '(numeral left w+1 (real constant "1/2" w+1))',
 )
+
+
+def test_sigma2_recipe_sources_are_what_staged_children_read():
+    # a sigma-2 recipe's source is the one value its step family holds and
+    # each staged child's params read their extraction from
+    sigma2 = [parse_recipe(text) for text in CORPUS_RECIPES + LADDER_RECIPES
+              if "(real sigma2-" in text]
+    assert len(sigma2) == 10
+    for recipe in sigma2:
+        phi = recipe.build()
+        assert parse_recipe(recipe.descriptor) == recipe
+        assert parse(phi.code).code == phi.code
+        assert phi.family.params.source == recipe.source
+        for n in (0, 5):
+            assert phi.family.member(n).family.params.pred == recipe.source
 
 
 def _family_tree(phi, levels):

@@ -7,8 +7,10 @@ import tracemalloc
 import pytest
 
 import numerals
+from numerals.builders import MAX_STAGE_INDEX
 from numerals.cli import main
 from numerals.dyadics import MAX_EXP, MAX_SCALE, Dyadic
+from numerals.formulas import parse
 
 from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 
@@ -255,6 +257,23 @@ def test_eval_unbound_variable(capsys):
 def test_eval_missing_file_is_part_of_code(capsys):
     code, _, err = run(capsys, "eval", "(dist x0 x1)", "nosuchfile.txt")
     assert code == 2  # joined into the code and rejected as syntax
+
+
+STAGED = '(csup (gen staged-approx "(stage geometric-above \\"1/3\\" %d)"))'
+
+
+def test_stage_index_bound(capsys):
+    # each member of index n scans about sqrt(2n) rationals: at the default
+    # depth, index 10^13 took 12 s and 10^14 57 s before the bound
+    assert MAX_STAGE_INDEX == 10 ** 12
+    phi = parse(STAGED % MAX_STAGE_INDEX)
+    assert phi.family.params.index == MAX_STAGE_INDEX
+    started = time.perf_counter()
+    code, out, err = run(capsys, "eval", STAGED % (MAX_STAGE_INDEX + 1))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == "error: stage index %d is above %d\n" % (MAX_STAGE_INDEX + 1,
+                                                          MAX_STAGE_INDEX)
 
 
 def test_eval_successor_of_level_one_rejected(capsys):

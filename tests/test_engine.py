@@ -32,7 +32,6 @@ def dn(num, exp, flavor=EXISTS):
 def test_schedule_forms():
     assert TruncationSchedule.uniform(8).depths == (8,)
     assert TruncationSchedule.default(8).depths == (8, 32)
-    assert TruncationSchedule(5).depths == (5,)
     assert TruncationSchedule([3, 7]).depths == (3, 7)
 
 
@@ -42,7 +41,7 @@ def test_schedule_rejects():
     with pytest.raises(ValueError):
         TruncationSchedule((4, 0))
     with pytest.raises(ValueError):
-        TruncationSchedule(-2)
+        TruncationSchedule((-2,))
 
 
 def test_eval_exact_constants():

@@ -5,7 +5,7 @@ from numerals.dyadics import Dyadic
 from numerals.formulas import (Atomic, CInf, CSup, ClassificationError,
                                DotMinus, ExplicitFamily, ExhaustedFamilyError,
                                FINITARY, FormulaSyntaxError, GeneratedFamily,
-                               Half, InfQ, Neg, PI, Rank, SIGMA, SupQ,
+                               Half, InfQ, Neg, PI, Rank, SIGMA,
                                UnknownGeneratorError, classify, free_vars,
                                get_generator, parse, pi_level,
                                register_generator, sigma_level)

@@ -6,19 +6,23 @@ from itertools import accumulate, islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from numerals import reals
+from numerals import reals, sexpr
 from numerals.dyadics import Dyadic, from_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
 from numerals.reals import (LEFT, RIGHT, ConstantSource, CutEnumerator,
                             GeometricSource, LeveledSource, RealSourceError,
-                            SequenceExtraction, Sigma2Predicate, Sigma2Source,
-                            StagedChildSource, check_step, clamp01, pair,
-                            parse_real_source, parse_target, rationals,
+                            SequenceExtraction, StagedChildSource, check_step,
+                            clamp01, pair, parse_target, rationals,
                             sigma2_predicate, unpair)
 
 from test_engine import cut_targets
 
 F = Fraction
+
+
+def read_source(text):
+    """The real source of a (real ...) descriptor."""
+    return reals._source_from(sexpr.read(text))
 
 
 def get_cut(text, side):
@@ -31,7 +35,7 @@ def limit_s(ex, m):
     else the edge (1 on the right, 0 on the left)."""
     e, j = unpair(m)
     num, den = reals.q(j)
-    if ex.pred.neg_witness(e, num, den) is None:
+    if ex.neg_witness(e, num, den) is None:
         return clamp01(F(num, den))
     return F(1 if ex.side == RIGHT else 0)
 
@@ -292,7 +296,7 @@ def fraction_constructions(call):
 def test_row_scan_and_cut_edges_build_no_fraction(predicate, target):
     # the staged row scan and the cut edges run on ints alone: the count
     # stays 0 however many rows or levels a call reads
-    ex = SequenceExtraction(sigma2_predicate(predicate, "1/3"))
+    ex = sigma2_predicate(predicate, "1/3")
     cuts = [get_cut(target, LEFT), get_cut(target, RIGHT)]
     assert fraction_constructions(lambda: F(1, 3) + F(1, 5)) >= 2
     assert fraction_constructions(lambda: ex.limit_r(1023)) >= 1
@@ -389,7 +393,7 @@ class TransformedR1:
     guard and is closed downward.
     """
 
-    pred: Sigma2Predicate
+    pred: SequenceExtraction
 
     def holds(self, x0, x1, q):
         e, j = unpair(x0)
@@ -447,7 +451,7 @@ def test_transform_monotone_in_q():
 
 
 def test_staged_values_right():
-    ex = SequenceExtraction(sigma2_predicate("geometric-above", "1/3"))
+    ex = sigma2_predicate("geometric-above", "1/3")
     grid = (1, 4, 16, 64, 256, 1024)
     assert [ex.s_approx(11, t) for t in grid] == \
         [Dyadic(0, 0), Dyadic(1, 2), Dyadic(3, 3), Dyadic(15, 5),
@@ -468,7 +472,7 @@ def test_staged_values_right():
 
 
 def test_staged_values_left():
-    ex = SequenceExtraction(sigma2_predicate("geometric-below", "2/3"))
+    ex = sigma2_predicate("geometric-below", "2/3")
     grid = (1, 4, 16, 64, 256, 1024)
     assert [ex.s_approx(11, t) for t in grid] == \
         [Dyadic(1, 0), Dyadic(1, 0), Dyadic(5, 3), Dyadic(17, 5),
@@ -530,8 +534,7 @@ def _simulated_row(pred, m, entering):
 def test_closed_form_matches_simulation(name, param):
     # t up to 520 crosses the level boundary K = 2^8 - 1 (t = 510, 511)
     # and every lagged threshold core_wb = e + 1 for m < 200
-    pred = sigma2_predicate(name, param)
-    ex = SequenceExtraction(pred)
+    ex = pred = sigma2_predicate(name, param)
     entering = _entering(520)
     for m in range(200):
         row = _simulated_row(pred, m, entering)
@@ -556,7 +559,7 @@ LEVEL_EDGES = st.integers(1, 11).flatmap(
 def test_extremum_scan_matches_running_extrema(name, param, n, t):
     # r_n is the running extremum of s_0..s_n, at each stage and in the
     # limit; the scan reads one row per q_j instead
-    ex = SequenceExtraction(sigma2_predicate(name, param))
+    ex = sigma2_predicate(name, param)
     pick = min if ex.side == RIGHT else max
     staged = list(accumulate((ex.s_approx(m, t) for m in range(n + 1)), pick))
     limits = list(accumulate((limit_s(ex, m) for m in range(n + 1)), pick))
@@ -572,10 +575,10 @@ def test_rationals_walk_matches_q():
 
 
 def test_prefix_extremum_monotone_in_n():
-    ex = SequenceExtraction(sigma2_predicate("geometric-above", "1/3"))
+    ex = sigma2_predicate("geometric-above", "1/3")
     vals = [ex.r_approx(n, 256) for n in range(33)]
     assert vals == sorted(vals, reverse=True)
-    exl = SequenceExtraction(sigma2_predicate("geometric-below", "2/3"))
+    exl = sigma2_predicate("geometric-below", "2/3")
     vals = [exl.r_approx(n, 256) for n in range(33)]
     assert vals == sorted(vals)
 
@@ -583,9 +586,9 @@ def test_prefix_extremum_monotone_in_n():
 def test_extraction_side_guards():
     # an extraction is a plain value of its predicate, on the predicate's side
     right = sigma2_predicate("geometric-above", "1/3")
-    assert SequenceExtraction(right) == SequenceExtraction(right)
-    assert SequenceExtraction(right).side == RIGHT
-    assert SequenceExtraction(sigma2_predicate("lagged-below", "5/7")).side == LEFT
+    assert right == sigma2_predicate("geometric-above", "1/3")
+    assert right.side == RIGHT
+    assert sigma2_predicate("lagged-below", "5/7").side == LEFT
 
 
 def test_source_round_trips():
@@ -598,16 +601,16 @@ def test_source_round_trips():
              '(real leveled right w (members constant "1/2"))',
              '(real leveled left w*2 (members geometric "2/3"))']
     for text in texts:
-        assert parse_real_source(text).descriptor == text
+        assert read_source(text).descriptor == text
 
 
 def test_source_levels_and_sides():
-    assert parse_real_source('(real builtin "1/3")').level == from_int(1)
-    assert parse_real_source('(real builtin "1/3")').side is None
-    src = parse_real_source('(real sigma2-right geometric-above "1/3")')
+    assert read_source('(real builtin "1/3")').level == from_int(1)
+    assert read_source('(real builtin "1/3")').side is None
+    src = read_source('(real sigma2-right geometric-above "1/3")')
     assert src.level == from_int(2)
     assert src.side == RIGHT
-    lvl = parse_real_source('(real leveled right w (members constant "1/2"))')
+    lvl = read_source('(real leveled right w (members constant "1/2"))')
     assert lvl.level == OMEGA
     assert lvl.cmp_to(F(1, 4)) == 1
     assert lvl.cmp_to(F(1, 2)) == 0
@@ -632,7 +635,7 @@ def test_source_rejects():
            '(dist x0 x1)']
     for text in bad:
         with pytest.raises(RealSourceError):
-            parse_real_source(text)
+            read_source(text)
 
 
 def test_lift_level_one_running_extrema():
@@ -655,34 +658,32 @@ def test_lift_level_one_running_extrema():
 
 
 def test_lift_successor_sigma2():
-    src = Sigma2Source(sigma2_predicate("geometric-above", "1/3"))
+    src = sigma2_predicate("geometric-above", "1/3")
     check_step(src, RIGHT, limit=False)
-    ex = SequenceExtraction(src.pred)
-    limits = [ex.limit_r(src.child(n).index) for n in range(16)]
+    limits = [src.limit_r(src.child(n).index) for n in range(16)]
     assert limits == sorted(limits, reverse=True)  # falling to the real
     child = src.child(11)
     assert isinstance(child, StagedChildSource)
     assert child.side == LEFT
     assert child.level == from_int(1)
-    assert ex.limit_r(child.index) == F(1, 2)
-    assert ex.limit_r(src.child(10).index) > F(1, 2)
-    assert SequenceExtraction(child.pred).r_approx(child.index, 1024) == \
-        Dyadic(255, 9)
+    assert src.limit_r(child.index) == F(1, 2)
+    assert src.limit_r(src.child(10).index) > F(1, 2)
+    assert child.pred.r_approx(child.index, 1024) == Dyadic(255, 9)
 
 
 def test_lift_successor_geometric():
-    src = parse_real_source('(real geometric right 3 "1/3")')
+    src = read_source('(real geometric right 3 "1/3")')
     check_step(src, RIGHT, limit=False)
     assert [src.child(n).value for n in range(3)] == [F(1), F(5, 6), F(7, 12)]
     assert src.child(0).level == from_int(2)
-    low = parse_real_source('(real geometric left 3 "2/3")')
+    low = read_source('(real geometric left 3 "2/3")')
     check_step(low, LEFT, limit=False)
     assert [low.child(n).value for n in range(3)] == [F(0), F(1, 6), F(5, 12)]
 
 
 def test_lift_guards():
     with pytest.raises(RealSourceError):
-        check_step(Sigma2Source(sigma2_predicate("geometric-above", "1/3")),
+        check_step(sigma2_predicate("geometric-above", "1/3"),
                    LEFT, limit=False)
     with pytest.raises(RealSourceError):
         check_step(ConstantSource(F(1, 2), from_int(0)), RIGHT, limit=False)
@@ -693,7 +694,7 @@ def test_lift_guards():
 
 
 def test_limit_decomposition_geometric():
-    src = parse_real_source('(real leveled right w (members geometric "1/3"))')
+    src = read_source('(real leveled right w (members geometric "1/3"))')
     check_step(src, RIGHT, limit=True)
     assert [src.child(n).value for n in range(3)] == [F(1), F(5, 6), F(7, 12)]
     assert src.child(0).level == from_int(1)
@@ -703,7 +704,7 @@ def test_limit_decomposition_geometric():
 
 
 def test_limit_decomposition_constant():
-    src = parse_real_source('(real leveled left w (members constant "1/2"))')
+    src = read_source('(real leveled left w (members constant "1/2"))')
     check_step(src, LEFT, limit=True)
     for n in range(6):
         assert src.child(n).value == F(1, 2)
@@ -711,7 +712,7 @@ def test_limit_decomposition_constant():
 
 
 def test_limit_decomposition_above_omega():
-    src = parse_real_source('(real leveled right w^2 (members constant "1/2"))')
+    src = read_source('(real leveled right w^2 (members constant "1/2"))')
     check_step(src, RIGHT, limit=True)
     assert src.child(3).level == parse_ordinal("w*3")
 
@@ -719,7 +720,7 @@ def test_limit_decomposition_above_omega():
 def test_limit_decomposition_guards():
     with pytest.raises(RealSourceError):
         check_step(parse_target("1/3"), RIGHT, limit=True)
-    src = parse_real_source('(real leveled right w (members constant "1/2"))')
+    src = read_source('(real leveled right w (members constant "1/2"))')
     with pytest.raises(RealSourceError):
         check_step(src, LEFT, limit=True)
 

@@ -17,14 +17,14 @@ from numerals.formulas import (SIGMA, Atomic, CInf, CSup, DotMinus,
 from numerals.ordinals import OMEGA, OrdinalCNF, from_int
 from numerals.reals import (RIGHT, ConstantSource, CutEnumerator,
                             GeometricSource, LeveledSource, RationalTarget,
-                            SequenceExtraction, Sigma2Predicate, Sigma2Source,
-                            SqrtHalfTarget, StagedChildSource)
+                            SequenceExtraction, SqrtHalfTarget,
+                            StagedChildSource)
 from numerals.records import record
 from numerals.spaces import FiniteMetricSpace, ValidationReport
 
 ATOM = Atomic(0, 1)
 FAMILY = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
-PRED = Sigma2Predicate("geometric-above", "1/3")
+PRED = SequenceExtraction("geometric-above", "1/3")
 THIRD = RationalTarget(Fraction(1, 3), "1/3")
 GEOMETRIC = GeometricSource(RIGHT, from_int(3), Fraction(1, 3))
 ENCLOSURE = Enclosure(ZERO, HALF)
@@ -58,9 +58,7 @@ EXAMPLES = [
     SqrtHalfTarget(),
     CutEnumerator(THIRD, RIGHT),
     PRED,
-    SequenceExtraction(PRED),
     ConstantSource(Fraction(1, 2), from_int(2)),
-    Sigma2Source(PRED),
     GEOMETRIC,
     LeveledSource(RIGHT, OMEGA, "constant", Fraction(1, 2)),
     StagedChildSource(PRED, 3),
