@@ -20,7 +20,7 @@ registered with each makes the same value from the text of a code.
 
 
 from . import reals, sexpr
-from .dyadics import Dyadic, MAX_EXP, ZERO, ONE, HALF, in_unit, natural
+from .dyadics import Dyadic, MAX_EXP, ZERO, ONE, HALF, in_unit
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        PI, Rank, SIGMA, SupQ, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
@@ -174,11 +174,15 @@ def read_stage(text):
         raise BuildError('staged-approx params must be '
                          '(stage pred-name "param" index)')
     pred = reals.sigma2_predicate(str(node[1]), str(node[2]))
-    try:
-        index = natural(str(node[3]))
-    except ValueError:
-        raise BuildError("stage index must be a nonnegative integer, got %r"
-                         % str(node[3])) from None
+    text = str(node[3])
+    if not text.isascii() or not text.isdigit():
+        raise BuildError("stage index must be a nonnegative integer, got %r" % text)
+    # refused unread when it has more digits than the bound: int() takes 4,300
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_STAGE_INDEX)):
+        raise BuildError("stage index of %d digits is above %d"
+                         % (len(digits), MAX_STAGE_INDEX))
+    index = int(digits)
     if index > MAX_STAGE_INDEX:
         raise BuildError("stage index %d is above %d" % (index, MAX_STAGE_INDEX))
     return reals.StagedChildSource(pred, index)
@@ -258,8 +262,10 @@ def build_numeral(side, level, source):
                          % (source.level, level))
     if level.is_zero():
         raise BuildError("numerals start at level 1")
+    constant = isinstance(source, reals.RationalSource) \
+        and source.side is None and source.scheme == "constant"
     if level == LEVEL_ONE:
-        if isinstance(source, reals.ConstantSource):
+        if constant:
             source = reals.RationalTarget(source.value, str(source.value))
         if isinstance(source, reals.Target):
             name = "dyadic-upper-cut" if side == RIGHT else "dyadic-lower-cut"
@@ -271,8 +277,8 @@ def build_numeral(side, level, source):
         family = GeneratedFamily(name, source)
     else:
         name = "successor-members" if level.is_successor() else "limit-members"
-        if level.is_limit() and isinstance(source, reals.ConstantSource):
-            source = reals.LeveledSource(side, level, "constant", source.value)
+        if constant and level.is_limit():
+            source = reals.RationalSource(side, level, "constant", source.value)
         reals.check_step(source, side, level.is_limit())
         family = GeneratedFamily(name, StepParams(side, source))
     return CInf(family) if side == RIGHT else CSup(family)

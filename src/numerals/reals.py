@@ -451,77 +451,34 @@ def sigma2_predicate(name, param):
 
 # --------------------------------------------------------------- real sources
 #
-# A real source is a description of a real with a declared recursion level;
-# the numeral builders dispatch on its kind. Sources whose side is None fit
-# either side of a recipe. A source that can take a step (see check_step)
-# gives the real source of member n of its step family as child(n). The
-# source of (real builtin "...") is its comparison target, a Target above,
-# and that of (real sigma2-... name "param") its SequenceExtraction.
+# A real source describes a real with a declared recursion level; one whose
+# side is None fits either side of a recipe. A source that can take a step
+# (see check_step) gives the real source of member n of its step family as
+# child(n). (real builtin "...") reads a Target above and (real sigma2-...
+# name "param") a SequenceExtraction. The constant, geometric and leveled
+# forms read one RationalSource, whose child(n) is the paper's member rule
+# for both kinds of step: member n is the numeral, one step down, of the
+# rational member_value(n).
 
 
 @record
-class ConstantSource:
-    value: Fraction
-    level: OrdinalCNF
-
-    side = None
-
-    def cmp_to(self, q):
-        return _sign(self.value - q)
-
-    def child(self, n):
-        """The value itself, one level down."""
-        return ConstantSource(self.value, self.level.predecessor())
-
-    @property
-    def descriptor(self):
-        return "(real constant %s %s)" % (sexpr.quote(str(self.value)), self.level)
-
-
-@record
-class GeometricSource:
-    """A rational at a declared successor level >= 2; its successor children
-    are the constants value +/- 2^-n pushed one level down on the other side."""
-
-    side: str
-    level: OrdinalCNF
-    value: Fraction
-
-    def cmp_to(self, q):
-        return _sign(self.value - q)
-
-    def child(self, n):
-        gap = Fraction(1, 1 << n)
-        value = self.value + gap if self.side == RIGHT else self.value - gap
-        return ConstantSource(clamp01(value), self.level.predecessor())
-
-    @property
-    def descriptor(self):
-        return "(real geometric %s %s %s)" % (self.side, self.level,
-                                              sexpr.quote(str(self.value)))
-
-
-@record
-class LeveledSource:
-    """A limit-level real given with its cofinal member scheme.
-
-    scheme "constant": every member is the value itself at level h(n);
-    scheme "geometric": member n approaches the value from the declared
-    side's far end, again at level h(n). h(n) walks the fundamental
-    sequence of the limit, floored at 1.
+class RationalSource:
+    """A rational value at a declared level, on a side or (side None) on
+    either. Scheme "constant" keeps the value in every member; "geometric"
+    nears it from the side's far end as value +/- 2^-n. child(n) is the
+    constant of member_value(n) at the predecessor of a successor level, or
+    at h(n), the n-th of a limit's fundamental sequence floored at 1. The
+    descriptor is the constant form if unsided, else leveled at a limit level
+    and geometric at a successor; check_step refuses what none reads back.
     """
 
-    side: str
+    side: object
     level: OrdinalCNF
     scheme: str
     value: Fraction
 
     def cmp_to(self, q):
         return _sign(self.value - q)
-
-    def h(self, n):
-        lvl = self.level.fundamental(n)
-        return lvl if not lvl.is_zero() else LEVEL_ONE
 
     def member_value(self, n):
         """Value of member n. It is monotone in n, falling to the value on
@@ -530,17 +487,23 @@ class LeveledSource:
         and no prefix need be kept."""
         if self.scheme == "constant":
             return self.value
-        if self.side == RIGHT:
-            return clamp01(self.value + Fraction(1, 1 << n))
-        return clamp01(self.value - Fraction(1, 1 << n))
+        gap = Fraction(1, 1 << n)
+        return clamp01(self.value + gap if self.side == RIGHT else self.value - gap)
 
     def child(self, n):
-        return ConstantSource(self.member_value(n), self.h(n))
+        lvl = self.level
+        lvl = max(lvl.fundamental(n), LEVEL_ONE) if lvl.is_limit() else lvl.predecessor()
+        return RationalSource(None, lvl, "constant", self.member_value(n))
 
     @property
     def descriptor(self):
-        return "(real leveled %s %s (members %s %s))" % (
-            self.side, self.level, self.scheme, sexpr.quote(str(self.value)))
+        value = sexpr.quote(str(self.value))
+        if self.side is None:
+            return "(real constant %s %s)" % (value, self.level)
+        if self.level.is_limit():
+            return "(real leveled %s %s (members %s %s))" % (
+                self.side, self.level, self.scheme, value)
+        return "(real geometric %s %s %s)" % (self.side, self.level, value)
 
 
 @record
@@ -563,13 +526,15 @@ class StagedChildSource:
                                      self.index)
 
 
-def _rational_text(node, what):
+def _unit_rational(node, what, name):
     if not isinstance(node, sexpr.QuotedString):
         raise RealSourceError("%s must be a quoted rational" % what)
     try:
         value = rational(str(node))
     except (ValueError, ZeroDivisionError):
         raise RealSourceError("%s %r is not rational" % (what, str(node))) from None
+    if not 0 <= value <= 1:
+        raise RealSourceError("%s %s outside [0,1]" % (name, value))
     return value
 
 
@@ -581,6 +546,7 @@ def _level_of(node):
 
 
 def _source_from(node):
+    """The real source of a (real ...) descriptor."""
     if not isinstance(node, sexpr.Group) or not node or node[0] != "real":
         raise RealSourceError("expected (real ...)")
     if len(node) < 2:
@@ -591,16 +557,6 @@ def _source_from(node):
         if len(args) != 1 or not isinstance(args[0], sexpr.QuotedString):
             raise RealSourceError('(real builtin "name") takes one quoted name')
         return parse_target(str(args[0]))
-    if kind == "constant":
-        if len(args) != 2:
-            raise RealSourceError('(real constant "value" level) takes two arguments')
-        value = _rational_text(args[0], "constant value")
-        if not 0 <= value <= 1:
-            raise RealSourceError("constant %s outside [0,1]" % value)
-        level = _level_of(args[1])
-        if level.is_zero():
-            raise RealSourceError("constant level must be at least 1")
-        return ConstantSource(value, level)
     if kind in ("sigma2-right", "sigma2-left"):
         if len(args) != 2 or not isinstance(args[1], sexpr.QuotedString):
             raise RealSourceError('(real %s name "param") takes a predicate name '
@@ -610,40 +566,40 @@ def _source_from(node):
         if pred.side != want:
             raise RealSourceError("predicate %s is %s-sided" % (pred.name, pred.side))
         return pred
-    if kind == "geometric":
-        if len(args) != 3:
-            raise RealSourceError('(real geometric side level "value") takes three '
-                                  'arguments')
-        side = str(args[0])
-        if side not in (LEFT, RIGHT):
-            raise RealSourceError("side must be left or right")
+    if kind == "constant":
+        if len(args) != 2:
+            raise RealSourceError('(real constant "value" level) takes two arguments')
+        value = _unit_rational(args[0], "constant value", "constant")
         level = _level_of(args[1])
+        if level.is_zero():
+            raise RealSourceError("constant level must be at least 1")
+        return RationalSource(None, level, "constant", value)
+    if kind not in ("geometric", "leveled"):
+        raise RealSourceError("unknown real-source kind %r" % kind)
+    if kind == "geometric" and len(args) != 3:
+        raise RealSourceError('(real geometric side level "value") takes three '
+                              'arguments')
+    if kind == "leveled" and (len(args) != 3 or not isinstance(args[2], sexpr.Group)):
+        raise RealSourceError('(real leveled side level (members scheme "value")) '
+                              'takes a side, a level, and a members block')
+    side = str(args[0])
+    if side not in (LEFT, RIGHT):
+        raise RealSourceError("side must be left or right")
+    level = _level_of(args[1])
+    if kind == "geometric":
         if not level.is_successor() or level <= LEVEL_ONE:
             raise RealSourceError("geometric level must be a successor >= 2")
-        value = _rational_text(args[2], "geometric value")
-        if not 0 <= value <= 1:
-            raise RealSourceError("geometric value %s outside [0,1]" % value)
-        return GeometricSource(side, level, value)
-    if kind == "leveled":
-        if len(args) != 3 or not isinstance(args[2], sexpr.Group):
-            raise RealSourceError('(real leveled side level (members scheme "value")) '
-                                  'takes a side, a level, and a members block')
-        side = str(args[0])
-        if side not in (LEFT, RIGHT):
-            raise RealSourceError("side must be left or right")
-        level = _level_of(args[1])
-        if not level.is_limit():
-            raise RealSourceError("leveled sources need a limit level, got %s" % level)
-        mem = args[2]
-        if len(mem) != 3 or mem[0] != "members" \
-                or str(mem[1]) not in ("constant", "geometric"):
-            raise RealSourceError("members block must be "
-                                  '(members constant|geometric "value")')
-        value = _rational_text(mem[2], "member value")
-        if not 0 <= value <= 1:
-            raise RealSourceError("leveled value %s outside [0,1]" % value)
-        return LeveledSource(side, level, str(mem[1]), value)
-    raise RealSourceError("unknown real-source kind %r" % kind)
+        return RationalSource(side, level, "geometric", _unit_rational(
+            args[2], "geometric value", "geometric value"))
+    if not level.is_limit():
+        raise RealSourceError("leveled sources need a limit level, got %s" % level)
+    mem = args[2]
+    if len(mem) != 3 or mem[0] != "members" \
+            or str(mem[1]) not in ("constant", "geometric"):
+        raise RealSourceError("members block must be "
+                              '(members constant|geometric "value")')
+    return RationalSource(side, level, str(mem[1]), _unit_rational(
+        mem[2], "member value", "leveled value"))
 
 
 # ---------------------------------------------------------------- step rules
@@ -653,12 +609,15 @@ def check_step(source, side, limit):
     """Raise unless source can take a limit step (limit true) or a successor
     step on the recipe side; the step's members are then source.child(n).
 
-    A limit step needs a leveled source on the recipe side. A successor step
-    needs a source on that side (or on either) at a successor level >= 2,
-    given by a sigma-2 predicate, a constant, or a geometric rational: a
-    level-1 source has no child numerals.
+    A limit step needs a leveled source: a sided RationalSource at a limit
+    level. A successor step needs a source on that side (or on either) at a
+    successor level >= 2: a sigma-2 predicate, an unsided constant or a sided
+    geometric rational. A level-1 source has no child numerals, and no
+    descriptor reads back a sided constant or an unsided geometric source.
     """
-    if limit and not isinstance(source, LeveledSource):
+    rational = isinstance(source, RationalSource)
+    if limit and not (rational and source.side is not None
+                      and source.level.is_limit()):
         raise RealSourceError("limit decomposition needs a leveled source")
     if source.side is not None and source.side != side:
         raise RealSourceError("source is %s-sided, recipe says %s"
@@ -670,6 +629,7 @@ def check_step(source, side, limit):
         raise RealSourceError("nothing to lift at level %s" % level)
     if not level.is_successor():
         raise RealSourceError("level %s is a limit, not a successor" % level)
-    if not isinstance(source, (SequenceExtraction, ConstantSource, GeometricSource)):
+    if not (isinstance(source, SequenceExtraction) or rational
+            and (source.side is None) == (source.scheme == "constant")):
         raise RealSourceError("cannot lift %s at level %s"
                               % (type(source).__name__, level))

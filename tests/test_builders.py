@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from numerals import builders, reals, sexpr
 from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
@@ -15,15 +15,19 @@ from numerals.engine import Engine, TruncationSchedule
 from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
                                classify, free_vars, parse)
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (LEFT, LEVEL_ONE, RIGHT, ConstantSource,
-                            CutEnumerator, GeometricSource, LeveledSource,
-                            RationalTarget, RealSourceError, parse_target,
-                            sigma2_predicate)
+from numerals.reals import (LEFT, LEVEL_ONE, RIGHT, CutEnumerator,
+                            RationalSource, RationalTarget, RealSourceError,
+                            parse_target, sigma2_predicate)
 from numerals.spaces import builtin_suite
 
 F = Fraction
 NU_E0 = "(inf x0 (dist x0 x0))"
 NU_A0 = "(sup x0 (dist x0 x0))"
+
+def constant(value, level):
+    """The source of (real constant "value" level)."""
+    return RationalSource(None, level, "constant", value)
+
 
 def get_cut(text, side):
     return CutEnumerator(parse_target(text), side)
@@ -170,7 +174,7 @@ def test_level_one_recipe_sources_are_cut_targets():
     for recipe in level_one:
         phi = recipe.build()
         source = recipe.source
-        if isinstance(source, ConstantSource):
+        if isinstance(source, RationalSource):
             source = RationalTarget(source.value, str(source.value))
         assert phi.family.params == source
         assert parse_recipe(recipe.descriptor) == recipe
@@ -212,25 +216,61 @@ def test_successor_members_requested_once(monkeypatch):
 
 def test_limit_member_reads_one_member_value(monkeypatch):
     # member_value is monotone in n, so a limit member needs only its own
-    # value, not a running extremum over members 0..n
+    # value, not a running extremum over members 0..n; a successor member
+    # reads its own value too, through the same child(n)
     calls = {"value": 0, "member": 0}
-    value, member = LeveledSource.member_value, LimitMembersGenerator.member
+    value = RationalSource.member_value
 
     def counting_value(self, n):
         calls["value"] += 1
         return value(self, n)
 
-    def counting_member(self, params, n):
-        calls["member"] += 1
-        return member(self, params, n)
+    def counting_member(member):
+        def counted(self, params, n):
+            calls["member"] += 1
+            return member(self, params, n)
+        return counted
 
-    monkeypatch.setattr(LeveledSource, "member_value", counting_value)
-    monkeypatch.setattr(LimitMembersGenerator, "member", counting_member)
+    monkeypatch.setattr(RationalSource, "member_value", counting_value)
+    for generator in (SuccessorMembersGenerator, LimitMembersGenerator):
+        monkeypatch.setattr(generator, "member", counting_member(generator.member))
     phi = parse_recipe('(numeral right w^2 (real leveled right w^2 '
                        '(members constant "1/2")))').build()
     Engine().eval_enclosure(phi, builtin_suite()[0], TruncationSchedule.default(8))
     assert calls["member"] > 0
     assert calls["value"] == calls["member"]
+
+
+def _rational_recipe(side, level, form, value):
+    """A recipe of one rational-source form at a level: the unsided
+    constant, or the sided geometric (successor) or leveled (limit) form."""
+    value = sexpr.quote(str(value))
+    if form == "constant":
+        source = "(real constant %s %s)" % (value, level)
+    elif parse_ordinal(level).is_limit():
+        source = "(real leveled %s %s (members %s %s))" % (side, level, form, value)
+    else:
+        source = "(real geometric %s %s %s)" % (side, level, value)
+    return "(numeral %s %s %s)" % (side, level, source)
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([LEFT, RIGHT]),
+       st.sampled_from(["2", "3", "w", "w+1", "w*2"]),
+       st.sampled_from(["constant", "geometric"]),
+       st.integers(1, 12).flatmap(
+           lambda d: st.integers(0, d).map(lambda n: F(n, d))),
+       st.integers(1, 16))
+def test_rational_source_bounds_contain_the_real(side, level, form, value, depth):
+    # every suite space's enclosure holds the real, and all spaces agree
+    recipe = parse_recipe(_rational_recipe(side, level, form, value))
+    report = Engine().independence_check(recipe.build(), builtin_suite(),
+                                         TruncationSchedule.default(depth))
+    assert report.agreement_ok
+    for _, enc in report.entries:
+        assert recipe.source.cmp_to(enc.lo.as_fraction()) >= 0
+        assert recipe.source.cmp_to(enc.hi.as_fraction()) <= 0
 
 
 def test_fundamental_sequence_map():
@@ -242,12 +282,12 @@ def test_fundamental_sequence_map():
 
 
 def test_build_level_one():
-    phi = build_numeral(RIGHT, from_int(1), ConstantSource(F(1, 2), from_int(1)))
+    phi = build_numeral(RIGHT, from_int(1), constant(F(1, 2), from_int(1)))
     assert phi.code == '(cinf (gen dyadic-upper-cut "1/2"))'
 
 
 def test_build_level_one_left_half_value():
-    phi = build_numeral(LEFT, from_int(1), ConstantSource(F(1, 2), from_int(1)))
+    phi = build_numeral(LEFT, from_int(1), constant(F(1, 2), from_int(1)))
     eng = Engine()
     tv = eng.truncation_value(phi, builtin_suite()[0],
                               TruncationSchedule.uniform(64))
@@ -265,7 +305,7 @@ def test_build_level_two():
 
 
 def test_build_limit_level():
-    phi = build_numeral(RIGHT, OMEGA, ConstantSource(F(1, 2), OMEGA))
+    phi = build_numeral(RIGHT, OMEGA, constant(F(1, 2), OMEGA))
     assert isinstance(phi, CInf)
     assert phi.family.generator == "limit-members"
     first = phi.family.member(0)
@@ -282,9 +322,9 @@ def test_build_guards():
     with pytest.raises(BuildError):
         build_numeral(RIGHT, from_int(3), src)
     with pytest.raises(BuildError):
-        build_numeral(RIGHT, from_int(0), ConstantSource(F(0), from_int(0)))
+        build_numeral(RIGHT, from_int(0), constant(F(0), from_int(0)))
     with pytest.raises(BuildError):
-        build_numeral("up", from_int(1), ConstantSource(F(0), from_int(1)))
+        build_numeral("up", from_int(1), constant(F(0), from_int(1)))
 
 
 def test_recipe_round_trip():
@@ -318,21 +358,38 @@ def test_recipe_rejects():
 
 def test_incoherent_step_rejected_when_built():
     # build_numeral checks a step as it makes it, as parse does, instead of
-    # leaving the error to the family's first member
-    for level, source, message in (
-            (OMEGA, GeometricSource(RIGHT, OMEGA, F(1, 3)),
+    # leaving the error to the family's first member; it refuses each
+    # RationalSource whose descriptor does not read it back
+    def read_back(source):
+        try:
+            return reals._source_from(sexpr.read(source.descriptor))
+        except RealSourceError:
+            return None
+
+    level_one = "cannot build a level-1 numeral from RationalSource"
+    for level, side, scheme, error, message in (
+            (from_int(3), RIGHT, "constant", RealSourceError,
+             "cannot lift RationalSource at level 3"),
+            (LEVEL_ONE, RIGHT, "constant", BuildError, level_one),
+            (LEVEL_ONE, RIGHT, "geometric", BuildError, level_one),
+            (LEVEL_ONE, None, "geometric", BuildError, level_one),
+            (from_int(3), None, "geometric", RealSourceError,
+             "cannot lift RationalSource at level 3"),
+            (OMEGA, None, "geometric", RealSourceError,
              "limit decomposition needs a leveled source"),
-            (from_int(3), LeveledSource(RIGHT, from_int(3), "constant", F(1, 2)),
-             "cannot lift LeveledSource at level 3")):
-        with pytest.raises(RealSourceError) as err:
+            (from_int(0), None, "constant", BuildError,
+             "numerals start at level 1")):
+        source = RationalSource(side, level, scheme, F(1, 3))
+        assert read_back(source) != source
+        with pytest.raises(error) as err:
             build_numeral(RIGHT, level, source)
         assert str(err.value) == message
 
 
 def test_step_params_text():
-    succ = StepParams(RIGHT, GeometricSource(RIGHT, from_int(3), F(1, 3)))
+    succ = StepParams(RIGHT, RationalSource(RIGHT, from_int(3), "geometric", F(1, 3)))
     assert str(succ) == '(succ right 3 (real geometric right 3 "1/3"))'
-    lim = StepParams(LEFT, LeveledSource(LEFT, OMEGA, "constant", F(1, 2)))
+    lim = StepParams(LEFT, RationalSource(LEFT, OMEGA, "constant", F(1, 2)))
     assert str(lim) == \
         '(limit left w (real leveled left w (members constant "1/2")))'
     assert SuccessorMembersGenerator().monotone(succ) == "nonincreasing"

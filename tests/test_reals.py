@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from numerals import reals, sexpr
 from numerals.dyadics import Dyadic, from_fraction
 from numerals.ordinals import OMEGA, from_int, parse_ordinal
-from numerals.reals import (LEFT, RIGHT, ConstantSource, CutEnumerator,
-                            GeometricSource, LeveledSource, RealSourceError,
-                            SequenceExtraction, StagedChildSource, check_step,
-                            clamp01, pair, parse_target, rationals,
-                            sigma2_predicate, unpair)
+from numerals.reals import (LEFT, RIGHT, CutEnumerator, RationalSource,
+                            RealSourceError, SequenceExtraction,
+                            StagedChildSource, check_step, clamp01, pair,
+                            parse_target, rationals, sigma2_predicate, unpair)
 
 from test_engine import cut_targets
 
@@ -23,6 +22,11 @@ F = Fraction
 def read_source(text):
     """The real source of a (real ...) descriptor."""
     return reals._source_from(sexpr.read(text))
+
+
+def constant(value, level):
+    """The source of (real constant "value" level)."""
+    return RationalSource(None, level, "constant", value)
 
 
 def get_cut(text, side):
@@ -686,11 +690,11 @@ def test_lift_guards():
         check_step(sigma2_predicate("geometric-above", "1/3"),
                    LEFT, limit=False)
     with pytest.raises(RealSourceError):
-        check_step(ConstantSource(F(1, 2), from_int(0)), RIGHT, limit=False)
+        check_step(constant(F(1, 2), from_int(0)), RIGHT, limit=False)
     with pytest.raises(RealSourceError):  # level 1 has no children
         check_step(parse_target("1/3"), RIGHT, limit=False)
     with pytest.raises(RealSourceError):
-        check_step(ConstantSource(F(1, 2), OMEGA), RIGHT, limit=False)
+        check_step(constant(F(1, 2), OMEGA), RIGHT, limit=False)
 
 
 def test_limit_decomposition_geometric():
@@ -729,11 +733,11 @@ def lifted_children(source, side):
     """The child function of the successor step as it was written before
     sources gave their own children: the oracle for child(n)."""
     down = source.level.predecessor()
-    if isinstance(source, ConstantSource):
-        return lambda n: ConstantSource(source.value, down)
+    if source.side is None:
+        return lambda n: constant(source.value, down)
     if side == RIGHT:
-        return lambda n: ConstantSource(clamp01(source.value + F(1, 1 << n)), down)
-    return lambda n: ConstantSource(clamp01(source.value - F(1, 1 << n)), down)
+        return lambda n: constant(clamp01(source.value + F(1, 1 << n)), down)
+    return lambda n: constant(clamp01(source.value - F(1, 1 << n)), down)
 
 
 def decomposed_members(source, side):
@@ -743,7 +747,8 @@ def decomposed_members(source, side):
     def member(n):
         vals = [source.member_value(k) for k in range(n + 1)]
         value = min(vals) if side == RIGHT else max(vals)
-        return ConstantSource(value, source.h(n))
+        level = source.level.fundamental(n)
+        return constant(value, level if not level.is_zero() else from_int(1))
     return member
 
 
@@ -752,13 +757,13 @@ def decomposed_members(source, side):
        st.integers(2, 6), st.sampled_from(["w", "w*2", "w^2"]),
        st.sampled_from(["constant", "geometric"]))
 def test_child_matches_step_closures(side, value, n, finite, limit, scheme):
-    geo = GeometricSource(side, from_int(finite), value)
+    geo = RationalSource(side, from_int(finite), "geometric", value)
     check_step(geo, side, limit=False)
     assert geo.child(n) == lifted_children(geo, side)(n)
-    const = ConstantSource(value, from_int(finite))
+    const = constant(value, from_int(finite))
     check_step(const, side, limit=False)
     assert const.child(n) == lifted_children(const, side)(n)
-    lev = LeveledSource(side, parse_ordinal(limit), scheme, value)
+    lev = RationalSource(side, parse_ordinal(limit), scheme, value)
     check_step(lev, side, limit=True)
     assert lev.child(n) == decomposed_members(lev, side)(n)
 

@@ -15,10 +15,9 @@ from numerals.formulas import (SIGMA, Atomic, CInf, CSup, DotMinus,
                                ExplicitFamily, Half, InfQ, Neg, Rank, SupQ,
                                parse)
 from numerals.ordinals import OMEGA, OrdinalCNF, from_int
-from numerals.reals import (RIGHT, ConstantSource, CutEnumerator,
-                            GeometricSource, LeveledSource, RationalTarget,
-                            SequenceExtraction, SqrtHalfTarget,
-                            StagedChildSource)
+from numerals.reals import (RIGHT, CutEnumerator, RationalSource,
+                            RationalTarget, SequenceExtraction,
+                            SqrtHalfTarget, StagedChildSource)
 from numerals.records import record
 from numerals.spaces import FiniteMetricSpace, ValidationReport
 
@@ -26,7 +25,7 @@ ATOM = Atomic(0, 1)
 FAMILY = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
 PRED = SequenceExtraction("geometric-above", "1/3")
 THIRD = RationalTarget(Fraction(1, 3), "1/3")
-GEOMETRIC = GeometricSource(RIGHT, from_int(3), Fraction(1, 3))
+GEOMETRIC = RationalSource(RIGHT, from_int(3), "geometric", Fraction(1, 3))
 ENCLOSURE = Enclosure(ZERO, HALF)
 RANK = Rank(SIGMA, from_int(1))
 
@@ -58,9 +57,7 @@ EXAMPLES = [
     SqrtHalfTarget(),
     CutEnumerator(THIRD, RIGHT),
     PRED,
-    ConstantSource(Fraction(1, 2), from_int(2)),
     GEOMETRIC,
-    LeveledSource(RIGHT, OMEGA, "constant", Fraction(1, 2)),
     StagedChildSource(PRED, 3),
     ValidationReport((("range", (0, 1), "d = 2"),)),
 ]
