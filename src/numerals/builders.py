@@ -20,7 +20,7 @@ registered with each makes the same value from the text of a code.
 
 
 from . import reals, sexpr
-from .dyadics import Dyadic, MAX_EXP, ZERO, ONE, HALF, in_unit
+from .dyadics import Dyadic, MAX_EXP, ZERO, ONE, in_unit
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        PI, Rank, SIGMA, SupQ, register_generator)
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
@@ -46,9 +46,9 @@ def other_flavor(flavor):
 # ------------------------------------------------------------ dyadic numerals
 
 
-# (value, flavor) -> the one node of that dyadic numeral; see dyadic_numeral.
-_DYADICS = {(ZERO, EXISTS): InfQ(0, Atomic(0, 0)),
-            (ZERO, FORALL): SupQ(0, Atomic(0, 0))}
+# (num, exp, flavor) of num/2^exp in lowest terms -> its one node; see below.
+_DYADICS = {(0, 0, EXISTS): InfQ(0, Atomic(0, 0)),
+            (0, 0, FORALL): SupQ(0, Atomic(0, 0))}
 
 
 def dyadic_numeral(r, flavor):
@@ -59,16 +59,16 @@ def dyadic_numeral(r, flavor):
     0 < r <= 1/2 halves. The chain from r down to 0 has at most 2k+1
     steps for denominator 2^k.
 
-    Numerals are hash-consed: the module table _DYADICS maps (value,
-    flavor) to the single node of that numeral, and starts with the two
-    zero numerals. A request walks the chain r -> 2r or r -> 1-r down to
-    the first pair already in the table, then builds back up; each new Neg
-    or Half wraps the table node one step below it, so the numeral of r
-    shares its body with the numeral of 2r (or of 1-r). Each node's code
-    is computed as the node is made, from the code one step below, so
-    neither building nor printing recurses, whatever the depth.
+    Numerals are hash-consed: the module table _DYADICS maps the ints
+    (num, exp, flavor) of r = num/2^exp to the single node of that numeral.
+    A request walks the chain r -> 2r or r -> 1-r on ints down to the first
+    key already in the table, then builds back up; each new Neg or Half
+    wraps the table node one step below it, so the numeral of r shares its
+    body with the numeral of 2r (or of 1-r). Each node's code is computed
+    as the node is made, from the code one step below, so neither building
+    nor printing recurses, whatever the depth.
 
-    The table holds one node per distinct pair asked for, plus the pairs on
+    The table holds one node per distinct key asked for, plus the keys on
     their chains, which have smaller denominators and are mostly asked for
     themselves. Family members repeat the same dyadics many times over: the
     whole demo asks for about 1,600 numerals and leaves 559 entries.
@@ -81,7 +81,7 @@ def dyadic_numeral(r, flavor):
         raise BuildError("flavor must be exists or forall")
     if not isinstance(r, Dyadic):
         raise BuildError("dyadic numerals need a Dyadic value, got %r" % (r,))
-    key = (r, flavor)
+    key = (r.num, r.exp, flavor)
     node = _DYADICS.get(key)
     if node is not None:
         return node
@@ -92,11 +92,13 @@ def dyadic_numeral(r, flavor):
     chain = []
     while node is None:
         chain.append(key)
-        r, flavor = key
-        key = (ONE - r, other_flavor(flavor)) if r > HALF else (r + r, flavor)
+        num, exp, flavor = key
+        # in lowest terms: 2r of an odd num/2^exp, exp >= 1, is num/2^(exp-1)
+        key = ((1 << exp) - num, exp, other_flavor(flavor)) \
+            if num << 1 > 1 << exp else (num, exp - 1, flavor)
         node = _DYADICS.get(key)
     for key in reversed(chain):
-        node = Neg(node) if key[0] > HALF else Half(node)
+        node = Neg(node) if key[0] << 1 > 1 << key[1] else Half(node)
         _DYADICS[key] = node
     return node
 
@@ -150,7 +152,7 @@ class StagedApproxGenerator:
     """
 
     def member(self, source, t):
-        value = source.pred.r_approx(source.index, t)
+        value = source.pred.r_approx(source.index, t, source.rows)
         flavor = FORALL if source.pred.side == RIGHT else EXISTS
         return dyadic_numeral(value, flavor)
 

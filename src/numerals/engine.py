@@ -1,27 +1,33 @@
 """Evaluation and verification.
 
-One memoized walk evaluates every formula. A finitary node (no CInf or
-CSup below it) gets its exact value, which is dyadic; no family below it is
-cut short, so that value does not depend on the truncation schedule, and
-eval_exact is the same walk with no schedule at all. Every node gets a
-triple (lo, hi, est) of dyadics under the schedule: certified bounds and an
-estimate, all three v for a finitary node of value v. A truncated CInf is
-[0, min of member upper bounds], a truncated CSup is [max of member lower
-bounds, 1]; the tail of the family is never guessed, so two-sided intervals
-come only from sandwiching dual numerals. Every other connective maps the
-bounds monotonically: neg swaps them, dotminus pairs each bound of its left
-argument with the opposite bound of its right. The estimate is the exact
-value of the truncated formula itself, the active estimate in convergence
-reports. Only eval_enclosure builds an Enclosure, from its root's bounds.
+One memoized walk evaluates every formula on a tuple of spaces at once,
+giving one triple (lo, hi, est) of dyadics per space under the truncation
+schedule: certified bounds and an estimate, all three v for a finitary
+node (no CInf or CSup below it) of value v, which no schedule changes, so
+eval_exact is the same walk with no schedule. A truncated CInf is [0, min
+of member upper bounds], a truncated CSup is [max of member lower bounds,
+1]; the tail of the family is never guessed, so two-sided intervals come
+only from sandwiching dual numerals. Every other connective maps the
+bounds monotonically: neg swaps them, dotminus pairs each bound of its
+left argument with the opposite bound of its right. The estimate is the
+exact value of the truncated formula itself.
+
+A numeral has one value in every space, so its families, members and
+shortcut picks are the same on each; only its finitary leaves read the
+metric, and the walk builds each member once for all its spaces. Triples
+are memoized per space, on (code, space, environment, schedule tail), so
+a later one-space walk (eval_exact, eval_enclosure, truncation_value)
+reuses them, and a walk whose spaces are partly memoized walks only the
+others. A point quantifier over an infinitary body walks each space on
+its own, since spaces differ in size.
 
 The monotone shortcut: a generated family whose generator declares the
 direction of its member values ("nonincreasing" or "nondecreasing" in n)
-is not scanned when its prefix has at least four members and members 0,
-count // 2 and count - 1 are in the declared order on both their sound
-endpoints (hi under CInf, lo under CSup) and their estimates. The end
-member where the declared extremum sits then gives both outputs: the
-enclosure bound and, as the estimate, its own estimate. Otherwise one full
-prefix scan gives both.
+is not scanned on a space where its prefix has at least four members and
+members 0, count // 2 and count - 1 are in the declared order on both
+their sound endpoints (hi under CInf, lo under CSup) and their estimates.
+The end member where the declared extremum sits then gives the bound and
+its own estimate. The other spaces scan the prefix together.
 - The bound is attained by a sampled member, so it stays certified
   whatever the declaration says, for interval members as for points: any
   member's upper bound bounds the inf from above, and dually for sup.
@@ -32,8 +38,9 @@ prefix scan gives both.
 - The builtin declarations hold: cut members are the dyadic numerals of
   running extrema of the cut's hits, the least so far on the right and
   the greatest so far on the left; staged-approx members are the dyadic
-  numerals of r_approx(n, t), monotone in t; and successor and limit
-  members fall on the right and rise on the left, as their sources do.
+  numerals of r_approx(n, t), monotone in t, read from one row scan of
+  r_n; and successor and limit members fall on the right and rise on the
+  left, as their sources do.
 
 A finitary node is evaluated once per space, as a table over its own free
 variables, of int numerators at one exponent: an atomic is the space's
@@ -43,9 +50,8 @@ spread onto the union of their variables at the larger exponent, and inf /
 sup reduce one axis; a closed node's table has one entry. The walk reads a
 finitary node's Dyadic value at an environment from its table, so
 bindings the node does not read cost nothing. Tables are memoized on
-(formula code, space); any other node's triple on (formula code, space,
-environment, schedule tail). Family generation is pure, so member formulas
-with equal codes share results.
+(formula code, space). Family generation is pure, so member formulas with
+equal codes share results.
 """
 
 from fractions import Fraction
@@ -56,6 +62,9 @@ from .formulas import (Atomic, CInf, DotMinus, GeneratedFamily, Half, InfQ,
                        Neg, PI, Rank, SIGMA, SupQ, classify, free_vars,
                        get_generator)
 from .records import record
+
+
+MAX_SPREAD = 1 << 16  # longest spread index list an Engine keeps
 
 
 class EngineError(Exception):
@@ -160,53 +169,68 @@ class Engine:
 
     def eval_exact(self, phi, space, env=None):
         """The exact dyadic value of a finitary formula."""
-        return self._walk(phi, space, _freeze_env(env), None)[2]
+        return self._walk(phi, (space,), _freeze_env(env), None)[0][2]
 
     def eval_enclosure(self, phi, space, schedule, env=None):
         """A certified enclosure of the formula's value under the schedule."""
-        lo, hi, _ = self._walk(phi, space, _freeze_env(env), schedule.depths)
+        lo, hi, _ = self._walk(phi, (space,), _freeze_env(env),
+                               schedule.depths)[0]
         return Enclosure(lo, hi)
 
     def truncation_value(self, phi, space, schedule, env=None):
         """Exact value of the schedule-truncated formula (the active
         estimate; not a certified bound on the untruncated value)."""
-        return self._walk(phi, space, _freeze_env(env), schedule.depths)[2]
+        return self._walk(phi, (space,), _freeze_env(env),
+                          schedule.depths)[0][2]
 
-    def _walk(self, phi, space, env, tail):
-        """(lo, hi, est) of the formula truncated by tail: certified bounds
+    def _walk(self, phi, spaces, env, tail):
+        """(lo, hi, est) per space of the formula truncated by tail: bounds
         on its value and the truncated formula's own value, (v, v, v) for a
-        finitary node of value v. With no tail the walk is exact
-        evaluation, and a CInf / CSup is an error."""
+        finitary node of value v. With no tail the walk is exact evaluation,
+        and a CInf / CSup is an error. Memoized spaces are not walked."""
+        memo = self._memo
+        code = phi.code
         if phi.finitary:
-            v = _read(self._memo.get((phi.code, space))
-                      or self._table(phi, space), env, space)
-            return v, v, v
-        key = (phi.code, space, env, tail)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+            out = []
+            for space in spaces:
+                v = _read(memo.get((code, space)) or self._table(phi, space),
+                          env, space)
+                out.append((v, v, v))
+            return out
+        out = [memo.get((code, space, env, tail)) for space in spaces]
+        if None not in out:
+            return out
+        todo = tuple(sp for sp, hit in zip(spaces, out) if hit is None) \
+            if len(spaces) > 1 else spaces
         if isinstance(phi, DotMinus):
-            a_lo, a_hi, a = self._walk(phi.left, space, env, tail)
-            b_lo, b_hi, b = self._walk(phi.right, space, env, tail)
-            out = (dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
+            new = [(dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
+                   for (a_lo, a_hi, a), (b_lo, b_hi, b) in zip(
+                       self._walk(phi.left, todo, env, tail),
+                       self._walk(phi.right, todo, env, tail))]
         elif isinstance(phi, Neg):
-            lo, hi, est = self._walk(phi.body, space, env, tail)
-            out = (neg(hi), neg(lo), neg(est))
+            new = [(neg(hi), neg(lo), neg(est))
+                   for lo, hi, est in self._walk(phi.body, todo, env, tail)]
         elif isinstance(phi, Half):
-            out = tuple(map(half, self._walk(phi.body, space, env, tail)))
+            new = [tuple(map(half, t))
+                   for t in self._walk(phi.body, todo, env, tail)]
         elif isinstance(phi, (InfQ, SupQ)):
+            # spaces differ in size, so each binds its own points
             op = min if isinstance(phi, InfQ) else max
-            parts = [self._walk(phi.body, space, _bind(env, phi.var, p), tail)
-                     for p in range(space.size)]
-            out = tuple(map(op, zip(*parts)))
+            new = [tuple(map(op, zip(*[
+                self._walk(phi.body, (sp,), _bind(env, phi.var, p), tail)[0]
+                for p in range(sp.size)]))) for sp in todo]
         else:  # CInf / CSup
             if tail is None:
                 raise EngineError("eval_exact needs a finitary formula, got %s"
                                   % type(phi).__name__)
-            out = self._family(phi.family, space, env, tail,
+            new = self._family(phi.family, todo, env, tail,
                                isinstance(phi, CInf))
-        self._memo[key] = out
-        return out
+        for space, triple in zip(todo, new):
+            memo[(code, space, env, tail)] = triple
+        if len(todo) == len(spaces):
+            return new
+        fresh = iter(new)
+        return [hit or next(fresh) for hit in out]
 
     def _table(self, phi, space):
         """Tabulate a finitary node on the whole space and memoize it under
@@ -217,7 +241,13 @@ class Engine:
         read with one probe, since a table is true."""
         n = space.size
         memo = self._memo
-        if isinstance(phi, Atomic):
+        kind = type(phi)
+        if kind is Neg or kind is Half:  # most nodes: dyadic numeral chains
+            names, exp, values = memo.get((phi.body.code, space)) \
+                or self._table(phi.body, space)
+            out = (names, exp + 1, values) if kind is Half \
+                else (names, exp, [(1 << exp) - v for v in values])
+        elif kind is Atomic:
             exp, rows = space.exp, space.rows
             if phi.left == phi.right:
                 self.atomic_evals += n
@@ -226,7 +256,7 @@ class Engine:
                 self.atomic_evals += n * n
                 out = ((phi.left, phi.right), exp,
                        [d for row in rows for d in row])
-        elif isinstance(phi, DotMinus):
+        elif kind is DotMinus:
             a = memo.get((phi.left.code, space)) \
                 or self._table(phi.left, space)
             b = memo.get((phi.right.code, space)) \
@@ -236,11 +266,6 @@ class Engine:
             out = (names, exp, [x - y if x > y else 0 for x, y in zip(
                 self._spread(a, exp, names, n),
                 self._spread(b, exp, names, n))])
-        elif isinstance(phi, (Neg, Half)):
-            names, exp, values = memo.get((phi.body.code, space)) \
-                or self._table(phi.body, space)
-            out = (names, exp + 1, values) if isinstance(phi, Half) \
-                else (names, exp, [(1 << exp) - v for v in values])
         else:  # InfQ / SupQ
             body = memo.get((phi.body.code, space)) \
                 or self._table(phi.body, space)
@@ -248,7 +273,7 @@ class Engine:
             if phi.var not in names:  # vacuous
                 out = body
             else:
-                op = min if isinstance(phi, InfQ) else max
+                op = min if kind is InfQ else max
                 k = names.index(phi.var)
                 stride = n ** (len(names) - 1 - k)
                 block = n * stride
@@ -279,35 +304,38 @@ class Engine:
             for v in names:
                 steps = [p * weight.get(v, 0) for p in range(n)]
                 index = [i + s for i in index for s in steps]
-            self._spreads[key] = index
+            if len(index) <= MAX_SPREAD:
+                self._spreads[key] = index
         return [values[i] for i in index]
 
-    def _family(self, family, space, env, tail, is_inf):
-        """The truncated CInf / CSup step: the declared end member when the
-        monotone shortcut applies (module docstring), else the prefix."""
+    def _family(self, family, spaces, env, tail, is_inf):
+        """The truncated CInf / CSup step per space: the declared end member
+        where the shortcut applies (module docstring), else the prefix."""
         count = tail[0]
         if family.known_size is not None:
             count = min(count, family.known_size)
         inner = tail[1:] or tail
-        parts = None
+        parts = {}  # space -> the member triples that give its result
         if isinstance(family, GeneratedFamily) and count >= 4:
             direction = get_generator(family.generator).monotone(family.params)
             falling = direction == "nonincreasing"
             if direction in ("nonincreasing", "nondecreasing"):
-                picks = [self._walk(family.member(n), space, env, inner)
+                picks = [self._walk(family.member(n), spaces, env, inner)
                          for n in (0, count // 2, count - 1)]
-                ends = [hi if is_inf else lo for lo, hi, _ in picks]
-                ests = [est for _, _, est in picks]
-                if ends == sorted(ends, reverse=falling) \
-                        and ests == sorted(ests, reverse=falling):
-                    parts = [picks[-1] if is_inf == falling else picks[0]]
-        if parts is None:
-            parts = [self._walk(family.member(n), space, env, inner)
-                     for n in range(count)]
-        los, his, ests = zip(*parts)
-        if is_inf:
-            return ZERO, min(his), min(ests)
-        return max(los), ONE, max(ests)
+                for space, own in zip(spaces, zip(*picks)):
+                    ends = [hi if is_inf else lo for lo, hi, _ in own]
+                    ests = [est for _, _, est in own]
+                    if ends == sorted(ends, reverse=falling) \
+                            and ests == sorted(ests, reverse=falling):
+                        parts[space] = [own[-1] if is_inf == falling else own[0]]
+        rest = tuple(sp for sp in spaces if sp not in parts) if parts else spaces
+        if rest:
+            parts.update(zip(rest, zip(*[
+                self._walk(family.member(n), rest, env, inner)
+                for n in range(count)])))
+        return [(ZERO, min(his), min(ests)) if is_inf
+                else (max(los), ONE, max(ests))
+                for los, his, ests in (zip(*parts[sp]) for sp in spaces)]
 
     # ------------------------------------------------------------- harness
 
@@ -322,7 +350,9 @@ class Engine:
         return Enclosure(low.lo, high.hi)
 
     def independence_check(self, phi, spaces, schedule):
-        """Enclosures across spaces with pairwise agreement flags."""
+        """Enclosures across spaces with pairwise agreement flags: one walk
+        of the suite, whose memo entries each space's enclosure reads."""
+        self._walk(phi, tuple(spaces), (), schedule.depths)
         entries = tuple((sp.name, self.eval_enclosure(phi, sp, schedule))
                         for sp in spaces)
         agreement = tuple((a, b, x == y)

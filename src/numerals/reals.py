@@ -332,9 +332,10 @@ class SequenceExtraction:
     q_j, and neg_witness(e, q_j) is 0 or e + 1 until it is None for good,
     so it never falls as e grows: j contributes exactly when row (e_j, j)
     does. With (a, b) = unpair(n) and w = a + b, e_j is w - j for j <= b
-    and w - 1 - j for b < j < w, so each call scans about sqrt(2n) values
-    of j, on int (num, den) pairs compared by cross-multiplication.
-    limit_r is the same with t = infinity, clamped.
+    and w - 1 - j for b < j < w, so rows(n), the row scan of r_n, reads
+    about sqrt(2n) values of j, on int (num, den) pairs compared by
+    cross-multiplication; each stage filters the scan, which a staged
+    source keeps. limit_r is the same with t = infinity, clamped.
     """
 
     name: str
@@ -405,18 +406,29 @@ class SequenceExtraction:
         c += 1 - c % 2
         return Dyadic(min(2 * a, c if c <= odd_top else top, top), scale)
 
-    def _extremum(self, n, t):
-        """x*: the extremum of the edge and the q_j of the rows m <= n
-        that have not fully arrived by stage t, read from row (e_j, j)."""
+    def rows(self, n):
+        """(wb, num, den) of row (e_j, j) for each q_j beyond the edge, the
+        only ones that can be x*; wb is math.inf where it is None."""
         a, b = unpair(n)
         w = a + b
         right = self.side == RIGHT
         witness = self.neg_witness
         xn, xd = self._edge
+        out = []
         for j, (num, den) in zip(range(max(b, w - 1) + 1), rationals()):
-            wb = witness(w - j if j <= b else w - 1 - j, num, den)
-            if (wb is None or wb >= t) and (
-                    num * xd < xn * den if right else num * xd > xn * den):
+            if num * xd < xn * den if right else num * xd > xn * den:
+                wb = witness(w - j if j <= b else w - 1 - j, num, den)
+                out.append((math.inf if wb is None else wb, num, den))
+        return out
+
+    def _extremum(self, rows, t):
+        """x*: the extremum of the edge and the q_j of the rows that have
+        not fully arrived by stage t."""
+        right = self.side == RIGHT
+        xn, xd = self._edge
+        for wb, num, den in rows:
+            if wb >= t and (num * xd < xn * den if right
+                            else num * xd > xn * den):
                 xn, xd = num, den
         return xn, xd
 
@@ -427,13 +439,14 @@ class SequenceExtraction:
         wb = self.neg_witness(e, *qj)
         return self._grid(self._edge if wb is not None and wb < t else qj, t)
 
-    def r_approx(self, n, t):
+    def r_approx(self, n, t, rows=None):
         """Stage-t approximation of r_n = prefix extremum of s_0..s_n."""
-        return self._grid(self._extremum(n, t), t)
+        return self._grid(self._extremum(
+            self.rows(n) if rows is None else rows, t), t)
 
     def limit_r(self, n):
         """The exact limit r_n, by direct evaluation of the defining sets."""
-        return clamp01(Fraction(*self._extremum(n, math.inf)))
+        return clamp01(Fraction(*self._extremum(self.rows(n), math.inf)))
 
 
 def sigma2_predicate(name, param):
@@ -508,12 +521,17 @@ class RationalSource:
 
 @record
 class StagedChildSource:
-    """Level-1 source for r_n of an extraction, known only through stages."""
+    """Level-1 source for r_n of an extraction, known only through stages;
+    it keeps the row scan of r_n, made on first use, for all its stages."""
 
     pred: SequenceExtraction
     index: int
 
     level = LEVEL_ONE
+
+    @cached_property
+    def rows(self):
+        return self.pred.rows(self.index)
 
     @property
     def side(self):
