@@ -71,7 +71,7 @@ def dyadic_numeral(r, flavor):
     The table holds one node per distinct key asked for, plus the keys on
     their chains, which have smaller denominators and are mostly asked for
     themselves. Family members repeat the same dyadics many times over: the
-    whole demo asks for about 1,600 numerals and leaves 559 entries.
+    whole demo asks for about 1,150 numerals and leaves 559 entries.
 
     A value whose exponent in lowest terms is above MAX_EXP is refused
     before any node is built: each node of the chain holds its whole code,

@@ -184,10 +184,10 @@ class Engine:
                           schedule.depths)[0][2]
 
     def _walk(self, phi, spaces, env, tail):
-        """(lo, hi, est) per space of the formula truncated by tail: bounds
-        on its value and the truncated formula's own value, (v, v, v) for a
-        finitary node of value v. With no tail the walk is exact evaluation,
-        and a CInf / CSup is an error. Memoized spaces are not walked."""
+        """(lo, hi, est) per space of the formula truncated by tail: certified
+        bounds on its value and the truncated formula's own value, (v, v, v)
+        for a finitary node of value v. No tail makes the walk exact, and a
+        CInf / CSup an error. Spaces found in the memo are not walked."""
         memo = self._memo
         code = phi.code
         if phi.finitary:
