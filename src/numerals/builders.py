@@ -13,17 +13,22 @@ fundamental sequence. Either way member n is the numeral of
 source.child(n). Infinite families are realized as registered generators
 so the whole construction serializes to a finite code.
 
-Generators take typed params (a cut target, a StagedChildSource, or the
-StepParams of a successor or limit step), handed over as values; the reader
-registered with each makes the same value from the text of a code.
+Two generators serve the five family names. LevelOneGenerator makes
+member n the dyadic numeral of params.value(n), its params a
+reals.CutEnumerator (dyadic-upper-cut, dyadic-lower-cut) or a
+reals.StagedChildSource (staged-approx). StepGenerator makes it the numeral
+of params.source.child(n), its params the StepParams of a successor or limit
+step (successor-members, limit-members). Params are handed over as values;
+the reader registered with each name makes the same value from the text of
+a code.
 """
 
 
 from . import reals, sexpr
-from .dyadics import Dyadic, MAX_EXP, ZERO, ONE, in_unit
+from .dyadics import Dyadic, MAX_EXP, in_unit
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        PI, Rank, SIGMA, SupQ, register_generator)
-from .ordinals import OrdinalCNF, from_int, parse_ordinal
+from .ordinals import OrdinalCNF, parse_ordinal
 from .reals import LEFT, RIGHT, LEVEL_ONE
 from .records import record
 
@@ -106,61 +111,29 @@ def dyadic_numeral(r, flavor):
 # ----------------------------------------------------------- level-1 numerals
 
 
-class DyadicCutGenerator:
-    """Members of the level-1 family for one side of a cut; params are the
-    target.
+class LevelOneGenerator:
+    """Members of a level-1 family: member n is the dyadic numeral of
+    params.value(n), existential on the right and universal on the left.
+    The params are a reals.CutEnumerator, whose values are the running
+    extrema of the cut's hits read in closed form, or a
+    reals.StagedChildSource, whose values are the stages of r_n read from
+    one row scan. Both fall on the right and rise on the left, as declared
+    for the monotone shortcut (numerals.engine)."""
 
-    Member n is the dyadic numeral of the best of the cut's hits
-    0..n // 2 in (0,1), in the order the fixed enumeration finds them: the
-    least on the right, the greatest on the left. These running extrema
-    fall on the right and rise on the left, as declared for the monotone
-    shortcut (numerals.engine). Each prefix has the inf (sup) of a prefix
-    of the hits, the same as the interleaving of hit k at 2k with the
-    endpoint constant at the odd indices, since the endpoint never wins.
-    The degenerate cuts with no dyadic members at all (right of 1, left of
-    0) have the endpoint constant (1 on the right, 0 on the left) as every
-    member. A request reads the best hit in closed form from a
-    CutEnumerator of the typed target, so it parses no text and keeps no
-    cut state.
-    """
+    def member(self, params, n):
+        return dyadic_numeral(params.value(n),
+                              EXISTS if params.side == RIGHT else FORALL)
 
-    def __init__(self, side):
-        self.side = side
-        self.flavor = EXISTS if side == RIGHT else FORALL
-        self.endpoint = ONE if side == RIGHT else ZERO
+    def level_bound(self, params):
+        return LEVEL_ONE
 
-    def member(self, target, n):
-        cut = reals.CutEnumerator(target, self.side)
-        value = self.endpoint if cut.trivial else cut.best(n // 2)
-        return dyadic_numeral(value, self.flavor)
-
-    def level_bound(self, target):
-        return from_int(1)
-
-    def monotone(self, target):
-        return "nonincreasing" if self.side == RIGHT else "nondecreasing"
+    def monotone(self, params):
+        return "nonincreasing" if params.side == RIGHT else "nondecreasing"
 
 
-class StagedApproxGenerator:
-    """Level-1 family for one extracted limit r_n, known only by stages;
-    params are the StagedChildSource of r_n.
-
-    Member t is the dyadic numeral of the stage-t approximation; for a
-    right-sided predicate these rise from below, as declared for the
-    monotone shortcut (numerals.engine), and the wrapping CSup is the left
-    child numeral, mirrored on the other side.
-    """
-
-    def member(self, source, t):
-        value = source.pred.r_approx(source.index, t, source.rows)
-        flavor = FORALL if source.pred.side == RIGHT else EXISTS
-        return dyadic_numeral(value, flavor)
-
-    def level_bound(self, source):
-        return from_int(1)
-
-    def monotone(self, source):
-        return "nondecreasing" if source.pred.side == RIGHT else "nonincreasing"
+def read_cut(side):
+    """The reader of a cut family's params on the given side."""
+    return lambda text: reals.CutEnumerator(reals.parse_target(text), side)
 
 
 # A stage index n costs a scan of about sqrt(2n) rationals per member.
@@ -223,30 +196,27 @@ def read_step(head, text):
     return StepParams(side, source)
 
 
-class SuccessorMembersGenerator:
-    """Members of a successor-level numeral: the child numerals one level
-    down on the opposite side, values moving monotonically to the real
-    (down on the right, up on the left), as declared for the monotone
-    shortcut (numerals.engine)."""
+class StepGenerator:
+    """Members of a successor- or limit-level numeral: member n is the
+    numeral of source.child(n), one level down on the opposite side at a
+    successor level, on the same side along the fundamental sequence at a
+    limit. Successor members fall on the right and rise on the left, as
+    declared for the monotone shortcut; limit members declare no order, so
+    their families are scanned in full (numerals.engine says why)."""
 
     def member(self, params, n):
         child = params.source.child(n)
-        return build_numeral(other_side(params.side), child.level, child)
+        limit = params.source.level.is_limit()
+        return build_numeral(params.side if limit else other_side(params.side),
+                             child.level, child)
 
     def level_bound(self, params):
         return params.source.level
 
     def monotone(self, params):
+        if params.source.level.is_limit():
+            return None
         return "nonincreasing" if params.side == RIGHT else "nondecreasing"
-
-
-class LimitMembersGenerator(SuccessorMembersGenerator):
-    """Members of a limit-level numeral: same-side numerals at the levels of
-    the fundamental sequence, with prefix-combined values."""
-
-    def member(self, params, n):
-        child = params.source.child(n)
-        return build_numeral(params.side, child.level, child)
 
 
 # ------------------------------------------------------------------- driver
@@ -271,6 +241,7 @@ def build_numeral(side, level, source):
             source = reals.RationalTarget(source.value, str(source.value))
         if isinstance(source, reals.Target):
             name = "dyadic-upper-cut" if side == RIGHT else "dyadic-lower-cut"
+            source = reals.CutEnumerator(source, side)
         elif isinstance(source, reals.StagedChildSource):
             name = "staged-approx"
         else:
@@ -332,12 +303,10 @@ def parse_recipe(text):
         node, "numeral", "recipe must be (numeral side level real-source)"))
 
 
-register_generator("dyadic-upper-cut", DyadicCutGenerator(RIGHT),
-                   reals.parse_target)
-register_generator("dyadic-lower-cut", DyadicCutGenerator(LEFT),
-                   reals.parse_target)
-register_generator("staged-approx", StagedApproxGenerator(), read_stage)
-register_generator("successor-members", SuccessorMembersGenerator(),
+register_generator("dyadic-upper-cut", LevelOneGenerator(), read_cut(RIGHT))
+register_generator("dyadic-lower-cut", LevelOneGenerator(), read_cut(LEFT))
+register_generator("staged-approx", LevelOneGenerator(), read_stage)
+register_generator("successor-members", StepGenerator(),
                    lambda text: read_step("succ", text))
-register_generator("limit-members", LimitMembersGenerator(),
+register_generator("limit-members", StepGenerator(),
                    lambda text: read_step("limit", text))

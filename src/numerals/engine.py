@@ -17,9 +17,10 @@ shortcut picks are the same on each; only its finitary leaves read the
 metric, and the walk builds each member once for all its spaces. Triples
 are memoized per space, on (code, space, environment, schedule tail), so
 a later one-space walk (eval_exact, eval_enclosure, truncation_value)
-reuses them, and a walk whose spaces are partly memoized walks only the
-others. A point quantifier over an infinitary body walks each space on
-its own, since spaces differ in size.
+reuses them. A walk that misses on any of its spaces walks them all; each
+space's triple depends on that space alone, so the values it stores again
+are the ones the memo held. A point quantifier over an infinitary body
+walks each space on its own, since spaces differ in size.
 
 The monotone shortcut: a generated family whose generator declares the
 direction of its member values ("nonincreasing" or "nondecreasing" in n)
@@ -32,15 +33,19 @@ its own estimate. The other spaces scan the prefix together.
   whatever the declaration says, for interval members as for points: any
   member's upper bound bounds the inf from above, and dually for sup.
 - A wrong declaration only costs tightness, and it makes the estimate the
-  end member's rather than the prefix extremum.
-- Truncated limit-members prefixes mostly fail the order check, so they
-  are still scanned in full.
+  end member's rather than the prefix extremum. Tightness is what the
+  harness's convergence check reads: a bound from three sampled members
+  that skip a tighter one can rise with depth.
+- Limit-members families declare no order, so they are always scanned in
+  full: their members sit at rising levels, and the sound endpoints of
+  successor-level members are trivial where level-1 members are tight, so
+  the samples can be in order while a member between them is tighter.
 - The builtin declarations hold: cut members are the dyadic numerals of
   running extrema of the cut's hits, the least so far on the right and
   the greatest so far on the left; staged-approx members are the dyadic
   numerals of r_approx(n, t), monotone in t, read from one row scan of
-  r_n; and successor and limit members fall on the right and rise on the
-  left, as their sources do.
+  r_n; and successor members fall on the right and rise on the left, as
+  their sources do.
 
 A finitary node is evaluated once per space, as a table over its own free
 variables, of int numerators at one exponent: an atomic is the space's
@@ -187,7 +192,9 @@ class Engine:
         """(lo, hi, est) per space of the formula truncated by tail: certified
         bounds on its value and the truncated formula's own value, (v, v, v)
         for a finitary node of value v. No tail makes the walk exact, and a
-        CInf / CSup an error. Spaces found in the memo are not walked."""
+        CInf / CSup an error. A walk whose spaces are all in the memo reads
+        them; any miss walks every space and stores what it finds, which is
+        what the memo holds already for the others."""
         memo = self._memo
         code = phi.code
         if phi.finitary:
@@ -200,37 +207,32 @@ class Engine:
         out = [memo.get((code, space, env, tail)) for space in spaces]
         if None not in out:
             return out
-        todo = tuple(sp for sp, hit in zip(spaces, out) if hit is None) \
-            if len(spaces) > 1 else spaces
         if isinstance(phi, DotMinus):
-            new = [(dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
+            out = [(dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
                    for (a_lo, a_hi, a), (b_lo, b_hi, b) in zip(
-                       self._walk(phi.left, todo, env, tail),
-                       self._walk(phi.right, todo, env, tail))]
+                       self._walk(phi.left, spaces, env, tail),
+                       self._walk(phi.right, spaces, env, tail))]
         elif isinstance(phi, Neg):
-            new = [(neg(hi), neg(lo), neg(est))
-                   for lo, hi, est in self._walk(phi.body, todo, env, tail)]
+            out = [(neg(hi), neg(lo), neg(est))
+                   for lo, hi, est in self._walk(phi.body, spaces, env, tail)]
         elif isinstance(phi, Half):
-            new = [tuple(map(half, t))
-                   for t in self._walk(phi.body, todo, env, tail)]
+            out = [tuple(map(half, t))
+                   for t in self._walk(phi.body, spaces, env, tail)]
         elif isinstance(phi, (InfQ, SupQ)):
             # spaces differ in size, so each binds its own points
             op = min if isinstance(phi, InfQ) else max
-            new = [tuple(map(op, zip(*[
+            out = [tuple(map(op, zip(*[
                 self._walk(phi.body, (sp,), _bind(env, phi.var, p), tail)[0]
-                for p in range(sp.size)]))) for sp in todo]
+                for p in range(sp.size)]))) for sp in spaces]
         else:  # CInf / CSup
             if tail is None:
                 raise EngineError("eval_exact needs a finitary formula, got %s"
                                   % type(phi).__name__)
-            new = self._family(phi.family, todo, env, tail,
+            out = self._family(phi.family, spaces, env, tail,
                                isinstance(phi, CInf))
-        for space, triple in zip(todo, new):
+        for space, triple in zip(spaces, out):
             memo[(code, space, env, tail)] = triple
-        if len(todo) == len(spaces):
-            return new
-        fresh = iter(new)
-        return [hit or next(fresh) for hit in out]
+        return out
 
     def _table(self, phi, space):
         """Tabulate a finitary node on the whole space and memoize it under

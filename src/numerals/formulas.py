@@ -190,8 +190,10 @@ FamilySpec = ExplicitFamily | GeneratedFamily
 #                                        declared value direction of members
 # The level bound is trusted but spot-checked on a short prefix by classify.
 # The direction feeds the engine's monotone shortcut, whose contract (what a
-# wrong declaration costs, and why the builtin ones hold) is stated once, in
-# the numerals.engine docstring.
+# wrong declaration costs, why the builtin ones hold, and why limit steps
+# declare none) is stated once, in the numerals.engine docstring. One
+# generator may serve several names: numerals.builders registers two, one
+# for the three level-1 families and one for successor and limit steps.
 
 _GENERATORS = {}  # name -> (generator, reader)
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import count, islice
 
 from . import sexpr
-from .dyadics import Dyadic, rational
+from .dyadics import Dyadic, ONE, ZERO, rational
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .records import record
 
@@ -230,6 +230,22 @@ class CutEnumerator:
 
     target: object
     side: str
+
+    def __str__(self):
+        """The target's text: the params text of the cut's family."""
+        return str(self.target)
+
+    def value(self, n):
+        """Value of member n of the cut's level-1 family: best(n // 2), which
+        falls on the right and rises on the left. Each prefix has the inf
+        (sup) of a prefix of the hits, the same as the interleaving of hit k
+        at 2k with the endpoint constant at the odd indices, since the
+        endpoint never wins. The trivial cuts, which have no dyadic members
+        at all, have the endpoint (1 on the right, 0 on the left) as every
+        member."""
+        if self.trivial:
+            return ONE if self.side == RIGHT else ZERO
+        return self.best(n // 2)
 
     @property
     def trivial(self):
@@ -537,6 +553,12 @@ class StagedChildSource:
     def side(self):
         # children sit on the opposite side of the parent predicate
         return LEFT if self.pred.side == RIGHT else RIGHT
+
+    def value(self, t):
+        """Value of member t of its staged-approx family: the stage-t
+        approximation, rising on a right-sided predicate, whose children
+        are left-sided, and falling on a left-sided one."""
+        return self.pred.r_approx(self.index, t, self.rows)
 
     def __str__(self):
         """The text of this source as staged-approx params."""

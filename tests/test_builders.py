@@ -5,11 +5,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from numerals import builders, reals, sexpr
 from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
-from numerals.builders import (EXISTS, FORALL, BuildError,
-                               LimitMembersGenerator, StepParams,
-                               SuccessorMembersGenerator, build_numeral,
-                               dyadic_numeral, other_flavor, other_side,
-                               parse_recipe)
+from numerals.builders import (EXISTS, FORALL, BuildError, StepGenerator,
+                               StepParams, build_numeral, dyadic_numeral,
+                               other_flavor, other_side, parse_recipe)
 from numerals.dyadics import Dyadic, HALF, MAX_EXP, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
 from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
@@ -176,7 +174,8 @@ def test_level_one_recipe_sources_are_cut_targets():
         source = recipe.source
         if isinstance(source, RationalSource):
             source = RationalTarget(source.value, str(source.value))
-        assert phi.family.params == source
+        assert phi.family.params == CutEnumerator(source, recipe.side)
+        assert str(phi.family.params) == str(source)
         assert parse_recipe(recipe.descriptor) == recipe
         assert parse(phi.code).code == phi.code
 
@@ -196,13 +195,13 @@ def test_successor_members_requested_once(monkeypatch):
     # and classify must spot-check each family once: either would make the
     # member requests grow as 3^k at nesting depth k
     calls = []
-    member = SuccessorMembersGenerator.member
+    member = StepGenerator.member
 
     def counting(self, params, n):
         calls.append((params, n))
         return member(self, params, n)
 
-    monkeypatch.setattr(SuccessorMembersGenerator, "member", counting)
+    monkeypatch.setattr(StepGenerator, "member", counting)
     phi = parse_recipe('(numeral right w+1 (real constant "1/2" w+1))').build()
     sched = TruncationSchedule.default(2)
     eng = Engine()
@@ -225,15 +224,12 @@ def test_limit_member_reads_one_member_value(monkeypatch):
         calls["value"] += 1
         return value(self, n)
 
-    def counting_member(member):
-        def counted(self, params, n):
-            calls["member"] += 1
-            return member(self, params, n)
-        return counted
+    def counting_member(self, params, n, _member=StepGenerator.member):
+        calls["member"] += 1
+        return _member(self, params, n)
 
     monkeypatch.setattr(RationalSource, "member_value", counting_value)
-    for generator in (SuccessorMembersGenerator, LimitMembersGenerator):
-        monkeypatch.setattr(generator, "member", counting_member(generator.member))
+    monkeypatch.setattr(StepGenerator, "member", counting_member)
     phi = parse_recipe('(numeral right w^2 (real leveled right w^2 '
                        '(members constant "1/2")))').build()
     Engine().eval_enclosure(phi, builtin_suite()[0], TruncationSchedule.default(8))
@@ -263,14 +259,37 @@ def _rational_recipe(side, level, form, value):
            lambda d: st.integers(0, d).map(lambda n: F(n, d))),
        st.integers(1, 16))
 def test_rational_source_bounds_contain_the_real(side, level, form, value, depth):
-    # every suite space's enclosure holds the real, and all spaces agree
+    # every suite space's enclosure holds the real, and all spaces agree;
+    # on the first space the sound endpoint (hi of a right numeral, of Sigma
+    # rank, lo of a left one) is no worse at twice the depth
     recipe = parse_recipe(_rational_recipe(side, level, form, value))
-    report = Engine().independence_check(recipe.build(), builtin_suite(),
-                                         TruncationSchedule.default(depth))
+    phi, eng = recipe.build(), Engine()
+    report = eng.independence_check(phi, builtin_suite(),
+                                    TruncationSchedule.default(depth))
     assert report.agreement_ok
     for _, enc in report.entries:
         assert recipe.source.cmp_to(enc.lo.as_fraction()) >= 0
         assert recipe.source.cmp_to(enc.hi.as_fraction()) <= 0
+    first = report.entries[0][1]
+    deeper = eng.eval_enclosure(phi, builtin_suite()[0],
+                                TruncationSchedule.default(2 * depth))
+    if side == RIGHT:
+        assert deeper.hi <= first.hi
+    else:
+        assert deeper.lo >= first.lo
+
+
+# verify of geometric leveled recipes whose verdicts once flipped with depth:
+# limit-members families declared the successor order, so the shortcut
+# could skip a tighter member between its three samples. The right w cell
+# failed the monotone check at depths 8 and 32, its sound endpoint rising
+# with depth; the left cells at 8 took the end member's estimate and missed
+# the tolerance
+@pytest.mark.parametrize("side, level, depth", [
+    (RIGHT, "w", 8), (RIGHT, "w", 32), (LEFT, "w", 8), (LEFT, "w*2", 8)])
+def test_geometric_leveled_verdicts_hold_at_every_depth(side, level, depth):
+    recipe = parse_recipe(_rational_recipe(side, level, "geometric", F(1, 3)))
+    assert Engine().verify_recipe(recipe, builtin_suite(), depth, 6).ok
 
 
 def test_fundamental_sequence_map():
@@ -392,8 +411,9 @@ def test_step_params_text():
     lim = StepParams(LEFT, RationalSource(LEFT, OMEGA, "constant", F(1, 2)))
     assert str(lim) == \
         '(limit left w (real leveled left w (members constant "1/2")))'
-    assert SuccessorMembersGenerator().monotone(succ) == "nonincreasing"
-    assert LimitMembersGenerator().monotone(lim) == "nondecreasing"
+    # successor members declare their order; limit members declare none
+    assert StepGenerator().monotone(succ) == "nonincreasing"
+    assert StepGenerator().monotone(lim) is None
 
 
 # the recipes of the benchmark ladder (perfbench/spec.json), then the corpus

@@ -10,7 +10,7 @@ from numerals.formulas import (Atomic, CInf, CSup, ClassificationError,
                                get_generator, parse, pi_level,
                                register_generator, sigma_level)
 from numerals.ordinals import from_int, parse_ordinal
-from numerals.reals import parse_target
+from numerals.reals import RIGHT, CutEnumerator, parse_target
 
 CODES = [
     "(dist x0 x1)",
@@ -79,7 +79,7 @@ def test_reregistering_keeps_the_reader():
         fam = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
     finally:
         register_generator("dyadic-upper-cut", gen)
-    assert fam.params == parse_target("1/3")
+    assert fam.params == CutEnumerator(parse_target("1/3"), RIGHT)
     assert get_generator("dyadic-upper-cut") is gen
 
 

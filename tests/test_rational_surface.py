@@ -7,9 +7,10 @@ schemes, edge values), for malformed sources, and for `eval` and
 `classify` of step codes that must be refused.
 
 tests/verify_surface.json lists the same for `verify`, in both formats,
-of the 26 ladder cells of perfbench/goldens/ladder.json and of the 20
-corpus recipes at depths 16 and 256, 60 cells in all, since six ladder
-cells are corpus cells too. It holds no geometric leveled recipe.
+of the 26 ladder cells of perfbench/goldens/ladder.json, of the 20 corpus
+recipes at depths 16 and 256, and of the geometric leveled recipes of "1/3"
+on both sides at w and w*2 (depths 8 and 16) and w^2 (depths 4 and 8),
+whose verdicts once flipped with depth.
 
 Each row runs cli.main in process and must print the same bytes.
 """
@@ -41,7 +42,6 @@ def test_table_covers_every_form():
 
 
 def test_verify_table_covers_ladder_and_corpus():
-    assert len(VERIFY_ROWS) == 120
     assert {argv[0] for argv, *_ in VERIFY_ROWS} == {"verify"}
     cells = {(argv[1], argv[3]) for argv, *_ in VERIFY_ROWS}
     for recipe in RIGHT_CORPUS + LEFT_CORPUS:
@@ -51,11 +51,15 @@ def test_verify_table_covers_ladder_and_corpus():
         ladder = json.load(fh)
     assert len(ladder) == 26
     assert {tuple(key.rsplit(" @ ", 1)) for key in ladder} <= cells
-    assert len(cells) == 60
-    assert not any("leveled" in recipe and "geometric" in recipe
-                   for recipe, _ in cells)
-    structured = [argv for argv, *_ in VERIFY_ROWS if "--format" in argv]
-    assert len(structured) == 60
+    for level, depths in (("w", ("8", "16")), ("w*2", ("8", "16")),
+                          ("w^2", ("4", "8"))):
+        for side in ("left", "right"):
+            recipe = ('(numeral %s %s (real leveled %s %s (members geometric '
+                      '"1/3")))' % (side, level, side, level))
+            assert {(recipe, depth) for depth in depths} <= cells
+    # each cell once in each format
+    rows = [(argv[1], argv[3], "--format" in argv) for argv, *_ in VERIFY_ROWS]
+    assert len(rows) == len(set(rows)) == 2 * len(cells)
 
 
 def _changed(table, capsys):

@@ -201,7 +201,7 @@ def test_suite_walk_matches_walks_per_space(phi, depth, schedule, first):
     # fires or falls back on all of them; declared families of other
     # sentences fall back on some spaces only, and scan just those. The
     # spaces in first are walked alone beforehand, so the suite walk finds
-    # them in the memo and walks only the others
+    # them in the memo, walks every space again and must store the same
     sched = schedule(depth)
     eng = Engine()
     for i in sorted(first):
