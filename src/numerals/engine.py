@@ -54,9 +54,12 @@ half map the numerators or raise the exponent, dotminus zips its children
 spread onto the union of their variables at the larger exponent, and inf /
 sup reduce one axis; a closed node's table has one entry. The walk reads a
 finitary node's Dyadic value at an environment from its table, so
-bindings the node does not read cost nothing. Tables are memoized on
-(formula code, space). Family generation is pure, so member formulas with
-equal codes share results.
+bindings the node does not read cost nothing. At a non-empty environment
+only atomics and point quantifiers are read from tables: a finitary
+dotminus, neg or half there combines its children's values, as its table
+would range over every free variable for the one entry the caller reads.
+Tables are memoized on (formula code, space). Family generation is pure,
+so member formulas with equal codes share results.
 """
 
 from fractions import Fraction
@@ -197,7 +200,7 @@ class Engine:
         what the memo holds already for the others."""
         memo = self._memo
         code = phi.code
-        if phi.finitary:
+        if phi.finitary and (not env or isinstance(phi, (Atomic, InfQ, SupQ))):
             out = []
             for space in spaces:
                 v = _read(memo.get((code, space)) or self._table(phi, space),

@@ -10,7 +10,8 @@ source, a successor or limit step), frozen and compared by value; str(params)
 is the quoted text of the code, and each generator has a reader that makes
 the params from that text, so parse checks them before any member is built.
 
-Grammar (whitespace-insensitive, prefix form):
+Grammar (whitespace-insensitive, prefix form); the table _HEADS states the
+formula rule as each head's node class, argument readers and usage message:
 
     formula := (dist VAR VAR) | (neg formula) | (dotminus formula formula)
              | (half formula) | (inf VAR formula) | (sup VAR formula)
@@ -245,44 +246,38 @@ def _family_from(node):
 
 
 def _formula_from(node):
+    # the readers are called directly, not from a comprehension, so each
+    # nesting level takes one frame
     if not isinstance(node, sexpr.Group) or not node:
         pos = getattr(node, "position", 0)
         raise FormulaSyntaxError("expected a parenthesized formula", pos)
     head = node[0]
     if not isinstance(head, sexpr.Atom):
         raise FormulaSyntaxError("formula head must be a symbol", node.position)
-    args = node[1:]
-    if head == "dist":
-        if len(args) != 2:
-            raise FormulaSyntaxError("dist takes two variables", node.position)
-        phi = Atomic(_var_index(args[0]), _var_index(args[1]))
-    elif head == "neg":
-        if len(args) != 1:
-            raise FormulaSyntaxError("neg takes one formula", node.position)
-        phi = Neg(_formula_from(args[0]))
-    elif head == "half":
-        if len(args) != 1:
-            raise FormulaSyntaxError("half takes one formula", node.position)
-        phi = Half(_formula_from(args[0]))
-    elif head == "dotminus":
-        if len(args) != 2:
-            raise FormulaSyntaxError("dotminus takes two formulas", node.position)
-        phi = DotMinus(_formula_from(args[0]), _formula_from(args[1]))
-    elif head in ("inf", "sup"):
-        if len(args) != 2:
-            raise FormulaSyntaxError("%s takes a variable and a body" % head,
-                                     node.position)
-        cls = InfQ if head == "inf" else SupQ
-        phi = cls(_var_index(args[0]), _formula_from(args[1]))
-    elif head in ("cinf", "csup"):
-        if len(args) != 1:
-            raise FormulaSyntaxError("%s takes one family" % head, node.position)
-        cls = CInf if head == "cinf" else CSup
-        phi = cls(_family_from(args[0]))
-    else:
+    try:
+        cls, readers, usage = _HEADS[head]
+    except KeyError:
         raise FormulaSyntaxError("unknown formula head %r" % str(head),
-                                 node.position)
-    return phi
+                                 node.position) from None
+    if len(node) != len(readers) + 1:
+        raise FormulaSyntaxError(usage, node.position)
+    if len(readers) == 1:
+        return cls(readers[0](node[1]))
+    return cls(readers[0](node[1]), readers[1](node[2]))
+
+
+# head -> (node class, reader of each argument, usage message)
+_HEADS = {
+    "dist": (Atomic, (_var_index, _var_index), "dist takes two variables"),
+    "neg": (Neg, (_formula_from,), "neg takes one formula"),
+    "dotminus": (DotMinus, (_formula_from, _formula_from),
+                 "dotminus takes two formulas"),
+    "half": (Half, (_formula_from,), "half takes one formula"),
+    "inf": (InfQ, (_var_index, _formula_from), "inf takes a variable and a body"),
+    "sup": (SupQ, (_var_index, _formula_from), "sup takes a variable and a body"),
+    "cinf": (CInf, (_family_from,), "cinf takes one family"),
+    "csup": (CSup, (_family_from,), "csup takes one family"),
+}
 
 
 def parse(code):
@@ -335,31 +330,26 @@ class Rank:
         return "%s %s" % (self.flavor, self.level)
 
 
-def pi_level(rank):
-    """Least b such that the rank counts as Pi_b (the hierarchy is cumulative)."""
+def level_as(rank, flavor):
+    """Least b such that the rank counts as flavor_b (the hierarchy is cumulative)."""
     if rank.flavor == FINITARY:
         return ZERO_ORD
-    if rank.flavor == PI:
+    if rank.flavor == flavor:
         return rank.level
     return rank.level + from_int(1)
 
 
-def sigma_level(rank):
-    if rank.flavor == FINITARY:
-        return ZERO_ORD
-    if rank.flavor == SIGMA:
-        return rank.level
-    return rank.level + from_int(1)
-
+_DUAL = {SIGMA: PI, PI: SIGMA}
 
 _SPOT_CHECK = 3
 
 
-def _classify_family(family, flavor, member_level, memo):
+def _classify_family(family, flavor, memo):
+    dual = _DUAL[flavor]
     if isinstance(family, ExplicitFamily):
         top = ZERO_ORD
         for m in family.members:
-            lvl = member_level(_classify(m, memo))
+            lvl = level_as(_classify(m, memo), dual)
             if lvl > top:
                 top = lvl
         return Rank(flavor, top + from_int(1))
@@ -370,7 +360,7 @@ def _classify_family(family, flavor, member_level, memo):
     gen = get_generator(family.generator)
     alpha = gen.level_bound(family.params)
     for n in range(_SPOT_CHECK):
-        lvl = member_level(_classify(family.member(n), memo))
+        lvl = level_as(_classify(family.member(n), memo), dual)
         if not lvl < alpha:
             raise ClassificationError(
                 "family %s member %d has level %s, not below declared bound %s"
@@ -400,7 +390,7 @@ def _classify(phi, memo):
         r = _classify(phi.body, memo)
         if r.flavor == FINITARY:
             return r
-        return Rank(PI if r.flavor == SIGMA else SIGMA, r.level)
+        return Rank(_DUAL[r.flavor], r.level)
     if isinstance(phi, (Half, InfQ, SupQ)):
         return _classify(phi.body, memo)
     if isinstance(phi, DotMinus):
@@ -410,7 +400,7 @@ def _classify(phi, memo):
             raise ClassificationError("dotminus over infinitary operands")
         return Rank(FINITARY, ZERO_ORD)
     if isinstance(phi, CInf):
-        return _classify_family(phi.family, SIGMA, pi_level, memo)
+        return _classify_family(phi.family, SIGMA, memo)
     if isinstance(phi, CSup):
-        return _classify_family(phi.family, PI, sigma_level, memo)
+        return _classify_family(phi.family, PI, memo)
     raise TypeError("not a formula: %r" % (phi,))

@@ -1,16 +1,20 @@
-import pytest
+from fractions import Fraction
 
-from numerals.builders import dyadic_numeral
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from numerals.builders import build_numeral, dyadic_numeral
 from numerals.dyadics import Dyadic
 from numerals.formulas import (Atomic, CInf, CSup, ClassificationError,
                                DotMinus, ExplicitFamily, ExhaustedFamilyError,
                                FINITARY, FormulaSyntaxError, GeneratedFamily,
-                               Half, InfQ, Neg, PI, Rank, SIGMA,
+                               Half, InfQ, Neg, PI, Rank, SIGMA, SupQ,
                                UnknownGeneratorError, classify, free_vars,
-                               get_generator, parse, pi_level,
-                               register_generator, sigma_level)
+                               get_generator, level_as, parse,
+                               register_generator)
 from numerals.ordinals import from_int, parse_ordinal
-from numerals.reals import RIGHT, CutEnumerator, parse_target
+from numerals.reals import (LEFT, RIGHT, CutEnumerator, RationalSource,
+                            StagedChildSource, parse_target, sigma2_predicate)
 
 CODES = [
     "(dist x0 x1)",
@@ -30,6 +34,63 @@ CODES = [
 def test_parse_serialize_identity():
     for code in CODES:
         assert parse(code).code == code
+
+
+fractions = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))
+
+
+def _step_family(side, level, scheme, value):
+    """The successor- or limit-members family of a rational source."""
+    level = parse_ordinal(level)
+    source = RationalSource(None if scheme == "constant" else side, level,
+                            scheme, value)
+    return build_numeral(side, level, source).family
+
+
+# a family of each builtin generator name, with params drawn as values
+generated = st.one_of(
+    st.builds(lambda side, value: GeneratedFamily(
+        "dyadic-upper-cut" if side == RIGHT else "dyadic-lower-cut",
+        CutEnumerator(parse_target(value), side)),
+        st.sampled_from([LEFT, RIGHT]),
+        fractions.map(str) | st.just("sqrt-half")),
+    st.builds(lambda name, value, index: GeneratedFamily(
+        "staged-approx", StagedChildSource(sigma2_predicate(name, value), index)),
+        st.sampled_from(["geometric-above", "lagged-above", "geometric-below",
+                         "lagged-below"]),
+        fractions.map(str), st.integers(0, 10 ** 6)),
+    st.builds(_step_family, st.sampled_from([LEFT, RIGHT]),
+              st.sampled_from(["2", "3", "w", "w+1", "w*2"]),
+              st.sampled_from(["constant", "geometric"]), fractions))
+
+variables = st.integers(0, 12)
+
+
+def _wrap(sub):
+    family = st.lists(sub, min_size=1, max_size=3).map(
+        lambda members: ExplicitFamily(tuple(members)))
+    return st.one_of(st.builds(Neg, sub), st.builds(Half, sub),
+                     st.builds(DotMinus, sub, sub),
+                     st.builds(InfQ, variables, sub),
+                     st.builds(SupQ, variables, sub),
+                     st.builds(CInf, family), st.builds(CSup, family))
+
+
+formula_trees = st.recursive(
+    st.builds(Atomic, variables, variables)
+    | st.builds(CInf, generated) | st.builds(CSup, generated),
+    _wrap, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_trees)
+def test_parse_round_trips_every_head(phi):
+    # every head, explicit families and each builtin generator's params:
+    # parse reads back the node its code came from
+    back = parse(phi.code)
+    assert back.code == phi.code
+    assert back == phi
 
 
 def test_deep_hand_built_chain_has_a_code():
@@ -65,9 +126,79 @@ def test_syntax_errors_carry_position():
         assert err.value.position == offset
 
 
+# (code, message, offset) of each FormulaSyntaxError parse raises, frozen as
+# printed: every head with an argument too few and too many, bad heads, forms
+# and variables, and malformed families
+SYNTAX_ERRORS = [
+    ("(dist x0)", "dist takes two variables", 0),
+    ("(dist x0 x1 x2)", "dist takes two variables", 0),
+    ("(neg)", "neg takes one formula", 0),
+    ("(neg (dist x0 x0) (dist x0 x0))", "neg takes one formula", 0),
+    ("(half)", "half takes one formula", 0),
+    ("(half (dist x0 x0) (dist x0 x0))", "half takes one formula", 0),
+    ("(dotminus (dist x0 x0))", "dotminus takes two formulas", 0),
+    ("(dotminus (dist x0 x0) (dist x0 x0) (dist x0 x0))",
+     "dotminus takes two formulas", 0),
+    ("(inf x0)", "inf takes a variable and a body", 0),
+    ("(inf x0 (dist x0 x0) (dist x0 x0))", "inf takes a variable and a body", 0),
+    ("(sup x0)", "sup takes a variable and a body", 0),
+    ("(sup x0 (dist x0 x0) (dist x0 x0))", "sup takes a variable and a body", 0),
+    ("(cinf)", "cinf takes one family", 0),
+    ("(cinf (list (dist x0 x0)) (list (dist x0 x0)))", "cinf takes one family", 0),
+    ("(csup)", "csup takes one family", 0),
+    ("(csup (list (dist x0 x0)) (list (dist x0 x0)))", "csup takes one family", 0),
+    ("(neg (dist x0) (dist x0 x0))", "neg takes one formula", 0),
+    ("(neg (dotminus (dist x0 x0)))", "dotminus takes two formulas", 5),
+    ("((dist x0 x0))", "formula head must be a symbol", 0),
+    ('("dist" x0 x0)', "formula head must be a symbol", 0),
+    ("(halve x0)", "unknown formula head 'halve'", 0),
+    ("(half (halve x0))", "unknown formula head 'halve'", 6),
+    ("dist", "expected a parenthesized formula", 0),
+    ("()", "expected a parenthesized formula", 0),
+    ('"x"', "expected a parenthesized formula", 0),
+    ("(neg x0)", "expected a parenthesized formula", 5),
+    ("(dist y0 x0)", "expected a variable like x0, got 'y0'", 6),
+    ("(dist x0 x)", "expected a variable like x0, got 'x'", 9),
+    ("(inf x\u00b2 (dist x0 x0))", "expected a variable like x0, got 'x\u00b2'", 5),
+    ("(dist x0 x\u0663)", "expected a variable like x0, got 'x\u0663'", 9),
+    ("(dist (x0) x1)", "expected a variable like x0, got \"['x0']\"", 6),
+    ('(dist x0 "x1")', "expected a variable like x0, got 'x1'", 9),
+    ("(inf (x0) (dist x0 x0))", "expected a variable like x0, got \"['x0']\"", 5),
+    ("(inf y0 (halve))", "expected a variable like x0, got 'y0'", 5),
+    ("(cinf (list))", "(list ...) needs at least one member", 6),
+    ("(cinf (list (dist x0)))", "dist takes two variables", 12),
+    ("(cinf x0)", "expected (list ...) or (gen ...)", 6),
+    ("(cinf ())", "expected (list ...) or (gen ...)", 6),
+    ("(cinf (gen dyadic-upper-cut))",
+     '(gen ...) takes a name and a "param" string', 6),
+    ('(cinf (gen dyadic-upper-cut "1/3" "1/2"))',
+     '(gen ...) takes a name and a "param" string', 6),
+    ("(cinf (gen dyadic-upper-cut 1/3))",
+     '(gen ...) takes a name and a "param" string', 6),
+    ('(cinf (gen "dyadic-upper-cut" "1/3"))',
+     '(gen ...) takes a name and a "param" string', 6),
+    ('(csup (gen (x) "1/3"))', '(gen ...) takes a name and a "param" string', 6),
+    ("(cinf (set (dist x0 x0)))", "unknown family form 'set'", 6),
+    ("(csup ((list) (dist x0 x0)))", "unknown family form \"['list']\"", 6),
+    ("(neg (dist x0 x1)", "unclosed '('", 0),
+    ("(dist x0 x1) junk", "trailing input after expression", 13),
+]
+
+
+@pytest.mark.parametrize("code, message, offset", SYNTAX_ERRORS)
+def test_syntax_error_messages_are_frozen(code, message, offset):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(code)
+    assert type(err.value) is FormulaSyntaxError
+    assert str(err.value) == "%s (at offset %d)" % (message, offset)
+    assert err.value.position == offset
+
+
 def test_unknown_generator_rejected_at_parse():
-    with pytest.raises(UnknownGeneratorError):
+    with pytest.raises(UnknownGeneratorError) as err:
         parse('(cinf (gen no-such-thing "p"))')
+    assert type(err.value) is UnknownGeneratorError
+    assert str(err.value) == "unknown generator 'no-such-thing'"
 
 
 def test_reregistering_keeps_the_reader():
@@ -104,11 +235,12 @@ def test_rank_str_and_duality():
     assert str(Rank(FINITARY, from_int(0))) == "Finitary"
     assert str(Rank(SIGMA, parse_ordinal("w+1"))) == "Sigma w+1"
     fin = Rank(FINITARY, from_int(0))
-    assert pi_level(fin) == from_int(0)
-    assert sigma_level(fin) == from_int(0)
-    assert pi_level(Rank(PI, from_int(2))) == from_int(2)
-    assert pi_level(Rank(SIGMA, from_int(2))) == from_int(3)
-    assert sigma_level(Rank(SIGMA, from_int(2))) == from_int(2)
+    assert level_as(fin, PI) == from_int(0)
+    assert level_as(fin, SIGMA) == from_int(0)
+    assert level_as(Rank(PI, from_int(2)), PI) == from_int(2)
+    assert level_as(Rank(SIGMA, from_int(2)), PI) == from_int(3)
+    assert level_as(Rank(SIGMA, from_int(2)), SIGMA) == from_int(2)
+    assert level_as(Rank(PI, parse_ordinal("w")), SIGMA) == parse_ordinal("w+1")
     with pytest.raises(ValueError):
         Rank(FINITARY, from_int(1))
 
