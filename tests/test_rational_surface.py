@@ -12,24 +12,48 @@ recipes at depths 16 and 256, and of the geometric leveled recipes of "1/3"
 on both sides at w and w*2 (depths 8 and 16) and w^2 (depths 4 and 8),
 whose verdicts once flipped with depth.
 
-Each row runs cli.main in process and must print the same bytes.
+tests/cli_surface.json lists the same for the paths that read recipes,
+step params and cuts: `verify` of malformed recipes, of bad --suite files
+(tests/suites) and of bad options, whose argparse exit is recorded as its
+exit code, and `eval` of cut, staged-approx and step codes at several
+depths.
+
+Each row runs cli.main in process, from the repository root and with
+usage text wrapped at 80 columns, and must print the same bytes.
+tests/freeze_surface.py rewrites the outputs of all three tables.
 """
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
 from numerals.cli import main
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+TABLES = ("rational_surface.json", "verify_surface.json", "cli_surface.json")
 
-def _rows(name):
-    with open(os.path.join(os.path.dirname(__file__), name),
-              encoding="ascii") as table:
+
+def read_rows(name):
+    with open(os.path.join(HERE, name), encoding="ascii") as table:
         return json.load(table)
 
 
-ROWS = _rows("rational_surface.json")
-VERIFY_ROWS = _rows("verify_surface.json")
+def run(argv):
+    """[exit code, stdout, stderr] of cli.main(argv) in process; argparse's
+    SystemExit gives the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit:
+            code = exit.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+ROWS, VERIFY_ROWS, CLI_ROWS = map(read_rows, TABLES)
 
 
 def test_table_covers_every_form():
@@ -62,19 +86,47 @@ def test_verify_table_covers_ladder_and_corpus():
     assert len(rows) == len(set(rows)) == 2 * len(cells)
 
 
-def _changed(table, capsys):
+def test_cli_table_covers_recipes_suites_options_and_codes():
+    assert len(CLI_ROWS) == 69
+    recipes = [code for argv, code, *_ in CLI_ROWS if len(argv) == 2]
+    assert recipes == [2] * 6  # malformed recipes, each refused
+    for argv, code, out, err in CLI_ROWS:
+        assert argv[0] in ("verify", "eval")
+        assert not any(os.path.isabs(arg) for arg in argv)
+        assert ROOT not in out + err
+    suites = [argv[3] for argv, *_ in CLI_ROWS if "--suite" in argv]
+    assert len(suites) == 3 and all(os.path.isfile(os.path.join(ROOT, path))
+                                    for path in suites)
+    assert [argv[2:] for argv, code, *_ in CLI_ROWS
+            if argv[0] == "verify" and code == 2 and "--suite" not in argv
+            and len(argv) == 4] \
+        == [["--depth", "0"], ["--tol", "x"], ["--format", "bogus"]]
+    for family in ("dyadic-upper-cut", "dyadic-lower-cut", "staged-approx",
+                   "successor-members", "limit-members"):
+        assert any(argv[0] == "eval" and family in argv[1] and code == 0
+                   for argv, code, *_ in CLI_ROWS)
+
+
+def _changed(table, monkeypatch):
+    # argparse wraps its usage text at the terminal's width, and the suite
+    # paths are relative to the repository root
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
     changed = []
-    for argv, code, out, err in table:
-        got = main(list(argv))
-        captured = capsys.readouterr()
-        if (got, captured.out, captured.err) != (code, out, err):
-            changed.append((argv, got, captured.out, captured.err))
+    for argv, *row in table:
+        got = run(argv)
+        if got != row:
+            changed.append([argv] + got)
     return changed
 
 
-def test_surface_rows(capsys):
-    assert _changed(ROWS, capsys) == []
+def test_surface_rows(monkeypatch):
+    assert _changed(ROWS, monkeypatch) == []
 
 
-def test_verify_surface_rows(capsys):
-    assert _changed(VERIFY_ROWS, capsys) == []
+def test_verify_surface_rows(monkeypatch):
+    assert _changed(VERIFY_ROWS, monkeypatch) == []
+
+
+def test_cli_surface_rows(monkeypatch):
+    assert _changed(CLI_ROWS, monkeypatch) == []
