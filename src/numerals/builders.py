@@ -17,10 +17,10 @@ Two generators serve the five family names. LevelOneGenerator makes
 member n the dyadic numeral of params.value(n), its params a
 reals.CutEnumerator (dyadic-upper-cut, dyadic-lower-cut) or a
 reals.StagedChildSource (staged-approx). StepGenerator makes it the numeral
-of params.source.child(n), its params the StepParams of a successor or limit
-step (successor-members, limit-members). Params are handed over as values;
-the reader registered with each name makes the same value from the text of
-a code.
+of params.source.child(n), its params the NumeralRecipe of the successor- or
+limit-level numeral that owns the family (successor-members, limit-members).
+Params are handed over as values; the reader registered with each name makes
+the same value from the text of a code.
 """
 
 
@@ -166,34 +166,19 @@ def read_stage(text):
 # ----------------------------------------------------- successor and limit
 
 
-@record
-class StepParams:
-    """Params of a successor- or limit-members family: the numeral's side and
-    its real source, whose level is the level of the step. The builders make
-    one only from a source that passes reals.check_step; member n is the
-    numeral of source.child(n)."""
-
-    side: str
-    source: object
-
-    def __str__(self):
-        head = "limit" if self.source.level.is_limit() else "succ"
-        return "(%s %s %s %s)" % (head, self.side, self.source.level,
-                                  self.source.descriptor)
-
-
 def read_step(head, text):
-    """StepParams from the text (head side level descriptor), head being
-    succ or limit, with the checks build_numeral makes."""
+    """The recipe of a step family's numeral from its params text (head side
+    level descriptor), head being succ or limit, with the checks
+    build_numeral makes."""
     step = "successor" if head == "succ" else "limit"
-    side, level, source = _side_level_source(
+    recipe = _read_recipe(
         sexpr.read(text), head,
         "%s params must be (%s side level descriptor)" % (step, head))
-    if source.level != level:
+    if recipe.source.level != recipe.level:
         raise BuildError("source declares level %s, %s step says %s"
-                         % (source.level, step, level))
-    reals.check_step(source, side, head == "limit")
-    return StepParams(side, source)
+                         % (recipe.source.level, step, recipe.level))
+    reals.check_step(recipe.source, recipe.side, head == "limit")
+    return recipe
 
 
 class StepGenerator:
@@ -206,15 +191,15 @@ class StepGenerator:
 
     def member(self, params, n):
         child = params.source.child(n)
-        limit = params.source.level.is_limit()
+        limit = params.level.is_limit()
         return build_numeral(params.side if limit else other_side(params.side),
                              child.level, child)
 
     def level_bound(self, params):
-        return params.source.level
+        return params.level
 
     def monotone(self, params):
-        if params.source.level.is_limit():
+        if params.level.is_limit():
             return None
         return "nonincreasing" if params.side == RIGHT else "nondecreasing"
 
@@ -253,7 +238,7 @@ def build_numeral(side, level, source):
         if constant and level.is_limit():
             source = reals.RationalSource(side, level, "constant", source.value)
         reals.check_step(source, side, level.is_limit())
-        family = GeneratedFamily(name, StepParams(side, source))
+        family = GeneratedFamily(name, NumeralRecipe(side, level, source))
     return CInf(family) if side == RIGHT else CSup(family)
 
 
@@ -271,6 +256,12 @@ class NumeralRecipe:
         return "(numeral %s %s %s)" % (self.side, self.level,
                                        self.source.descriptor)
 
+    def __str__(self):
+        """The params text of its numeral's step family, at level >= 2."""
+        head = "limit" if self.level.is_limit() else "succ"
+        return "(%s %s %s %s)" % (head, self.side, self.level,
+                                  self.source.descriptor)
+
     @property
     def rank(self):
         """Its numeral's rank: Sigma on the right, Pi on the left."""
@@ -280,8 +271,8 @@ class NumeralRecipe:
         return build_numeral(self.side, self.level, self.source)
 
 
-def _side_level_source(node, head, usage):
-    """(side, level, source) of a node (head side level real-source)."""
+def _read_recipe(node, head, usage):
+    """The recipe of a node (head side level real-source)."""
     if not isinstance(node, sexpr.Group) or len(node) != 4 or node[0] != head:
         raise BuildError(usage)
     side = str(node[1])
@@ -291,7 +282,7 @@ def _side_level_source(node, head, usage):
         level = parse_ordinal(str(node[2]))
     except ValueError as err:
         raise BuildError(str(err)) from None
-    return side, level, reals._source_from(node[3])
+    return NumeralRecipe(side, level, reals._source_from(node[3]))
 
 
 def parse_recipe(text):
@@ -299,8 +290,8 @@ def parse_recipe(text):
         node = sexpr.read(text)
     except sexpr.SexprError as err:
         raise BuildError("bad recipe: %s" % err) from None
-    return NumeralRecipe(*_side_level_source(
-        node, "numeral", "recipe must be (numeral side level real-source)"))
+    return _read_recipe(node, "numeral",
+                        "recipe must be (numeral side level real-source)")
 
 
 register_generator("dyadic-upper-cut", LevelOneGenerator(), read_cut(RIGHT))

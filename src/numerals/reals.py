@@ -224,8 +224,9 @@ class CutEnumerator:
       greatest hit of the levels before L (0 when they have none), and the
       numerators rise within level L.
 
-    Both walk the levels up to hit k's, about log k of them, on int edges
-    alone, and the enumerator holds no state.
+    hit(k) walks the levels up to hit k's, about log k of them, on int
+    edges alone, and the enumerator holds no state. best(k) reads L from
+    hit(k), whose numerator is odd, so every member is placed by hit.
     """
 
     target: object
@@ -260,8 +261,8 @@ class CutEnumerator:
             return self.target.floor_scaled(level) + 1
         return self.target.ceil_scaled(level) - 1
 
-    def _place(self, k):
-        """(L, j, edge): hit k is the j-th of level L, whose edge is given."""
+    def hit(self, k):
+        """The k-th dyadic cut member in (0,1), in order of discovery."""
         if self.trivial:
             raise RealSourceError("the %s cut of %s has no dyadic members in (0,1)"
                                   % (self.side, self.target.text))
@@ -270,27 +271,23 @@ class CutEnumerator:
             edge = self._edge(level)
             if self.side == RIGHT:
                 count = (1 << (level - 1)) - edge // 2  # odd a in [edge, 2^L)
+                first = edge | 1
             else:
                 count = (edge + 1) // 2                 # odd a in [1, edge]
+                first = 1
             if k < count:
-                return level, k, edge
+                return Dyadic(first + 2 * k, level)
             k -= count
             level += 1
-
-    def hit(self, k):
-        """The k-th dyadic cut member in (0,1), in order of discovery."""
-        level, j, edge = self._place(k)
-        first = edge | 1 if self.side == RIGHT else 1
-        return Dyadic(first + 2 * j, level)
 
     def best(self, k):
         """The least (right) or greatest (left) of hits 0..k: the running
         extremum, nonincreasing on the right and nondecreasing on the left."""
-        level, j, edge = self._place(k)
+        hit = self.hit(k)
+        level = hit.exp  # its numerator is odd
         if self.side == RIGHT:
-            return Dyadic(edge, level)
-        return max(Dyadic(2 * j + 1, level),
-                   Dyadic(self._edge(level - 1), level - 1))
+            return Dyadic(self._edge(level), level)
+        return max(hit, Dyadic(self._edge(level - 1), level - 1))
 
 
 # ------------------------------------------------- sigma-2 reals by stages

@@ -5,9 +5,10 @@ from hypothesis import given, seed, settings, strategies as st
 
 from numerals import builders, reals, sexpr
 from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
-from numerals.builders import (EXISTS, FORALL, BuildError, StepGenerator,
-                               StepParams, build_numeral, dyadic_numeral,
-                               other_flavor, other_side, parse_recipe)
+from numerals.builders import (EXISTS, FORALL, BuildError, NumeralRecipe,
+                               StepGenerator, build_numeral, dyadic_numeral,
+                               other_flavor, other_side, parse_recipe,
+                               read_step)
 from numerals.dyadics import Dyadic, HALF, MAX_EXP, ONE, ZERO
 from numerals.engine import Engine, TruncationSchedule
 from numerals.formulas import (Atomic, CInf, CSup, Half, InfQ, Neg, SupQ,
@@ -406,9 +407,11 @@ def test_incoherent_step_rejected_when_built():
 
 
 def test_step_params_text():
-    succ = StepParams(RIGHT, RationalSource(RIGHT, from_int(3), "geometric", F(1, 3)))
+    succ = NumeralRecipe(RIGHT, from_int(3), RationalSource(
+        RIGHT, from_int(3), "geometric", F(1, 3)))
     assert str(succ) == '(succ right 3 (real geometric right 3 "1/3"))'
-    lim = StepParams(LEFT, RationalSource(LEFT, OMEGA, "constant", F(1, 2)))
+    lim = NumeralRecipe(LEFT, OMEGA,
+                        RationalSource(LEFT, OMEGA, "constant", F(1, 2)))
     assert str(lim) == \
         '(limit left w (real leveled left w (members constant "1/2")))'
     # successor members declare their order; limit members declare none
@@ -461,12 +464,22 @@ def _family_tree(phi, levels):
 
 def test_codes_round_trip():
     # parse makes the params a builder hands over from the code's text alone
+    steps = 0
     for text in LADDER_RECIPES + CORPUS_RECIPES:
-        for m in _family_tree(parse_recipe(text).build(), 2):
+        recipe = parse_recipe(text)
+        phi = recipe.build()
+        for m in _family_tree(phi, 2):
             back = parse(m.code)
             assert back == m, m.code
             assert back.code == m.code
             assert classify(back) == classify(m)
+        if recipe.level != LEVEL_ONE:
+            # a step family's params are the recipe of the numeral owning it
+            steps += 1
+            assert phi.family.params == recipe
+            head = "limit" if recipe.level.is_limit() else "succ"
+            assert read_step(head, str(recipe)) == recipe
+    assert steps == 20
 
 
 MALFORMED_PARAMS = (

@@ -7,7 +7,7 @@ import pytest
 
 import numerals
 from numerals.acceptance import CriterionResult
-from numerals.builders import NumeralRecipe, StepParams
+from numerals.builders import NumeralRecipe
 from numerals.dyadics import Dyadic, Enclosure, HALF, ZERO
 from numerals.engine import (ConvergenceRow, IndependenceReport,
                              TruncationSchedule, VerificationReport)
@@ -32,7 +32,6 @@ RANK = Rank(SIGMA, from_int(1))
 # one value of every record class in numerals
 EXAMPLES = [
     CriterionResult(1, "title", True, 0.5, "detail"),
-    StepParams(RIGHT, GEOMETRIC),
     NumeralRecipe(RIGHT, from_int(3), GEOMETRIC),
     Dyadic(3, 3),
     ENCLOSURE,
