@@ -48,8 +48,8 @@ def run(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(list(argv))
-        except SystemExit as exit:
-            code = exit.code
+        except SystemExit as stop:
+            code = stop.code
     return [code, out.getvalue(), err.getvalue()]
 
 
@@ -88,19 +88,14 @@ def test_verify_table_covers_ladder_and_corpus():
 
 def test_cli_table_covers_recipes_suites_options_and_codes():
     assert len(CLI_ROWS) == 69
-    recipes = [code for argv, code, *_ in CLI_ROWS if len(argv) == 2]
-    assert recipes == [2] * 6  # malformed recipes, each refused
     for argv, code, out, err in CLI_ROWS:
         assert argv[0] in ("verify", "eval")
         assert not any(os.path.isabs(arg) for arg in argv)
         assert ROOT not in out + err
-    suites = [argv[3] for argv, *_ in CLI_ROWS if "--suite" in argv]
-    assert len(suites) == 3 and all(os.path.isfile(os.path.join(ROOT, path))
-                                    for path in suites)
-    assert [argv[2:] for argv, code, *_ in CLI_ROWS
-            if argv[0] == "verify" and code == 2 and "--suite" not in argv
-            and len(argv) == 4] \
-        == [["--depth", "0"], ["--tol", "x"], ["--format", "bogus"]]
+        if "--suite" in argv:
+            assert os.path.isfile(os.path.join(ROOT, argv[3]))
+    # each verify row is refused: malformed recipes, suites and options
+    assert {code for argv, code, *_ in CLI_ROWS if argv[0] == "verify"} == {2}
     for family in ("dyadic-upper-cut", "dyadic-lower-cut", "staged-approx",
                    "successor-members", "limit-members"):
         assert any(argv[0] == "eval" and family in argv[1] and code == 0
