@@ -13,10 +13,12 @@ on both sides at w and w*2 (depths 8 and 16) and w^2 (depths 4 and 8),
 whose verdicts once flipped with depth.
 
 tests/cli_surface.json lists the same for the paths that read recipes,
-step params and cuts: `verify` of malformed recipes, of bad --suite files
-(tests/suites) and of bad options, whose argparse exit is recorded as its
-exit code, and `eval` of cut, staged-approx and step codes at several
-depths.
+step params, cuts and dyadic literals: `verify` of malformed recipes, of
+bad --suite files (tests/suites) and of bad options, whose argparse exit is
+recorded as its exit code, `eval` of cut, staged-approx and step codes at
+several depths and of malformed staged-approx params, `dyadic` of 29
+literal forms, and `eval` over one 2-point space file per form of a dist
+entry (tests/suites/entry_*.txt).
 
 Each row runs cli.main in process, from the repository root and with
 usage text wrapped at 80 columns, and must print the same bytes.
@@ -87,9 +89,9 @@ def test_verify_table_covers_ladder_and_corpus():
 
 
 def test_cli_table_covers_recipes_suites_options_and_codes():
-    assert len(CLI_ROWS) == 69
+    assert len(CLI_ROWS) == 117
     for argv, code, out, err in CLI_ROWS:
-        assert argv[0] in ("verify", "eval")
+        assert argv[0] in ("verify", "eval", "dyadic")
         assert not any(os.path.isabs(arg) for arg in argv)
         assert ROOT not in out + err
         if "--suite" in argv:
