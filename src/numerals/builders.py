@@ -20,7 +20,9 @@ reals.StagedChildSource (staged-approx). StepGenerator makes it the numeral
 of params.source.child(n), its params the NumeralRecipe of the successor- or
 limit-level numeral that owns the family (successor-members, limit-members).
 Params are handed over as values; the reader registered with each name makes
-the same value from the text of a code.
+the same value from the text of a code. Each text is read by the module that
+writes it: staged-approx params by reals.read_stage and the descriptor in a
+step family's params by reals.source_from.
 """
 
 
@@ -134,33 +136,6 @@ class LevelOneGenerator:
 def read_cut(side):
     """The reader of a cut family's params on the given side."""
     return lambda text: reals.CutEnumerator(reals.parse_target(text), side)
-
-
-# A stage index n costs a scan of about sqrt(2n) rationals per member.
-MAX_STAGE_INDEX = 10 ** 12
-
-
-def read_stage(text):
-    """Staged-approx params from their text (stage pred-name "param" index),
-    with an index of at most MAX_STAGE_INDEX."""
-    node = sexpr.read(text)
-    if not isinstance(node, sexpr.Group) or len(node) != 4 \
-            or node[0] != "stage":
-        raise BuildError('staged-approx params must be '
-                         '(stage pred-name "param" index)')
-    pred = reals.sigma2_predicate(str(node[1]), str(node[2]))
-    text = str(node[3])
-    if not text.isascii() or not text.isdigit():
-        raise BuildError("stage index must be a nonnegative integer, got %r" % text)
-    # refused unread when it has more digits than the bound: int() takes 4,300
-    digits = text.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_STAGE_INDEX)):
-        raise BuildError("stage index of %d digits is above %d"
-                         % (len(digits), MAX_STAGE_INDEX))
-    index = int(digits)
-    if index > MAX_STAGE_INDEX:
-        raise BuildError("stage index %d is above %d" % (index, MAX_STAGE_INDEX))
-    return reals.StagedChildSource(pred, index)
 
 
 # ----------------------------------------------------- successor and limit
@@ -282,7 +257,7 @@ def _read_recipe(node, head, usage):
         level = parse_ordinal(str(node[2]))
     except ValueError as err:
         raise BuildError(str(err)) from None
-    return NumeralRecipe(side, level, reals._source_from(node[3]))
+    return NumeralRecipe(side, level, reals.source_from(node[3]))
 
 
 def parse_recipe(text):
@@ -296,7 +271,7 @@ def parse_recipe(text):
 
 register_generator("dyadic-upper-cut", LevelOneGenerator(), read_cut(RIGHT))
 register_generator("dyadic-lower-cut", LevelOneGenerator(), read_cut(LEFT))
-register_generator("staged-approx", LevelOneGenerator(), read_stage)
+register_generator("staged-approx", LevelOneGenerator(), reals.read_stage)
 register_generator("successor-members", StepGenerator(),
                    lambda text: read_step("succ", text))
 register_generator("limit-members", StepGenerator(),

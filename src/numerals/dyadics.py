@@ -11,15 +11,7 @@ from fractions import Fraction
 from .records import record
 
 
-def _canonical(num, exp):
-    if exp < 0:
-        return num << -exp, 0
-    if num & 1 or not exp:
-        return num, exp
-    if not num:
-        return 0, 0
-    shift = (num & -num).bit_length() - 1  # trailing zero bits, in one step
-    return (num >> shift, exp - shift) if shift < exp else (num >> exp, 0)
+_set = object.__setattr__
 
 
 @record
@@ -30,9 +22,15 @@ class Dyadic:
     exp: int = 0
 
     def __init__(self, num, exp=0):
-        num, exp = _canonical(num, exp)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        if exp < 0:
+            num, exp = num << -exp, 0
+        elif exp and not num & 1:
+            # trailing zero bits, in one step; zero is 0/2^0
+            shift = (num & -num).bit_length() - 1 if num else exp
+            num, exp = (num >> shift, exp - shift) if shift < exp \
+                else (num >> exp, 0)
+        _set(self, "num", num)
+        _set(self, "exp", exp)
 
     # equal and hashed as the record's field tuple, written out: it is hot
 
@@ -125,10 +123,21 @@ MAX_EXP = 1024  # largest k of a/2^k in lowest terms in a space or a numeral
 
 
 def parse_dyadic(text):
-    """Accept "3/8", "3/2^3", "1", "0.75" style inputs. An exponent that
-    makes the reader build 2^k or 10^k, the k of a/2^-k or of a decimal's
-    e-k or ek, must be at most MAX_SCALE, checked before the power is built:
-    10^MAX_SCALE still prints within Python's 4300-digit limit."""
+    """Accept "3/8", "3/2^3", "1", "0.75" style inputs. The plain a or a/b,
+    in ASCII digits with b a power of two, is read first and directly; any
+    other form goes through the general reader, which words every error. An
+    exponent that makes the reader build 2^k or 10^k, the k of a/2^-k or of
+    a decimal's e-k or ek, must be at most MAX_SCALE, checked before the
+    power is built: 10^MAX_SCALE still prints within Python's 4300-digit
+    limit."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        try:
+            num, den = int(num), int(den) if slash else 1
+        except ValueError:  # past int()'s digit limit: worded below
+            den = 0
+        if den and not den & (den - 1):
+            return Dyadic(num, den.bit_length() - 1)
     try:
         text = _plain(text.strip())
         num, _, den = text.partition("/")

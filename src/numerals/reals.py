@@ -563,6 +563,35 @@ class StagedChildSource:
                                      self.index)
 
 
+# A stage index n costs a row scan of about sqrt(2n) rationals per member.
+MAX_STAGE_INDEX = 10 ** 12
+
+
+def read_stage(text):
+    """Staged-approx params from their text (stage pred-name "param" index),
+    with an index of at most MAX_STAGE_INDEX."""
+    node = sexpr.read(text)
+    if not isinstance(node, sexpr.Group) or len(node) != 4 \
+            or node[0] != "stage":
+        raise RealSourceError('staged-approx params must be '
+                              '(stage pred-name "param" index)')
+    pred = sigma2_predicate(str(node[1]), str(node[2]))
+    text = str(node[3])
+    if not text.isascii() or not text.isdigit():
+        raise RealSourceError("stage index must be a nonnegative integer, "
+                              "got %r" % text)
+    # refused unread when it has more digits than the bound: int() takes 4,300
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_STAGE_INDEX)):
+        raise RealSourceError("stage index of %d digits is above %d"
+                              % (len(digits), MAX_STAGE_INDEX))
+    index = int(digits)
+    if index > MAX_STAGE_INDEX:
+        raise RealSourceError("stage index %d is above %d"
+                              % (index, MAX_STAGE_INDEX))
+    return StagedChildSource(pred, index)
+
+
 def _unit_rational(node, what, name):
     if not isinstance(node, sexpr.QuotedString):
         raise RealSourceError("%s must be a quoted rational" % what)
@@ -582,7 +611,7 @@ def _level_of(node):
         raise RealSourceError(str(err)) from None
 
 
-def _source_from(node):
+def source_from(node):
     """The real source of a (real ...) descriptor."""
     if not isinstance(node, sexpr.Group) or not node or node[0] != "real":
         raise RealSourceError("expected (real ...)")

@@ -14,18 +14,20 @@ File format, strict, no defaults:
     size: 2
     dist: 0 1/2 0
 
-The dist block is whitespace-separated dyadic literals, either the row-major
-lower triangle (n(n+1)/2 entries, diagonal included) or a full row-major
-matrix (n*n entries). Anything else is a format error, and so is an entry
-whose exponent in lowest terms is above MAX_EXP: every numerator of a space
-carries its largest exponent's bits.
+The dist block is whitespace-separated dyadic literals, each read by
+dyadics.parse_dyadic, either the row-major lower triangle (n(n+1)/2
+entries, diagonal included) or a full row-major matrix (n*n entries).
+Anything else is a format error, and so is an entry whose exponent in
+lowest terms is above MAX_EXP: every numerator of a space carries its
+largest exponent's bits. Every space read or built here, bar the two
+smallest builtins, is made by from_entries from Dyadic entries.
 """
 
 import functools
 import random
 from operator import add
 
-from .dyadics import MAX_EXP, Dyadic, _canonical, natural, parse_dyadic
+from .dyadics import MAX_EXP, Dyadic, natural, parse_dyadic
 from .records import record
 
 
@@ -115,19 +117,19 @@ def _checked(space):
     return space
 
 
-def _from_pairs(name, size, pairs):
-    """An unvalidated space from entries (num, exp) in lowest terms, each
-    num / 2**exp, in a lower triangle or a full row-major matrix."""
+def from_entries(name, size, entries):
+    """An unvalidated space from Dyadic entries, in a lower triangle or a
+    full row-major matrix."""
     tri = size * (size + 1) // 2
-    if len(pairs) not in (tri, size * size):
+    if len(entries) not in (tri, size * size):
         raise SpaceFormatError(
             "dist needs %d (triangle) or %d (full) entries, got %d"
-            % (tri, size * size, len(pairs)))
-    top = max((e for _, e in pairs), default=0)
+            % (tri, size * size, len(entries)))
+    top = max((d.exp for d in entries), default=0)
     if top > MAX_EXP:
         raise SpaceFormatError("dist entry exponent %d is above %d"
                                % (top, MAX_EXP))
-    nums = [num << (top - e) for num, e in pairs]
+    nums = [d.num << (top - d.exp) for d in entries]
     if len(nums) == tri:
         rows = [[0] * size for _ in range(size)]
         it = iter(nums)
@@ -139,34 +141,9 @@ def _from_pairs(name, size, pairs):
     return FiniteMetricSpace(name, size, top, tuple(map(tuple, rows)))
 
 
-def from_entries(name, size, entries):
-    """An unvalidated space from a triangular or full list of Dyadic entries."""
-    return _from_pairs(name, size, [(d.num, d.exp) for d in entries])
-
-
 def make_space(name, size, entries):
     """Build a space from a triangular or full entry list and validate it."""
     return _checked(from_entries(name, size, entries))
-
-
-def _entry(token):
-    """(num, exp) of a dist token, num / 2**exp: a plain literal, a or a/b
-    in ASCII digits with b a power of two, read directly and any other
-    through parse_dyadic, which reads the same values and words every
-    error."""
-    num, slash, den = token.partition("/")
-    if token.isascii() and num.isdigit() and (den.isdigit() or not slash):
-        try:
-            num, den = int(num), int(den) if slash else 1
-        except ValueError:  # past int()'s digit limit: parse_dyadic says so
-            den = 0
-        if den and not den & (den - 1):
-            return _canonical(num, den.bit_length() - 1)
-    try:
-        d = parse_dyadic(token)
-    except ValueError as err:
-        raise SpaceFormatError(str(err)) from None
-    return d.num, d.exp
 
 
 def load_space(text):
@@ -183,8 +160,11 @@ def load_space(text):
     if size < 1:
         raise SpaceFormatError("size must be positive")
     # one read per distinct token, in order, so the first bad one is reported
-    entries = {t: _entry(t) for t in dict.fromkeys(tokens[5:])}
-    return _checked(_from_pairs(name, size, [entries[t] for t in tokens[5:]]))
+    try:
+        entries = {t: parse_dyadic(t) for t in dict.fromkeys(tokens[5:])}
+    except ValueError as err:
+        raise SpaceFormatError(str(err)) from None
+    return _checked(from_entries(name, size, [entries[t] for t in tokens[5:]]))
 
 
 def load_space_file(path):
@@ -220,8 +200,8 @@ def _metric_closure(rows):
 
 def _quarters(name, size, rows):
     """An unvalidated space from int rows over 4."""
-    quarters = [_canonical(v, 2) for v in range(5)]
-    return _from_pairs(name, size, [quarters[v] for row in rows for v in row])
+    quarters = [Dyadic(v, 2) for v in range(5)]
+    return from_entries(name, size, [quarters[v] for row in rows for v in row])
 
 
 _GRID_SEED = 3571

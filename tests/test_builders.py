@@ -382,7 +382,7 @@ def test_incoherent_step_rejected_when_built():
     # RationalSource whose descriptor does not read it back
     def read_back(source):
         try:
-            return reals._source_from(sexpr.read(source.descriptor))
+            return reals.source_from(sexpr.read(source.descriptor))
         except RealSourceError:
             return None
 

@@ -7,10 +7,10 @@ import tracemalloc
 import pytest
 
 import numerals
-from numerals.builders import MAX_STAGE_INDEX
 from numerals.cli import main
 from numerals.dyadics import MAX_EXP, MAX_SCALE, Dyadic
 from numerals.formulas import parse
+from numerals.reals import MAX_STAGE_INDEX
 
 from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 

@@ -21,7 +21,7 @@ F = Fraction
 
 def read_source(text):
     """The real source of a (real ...) descriptor."""
-    return reals._source_from(sexpr.read(text))
+    return reals.source_from(sexpr.read(text))
 
 
 def constant(value, level):

@@ -1,9 +1,12 @@
 import random
+import re
+from datetime import timedelta
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from numerals.dyadics import Dyadic, ONE, ZERO, parse_dyadic
+from numerals.dyadics import Dyadic, ONE, ZERO, from_fraction, parse_dyadic
 from numerals.spaces import (MAX_EXP, SpaceFormatError, SpaceValidationError,
                              ValidationReport, builtin_suite, from_entries,
                              load_space, load_space_file, make_space,
@@ -181,27 +184,56 @@ def test_validate_matches_dyadic_reference(data):
     assert validate(space) == _reference_validate(space)
 
 
+def _reads_as_parse_dyadic(token):
+    # the same entry, or the same error text, as parse_dyadic gives
+    plain = re.fullmatch(r"([0-9]{1,4300})/([0-9]{1,4300})", token)
+    if plain and int(plain[2]) and not int(plain[2]) & (int(plain[2]) - 1):
+        assert parse_dyadic(token) == from_fraction(Fraction(token))
+    text = "name: t size: 2 dist: 0 %s 0" % token
+    try:
+        sp = from_entries("t", 2, [ZERO, parse_dyadic(token), ZERO])
+    except (ValueError, SpaceFormatError) as err:
+        with pytest.raises(SpaceFormatError) as got:
+            load_space(text)
+        assert str(got.value) == str(err)
+        return
+    try:
+        loaded = load_space(text)
+    except SpaceValidationError as err:
+        assert err.report == validate(sp)
+        return
+    assert loaded.dist == sp.dist and (loaded.exp, loaded.rows) == (sp.exp, sp.rows)
+
+
 @pytest.mark.parametrize("token", [
     "0", "1", "3/8", "6/16", "08/16", "3/2^3", "0.75", "+1/2", "-1/2",
     "1e-1", "2/6", "1/3", "3/0", "\u0663/8", "1_1/2", "9" * 5000,
     "1/" + "9" * 5000, "1/2^-3", "0/2^-5", "5e-1", "1e-3"],
     ids=lambda t: t if len(t) < 20 else "%d chars" % len(t))
 def test_load_space_reads_entries_as_parse_dyadic(token):
-    # the same entry, or the same error text, as parse_dyadic gives
-    try:
-        expected = parse_dyadic(token)
-    except ValueError as err:
-        with pytest.raises(SpaceFormatError) as got:
-            load_space("name: t size: 2 dist: 0 %s 0" % token)
-        assert str(got.value) == str(err)
-        return
-    sp = from_entries("t", 2, [ZERO, expected, ZERO])
-    try:
-        loaded = load_space("name: t size: 2 dist: 0 %s 0" % token)
-    except SpaceValidationError as err:
-        assert err.report == validate(sp)
-        return
-    assert loaded.dist == sp.dist and (loaded.exp, loaded.rows) == (sp.exp, sp.rows)
+    _reads_as_parse_dyadic(token)
+
+
+_DIGITS = st.builds("{}{}".format, st.sampled_from(("", "0", "00")),
+                    st.integers(0, 10 ** 12))
+_NOT_POWER = st.integers(3, 10 ** 6).filter(lambda b: b & (b - 1))
+_LONG = st.builds(lambda n, body: (body * n)[:n], st.integers(4290, 4310),
+                  st.integers(1, 10 ** 12).map(str))
+ENTRY_TOKENS = st.one_of(
+    _DIGITS,
+    st.builds("{}/{}{}".format, _DIGITS, st.sampled_from(("", "0", "00")),
+              st.one_of(st.integers(0, 1100).map(lambda k: 1 << k),
+                        _NOT_POWER, st.just(0))),
+    st.builds("{}/2^{}".format, _DIGITS, st.integers(-5000, 5000)),
+    st.builds("{}.{}e{}".format, _DIGITS, _DIGITS, st.integers(-5000, 5000)),
+    _LONG, _LONG.map("1/".__add__))
+
+
+@seed(2211)
+@settings(max_examples=300, deadline=timedelta(seconds=1))
+@given(ENTRY_TOKENS)
+def test_load_space_reads_any_entry_as_parse_dyadic(token):
+    _reads_as_parse_dyadic(token)
 
 
 def test_entry_exponent_bound():
