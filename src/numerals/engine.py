@@ -1,34 +1,43 @@
 """Evaluation and verification.
 
-One memoized walk evaluates every formula on a tuple of spaces at once,
-giving one triple (lo, hi, est) of dyadics per space under the truncation
-schedule: certified bounds and an estimate, all three v for a finitary
-node (no CInf or CSup below it) of value v, which no schedule changes, so
-eval_exact is the same walk with no schedule. A truncated CInf is [0, min
-of member upper bounds], a truncated CSup is [max of member lower bounds,
-1]; the tail of the family is never guessed, so two-sided intervals come
-only from sandwiching dual numerals. Every other connective maps the
-bounds monotonically: neg swaps them, dotminus pairs each bound of its
-left argument with the opposite bound of its right. The estimate is the
-exact value of the truncated formula itself.
+One memoized walk evaluates every formula on one space, giving a triple
+(lo, hi, est) of dyadics under the truncation schedule: certified bounds
+and an estimate, all three v for a finitary node (no CInf or CSup below
+it) of value v, which no schedule changes, so eval_exact is the same walk
+with no schedule. A truncated CInf is [0, min of member upper bounds], a
+truncated CSup is [max of member lower bounds, 1]; the tail of the family
+is never guessed, so two-sided intervals come only from sandwiching dual
+numerals. Every other connective maps the bounds monotonically: neg swaps
+them, dotminus pairs each bound of its left argument with the opposite
+bound of its right. The estimate is the exact value of the truncated
+formula itself.
 
-A numeral has one value in every space, so its families, members and
-shortcut picks are the same on each; only its finitary leaves read the
-metric, and the walk builds each member once for all its spaces. Triples
-are memoized per space, on (code, space, environment, schedule tail), so
-a later one-space walk (eval_exact, eval_enclosure, truncation_value)
-reuses them. A walk that misses on any of its spaces walks them all; each
-space's triple depends on that space alone, so the values it stores again
-are the ones the memo held. A point quantifier over an infinitary body
-walks each space on its own, since spaces differ in size.
+The walk records whether it read an atom d(x, y) with x != y; tables
+and memoized triples carry that flag. Lemma: a walk that reads no atom
+but d(x, x) gives the same triple, and takes the same shortcut picks, on
+every metric space with a point. By induction on the walk:
+- d(x, x) is 0 at every assignment in every metric space. Tables map or
+  reduce entries, so every entry of a table made from d(x, x) alone is
+  one dyadic, the same on every space.
+- Neg, half and dotminus map their children's triples, which agree.
+- A point quantifier takes the min / max of one walk per point, at least
+  one, and each gives the same triple.
+- A truncated family's members depend only on the family and the tail.
+  Its three picks agree, so the order check decides alike, and the same
+  end member, or the same prefix, gives the same min / max.
+- A memo hit returns what such a walk stored, with its flag.
+So independence_check walks its first space; if that walk read only the
+diagonal and every space has a zero one, its enclosure is every space's.
+Every sentence that builders makes reads d(x0, x0) alone, so its
+truncations are independent on every metric space.
 
 The monotone shortcut: a generated family whose generator declares the
 direction of its member values ("nonincreasing" or "nondecreasing" in n)
-is not scanned on a space where its prefix has at least four members and
-members 0, count // 2 and count - 1 are in the declared order on both
-their sound endpoints (hi under CInf, lo under CSup) and their estimates.
-The end member where the declared extremum sits then gives the bound and
-its own estimate. The other spaces scan the prefix together.
+is not scanned when its prefix has at least four members and members 0,
+count // 2 and count - 1 are in the declared order on both their sound
+endpoints (hi under CInf, lo under CSup) and their estimates. The end
+member where the declared extremum sits then gives the bound and its own
+estimate. Otherwise one scan of the prefix gives both.
 - The bound is attained by a sampled member, so it stays certified
   whatever the declaration says, for interval members as for points: any
   member's upper bound bounds the inf from above, and dually for sup.
@@ -127,8 +136,8 @@ def _lookup(env, var):
 
 
 def _read(table, env, space):
-    """A finitary node's value at env: its table's entry at env's points."""
-    names, exp, values = table
+    """The walk's (v, v, v, off) of a finitary node at env from its table."""
+    names, exp, values, off = table
     n = space.size
     index = 0
     for var in names:
@@ -137,7 +146,8 @@ def _read(table, env, space):
             raise EngineError("x%d = %s is not a point of %s"
                               % (var, p, space))
         index = index * n + p
-    return Dyadic(values[index], exp)
+    v = Dyadic(values[index], exp)
+    return v, v, v, off
 
 
 @record
@@ -177,90 +187,78 @@ class Engine:
 
     def eval_exact(self, phi, space, env=None):
         """The exact dyadic value of a finitary formula."""
-        return self._walk(phi, (space,), _freeze_env(env), None)[0][2]
+        return self._walk(phi, space, _freeze_env(env), None)[2]
 
     def eval_enclosure(self, phi, space, schedule, env=None):
         """A certified enclosure of the formula's value under the schedule."""
-        lo, hi, _ = self._walk(phi, (space,), _freeze_env(env),
-                               schedule.depths)[0]
-        return Enclosure(lo, hi)
+        return Enclosure(*self._walk(phi, space, _freeze_env(env),
+                                     schedule.depths)[:2])
 
     def truncation_value(self, phi, space, schedule, env=None):
         """Exact value of the schedule-truncated formula (the active
         estimate; not a certified bound on the untruncated value)."""
-        return self._walk(phi, (space,), _freeze_env(env),
-                          schedule.depths)[0][2]
+        return self._walk(phi, space, _freeze_env(env), schedule.depths)[2]
 
-    def _walk(self, phi, spaces, env, tail):
-        """(lo, hi, est) per space of the formula truncated by tail: certified
-        bounds on its value and the truncated formula's own value, (v, v, v)
-        for a finitary node of value v. No tail makes the walk exact, and a
-        CInf / CSup an error. A walk whose spaces are all in the memo reads
-        them; any miss walks every space and stores what it finds, which is
-        what the memo holds already for the others."""
-        memo = self._memo
-        code = phi.code
-        if phi.finitary and (not env or isinstance(phi, (Atomic, InfQ, SupQ))):
-            out = []
-            for space in spaces:
-                v = _read(memo.get((code, space)) or self._table(phi, space),
-                          env, space)
-                out.append((v, v, v))
+    def _walk(self, phi, space, env, tail):
+        """(lo, hi, est, off) of the formula truncated by tail: certified
+        bounds, the truncated formula's own value ((v, v, v) for a finitary
+        node of value v) and the off-diagonal flag. No tail makes the walk
+        exact, and a CInf / CSup an error."""
+        if phi.finitary and (not env or type(phi) in (Atomic, InfQ, SupQ)):
+            return _read(self._memo.get((phi.code, space))
+                         or self._table(phi, space), env, space)
+        key = (phi.code, space, env, tail)
+        out = self._memo.get(key)
+        if out is not None:
             return out
-        out = [memo.get((code, space, env, tail)) for space in spaces]
-        if None not in out:
-            return out
-        if isinstance(phi, DotMinus):
-            out = [(dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b))
-                   for (a_lo, a_hi, a), (b_lo, b_hi, b) in zip(
-                       self._walk(phi.left, spaces, env, tail),
-                       self._walk(phi.right, spaces, env, tail))]
-        elif isinstance(phi, Neg):
-            out = [(neg(hi), neg(lo), neg(est))
-                   for lo, hi, est in self._walk(phi.body, spaces, env, tail)]
-        elif isinstance(phi, Half):
-            out = [tuple(map(half, t))
-                   for t in self._walk(phi.body, spaces, env, tail)]
-        elif isinstance(phi, (InfQ, SupQ)):
-            # spaces differ in size, so each binds its own points
-            op = min if isinstance(phi, InfQ) else max
-            out = [tuple(map(op, zip(*[
-                self._walk(phi.body, (sp,), _bind(env, phi.var, p), tail)[0]
-                for p in range(sp.size)]))) for sp in spaces]
+        kind = type(phi)
+        if kind is DotMinus:
+            a_lo, a_hi, a, a_off = self._walk(phi.left, space, env, tail)
+            b_lo, b_hi, b, b_off = self._walk(phi.right, space, env, tail)
+            out = (dotminus(a_lo, b_hi), dotminus(a_hi, b_lo), dotminus(a, b),
+                   a_off or b_off)
+        elif kind is Neg or kind is Half:
+            lo, hi, est, off = self._walk(phi.body, space, env, tail)
+            out = (neg(hi), neg(lo), neg(est), off) if kind is Neg \
+                else (half(lo), half(hi), half(est), off)
+        elif kind is InfQ or kind is SupQ:
+            op = min if kind is InfQ else max
+            los, his, ests, offs = zip(*[
+                self._walk(phi.body, space, _bind(env, phi.var, p), tail)
+                for p in range(space.size)])
+            out = (op(los), op(his), op(ests), True in offs)
         else:  # CInf / CSup
             if tail is None:
                 raise EngineError("eval_exact needs a finitary formula, got %s"
-                                  % type(phi).__name__)
-            out = self._family(phi.family, spaces, env, tail,
-                               isinstance(phi, CInf))
-        for space, triple in zip(spaces, out):
-            memo[(code, space, env, tail)] = triple
+                                  % kind.__name__)
+            out = self._family(phi.family, space, env, tail, kind is CInf)
+        self._memo[key] = out
         return out
 
     def _table(self, phi, space):
         """Tabulate a finitary node on the whole space and memoize it under
-        (code, space) as (variables, exp, numerators): one int numerator
-        per assignment of points to its free variables, in order of first
-        free occurrence, row-major, each value numerator / 2**exp. A closed
-        node's table has no variables and one entry. A memoized child is
-        read with one probe, since a table is true."""
+        (code, space) as (variables, exp, numerators, off): one int
+        numerator per assignment of points to its free variables, in order
+        of first free occurrence, row-major, each value numerator / 2**exp,
+        and the off-diagonal flag. A closed node's table has one entry; a
+        memoized child is read with one probe, since a table is true."""
         n = space.size
         memo = self._memo
         kind = type(phi)
         if kind is Neg or kind is Half:  # most nodes: dyadic numeral chains
-            names, exp, values = memo.get((phi.body.code, space)) \
+            names, exp, values, off = memo.get((phi.body.code, space)) \
                 or self._table(phi.body, space)
-            out = (names, exp + 1, values) if kind is Half \
-                else (names, exp, [(1 << exp) - v for v in values])
+            out = (names, exp + 1, values, off) if kind is Half \
+                else (names, exp, [(1 << exp) - v for v in values], off)
         elif kind is Atomic:
             exp, rows = space.exp, space.rows
             if phi.left == phi.right:
                 self.atomic_evals += n
-                out = ((phi.left,), exp, [rows[i][i] for i in range(n)])
+                out = ((phi.left,), exp, [rows[i][i] for i in range(n)], False)
             else:
                 self.atomic_evals += n * n
                 out = ((phi.left, phi.right), exp,
-                       [d for row in rows for d in row])
+                       [d for row in rows for d in row], True)
         elif kind is DotMinus:
             a = memo.get((phi.left.code, space)) \
                 or self._table(phi.left, space)
@@ -270,11 +268,11 @@ class Engine:
             names = a[0] + tuple(v for v in b[0] if v not in a[0])
             out = (names, exp, [x - y if x > y else 0 for x, y in zip(
                 self._spread(a, exp, names, n),
-                self._spread(b, exp, names, n))])
+                self._spread(b, exp, names, n))], a[3] or b[3])
         else:  # InfQ / SupQ
             body = memo.get((phi.body.code, space)) \
                 or self._table(phi.body, space)
-            names, exp, values = body
+            names, exp, values, off = body
             if phi.var not in names:  # vacuous
                 out = body
             else:
@@ -285,7 +283,7 @@ class Engine:
                 out = (names[:k] + names[k + 1:], exp,
                        [op(values[b + i:b + block:stride])
                         for b in range(0, len(values), block)
-                        for i in range(stride)])
+                        for i in range(stride)], off)
         memo[(phi.code, space)] = out
         return out
 
@@ -293,7 +291,7 @@ class Engine:
         """The numerators of a table at exponent exp, at least its own, at
         every assignment to names, a superset of its variables, in
         row-major order."""
-        own, own_exp, values = table
+        own, own_exp, values, _ = table
         if exp > own_exp:
             shift = exp - own_exp
             values = [v << shift for v in values]
@@ -313,34 +311,34 @@ class Engine:
                 self._spreads[key] = index
         return [values[i] for i in index]
 
-    def _family(self, family, spaces, env, tail, is_inf):
-        """The truncated CInf / CSup step per space: the declared end member
-        where the shortcut applies (module docstring), else the prefix."""
+    def _family(self, family, space, env, tail, is_inf):
+        """The truncated CInf / CSup step: the declared end member where the
+        shortcut applies (module docstring), else the prefix. Members are
+        walked in plain loops, so a nesting level takes two frames."""
         count = tail[0]
         if family.known_size is not None:
             count = min(count, family.known_size)
         inner = tail[1:] or tail
-        parts = {}  # space -> the member triples that give its result
-        if isinstance(family, GeneratedFamily) and count >= 4:
-            direction = get_generator(family.generator).monotone(family.params)
-            falling = direction == "nonincreasing"
-            if direction in ("nonincreasing", "nondecreasing"):
-                picks = [self._walk(family.member(n), spaces, env, inner)
-                         for n in (0, count // 2, count - 1)]
-                for space, own in zip(spaces, zip(*picks)):
-                    ends = [hi if is_inf else lo for lo, hi, _ in own]
-                    ests = [est for _, _, est in own]
-                    if ends == sorted(ends, reverse=falling) \
-                            and ests == sorted(ests, reverse=falling):
-                        parts[space] = [own[-1] if is_inf == falling else own[0]]
-        rest = tuple(sp for sp in spaces if sp not in parts) if parts else spaces
-        if rest:
-            parts.update(zip(rest, zip(*[
-                self._walk(family.member(n), rest, env, inner)
-                for n in range(count)])))
-        return [(ZERO, min(his), min(ests)) if is_inf
-                else (max(los), ONE, max(ests))
-                for los, his, ests in (zip(*parts[sp]) for sp in spaces)]
+        direction = isinstance(family, GeneratedFamily) and count >= 4 \
+            and get_generator(family.generator).monotone(family.params)
+        falling = direction == "nonincreasing"
+        if falling or direction == "nondecreasing":
+            picks = []
+            for n in (0, count // 2, count - 1):
+                picks.append(self._walk(family.member(n), space, env, inner))
+            bounds = [hi if is_inf else lo for lo, hi, _, _ in picks]
+            ests = [est for _, _, est, _ in picks]
+            if bounds == sorted(bounds, reverse=falling) \
+                    and ests == sorted(ests, reverse=falling):
+                lo, hi, est, _ = picks[-1] if is_inf == falling else picks[0]
+                off = picks[0][3] or picks[1][3] or picks[2][3]
+                return (ZERO, hi, est, off) if is_inf else (lo, ONE, est, off)
+        walked = []  # the prefix, the picks among it
+        for n in range(count):
+            walked.append(self._walk(family.member(n), space, env, inner))
+        los, his, ests, offs = zip(*walked)
+        return (ZERO, min(his), min(ests), True in offs) if is_inf \
+            else (max(los), ONE, max(ests), True in offs)
 
     # ------------------------------------------------------------- harness
 
@@ -355,11 +353,12 @@ class Engine:
         return Enclosure(low.lo, high.hi)
 
     def independence_check(self, phi, spaces, schedule):
-        """Enclosures across spaces with pairwise agreement flags: one walk
-        of the suite, whose memo entries each space's enclosure reads."""
-        self._walk(phi, tuple(spaces), (), schedule.depths)
-        entries = tuple((sp.name, self.eval_enclosure(phi, sp, schedule))
-                        for sp in spaces)
+        """Enclosures with pairwise agreement flags: each space is walked,
+        bar where the lemma above gives it the first space's enclosure."""
+        each = self._walk(phi, spaces[0], (), schedule.depths)[3] or any(
+            row[i] for sp in spaces for i, row in enumerate(sp.rows))
+        entries = tuple((sp.name, self.eval_enclosure(
+            phi, sp if each else spaces[0], schedule)) for sp in spaces)
         agreement = tuple((a, b, x == y)
                           for (a, x), (b, y) in combinations(entries, 2))
         return IndependenceReport(entries, agreement,

@@ -1,5 +1,6 @@
-"""One walk over a tuple of spaces: the same results as one walk per space,
-with each family member built once for all of them."""
+"""Independence by structure: a walk of one space that reads only the
+diagonal gives every space's result, and each family member is built once
+per verify; any other formula is walked on each space."""
 
 import tracemalloc
 from dataclasses import dataclass
@@ -7,6 +8,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from numerals import builders
 from numerals.builders import EXISTS, FORALL, dyadic_numeral, parse_recipe
 from numerals.cli import main
 from numerals.dyadics import Dyadic, Enclosure
@@ -17,7 +19,7 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                register_generator)
 from numerals.ordinals import from_int
 from numerals.reals import SequenceExtraction
-from numerals.spaces import builtin_suite, random_repaired_space
+from numerals.spaces import builtin_suite, from_entries, random_repaired_space
 
 SUITE = builtin_suite() + (random_repaired_space(2026, 6, name="seeded6"),)
 GENERATORS = ("dyadic-upper-cut", "dyadic-lower-cut", "staged-approx",
@@ -56,8 +58,9 @@ def counted():
 
 
 def test_verify_builds_each_member_once_for_the_suite(counted, capsys):
-    # one suite walk requests 8,017 members here; a walk per space requested
-    # 46,082, each of the six spaces asking for every member again
+    # the walk of the first space, whose enclosure every space shares,
+    # requests 7,929 members here; a walk per space requested 46,082, each of
+    # the six spaces asking for every member again
     recipe = ('(numeral right w^2 (real leveled right w^2 '
               '(members constant "1/2")))')
     assert main(["verify", recipe, "--depth", "16"]) == 0
@@ -80,7 +83,8 @@ def test_staged_family_scans_its_rows_once(counted, monkeypatch):
     report = Engine().independence_check(phi, SUITE,
                                          TruncationSchedule.uniform(16))
     assert report.agreement_ok
-    # the shortcut's three picks, for all the spaces, from one row scan
+    # the shortcut's three picks on the first space, whose result every
+    # space shares, from one row scan
     assert counted["staged-approx"].requests == 3
     assert scans == [11]
 
@@ -190,31 +194,91 @@ declared = st.builds(_declared, st.sampled_from((CInf, CSup)),
                      st.lists(explicit, min_size=4, max_size=6))
 
 
+# random spaces of every size up to 8, placed before or after the suite, so
+# that the walked first space varies, down to one point
+extra_spaces = st.lists(st.builds(random_repaired_space, st.integers(0, 999),
+                                  st.integers(1, 8)), max_size=3)
+
+
 @seed(29)
 @settings(max_examples=200, deadline=None)
 @given(recipes() | explicit | declared, st.integers(1, 16),
        st.sampled_from((TruncationSchedule.uniform,
                         TruncationSchedule.default)),
-       st.sets(st.sampled_from(range(len(SUITE)))))
-def test_suite_walk_matches_walks_per_space(phi, depth, schedule, first):
-    # a numeral's members have one value on every space, so its shortcut
-    # fires or falls back on all of them; declared families of other
-    # sentences fall back on some spaces only, and scan just those. The
-    # spaces in first are walked alone beforehand, so the suite walk finds
-    # them in the memo, walks every space again and must store the same
+       st.sets(st.sampled_from(range(len(SUITE)))), extra_spaces,
+       st.booleans())
+def test_independence_check_matches_walks_per_space(phi, depth, schedule,
+                                                    first, extra, lead):
+    # a numeral reads only d(x, x), so the walk of the first space gives
+    # every space's enclosure; the other sentences, such as declared
+    # families whose members differ by space, are walked on each space.
+    # Either way each entry is that space's own walk. The spaces in first
+    # are walked alone beforehand, so the check finds them in the memo
+    spaces = tuple(extra) + SUITE if lead else SUITE + tuple(extra)
     sched = schedule(depth)
     eng = Engine()
     for i in sorted(first):
         eng.eval_enclosure(phi, SUITE[i], sched)
-    triples = eng._walk(phi, SUITE, (), sched.depths)
-    report = eng.independence_check(phi, SUITE, sched)
-    for space, (lo, hi, est), (name, enc) in zip(SUITE, triples,
-                                                 report.entries):
+    report = eng.independence_check(phi, spaces, sched)
+    for space, (name, enc) in zip(spaces, report.entries):
+        lo, hi, est, _ = eng._walk(phi, space, (), sched.depths)
         fresh = Engine()
         assert (name, enc, est) == (
             space.name, fresh.eval_enclosure(phi, space, sched),
             fresh.truncation_value(phi, space, sched))
         assert enc == Enclosure(lo, hi)
+
+
+@seed(30)
+@settings(max_examples=50, deadline=None)
+@given(recipes(), st.integers(1, 16))
+def test_numerals_read_only_the_diagonal(phi, depth):
+    # every sentence that builders makes has d(x0, x0) as its only atom, so
+    # the check walks one space for it and shares the enclosure
+    sched = TruncationSchedule.default(depth)
+    assert not Engine()._walk(phi, SUITE[3], (), sched.depths)[3]
+
+
+def test_off_diagonal_dyadic_base_fails_independence(monkeypatch, capsys):
+    # zero numerals over d(x0, x1), the radius and the diameter, take a value
+    # per space, and so does every numeral built on them: verify must walk
+    # each space and see them disagree
+    monkeypatch.setattr(builders, "_DYADICS", {
+        (0, 0, EXISTS): InfQ(0, SupQ(1, Atomic(0, 1))),
+        (0, 0, FORALL): SupQ(0, SupQ(1, Atomic(0, 1)))})
+    assert main(["verify", '(numeral right 1 (real builtin "1/3"))']) == 1
+    assert "independence: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    "(sup x0 (sup x1 (dist x0 x1)))",
+    "(csup (list (sup x0 (sup x1 (dist x0 x1))) (inf x0 (dist x0 x0))))"])
+def test_memoized_off_diagonal_part_walks_each_space(text):
+    # the diameter, tabulated or walked on the first space beforehand, is a
+    # memo hit in the check's walk of that space; the hit still reports an
+    # atom off the diagonal, so every space is walked on its own
+    part = parse(text)
+    phi = Neg(part)
+    sched = TruncationSchedule.uniform(4)
+    eng = Engine()
+    eng.eval_enclosure(part, SUITE[0], sched)
+    report = eng.independence_check(phi, SUITE, sched)
+    assert not report.agreement_ok
+    assert report.entries == tuple(
+        (space.name, Engine().eval_enclosure(phi, space, sched))
+        for space in SUITE)
+
+
+def test_space_off_the_zero_diagonal_walks_on_its_own():
+    # the lemma holds on metric spaces: an unvalidated point at distance 1/2
+    # from itself gives the numeral another enclosure, so no space shares
+    bad = from_entries("bad", 1, [Dyadic(1, 1)])
+    phi = parse_recipe('(numeral right 1 (real builtin "1/3"))').build()
+    sched = TruncationSchedule.default(8)
+    report = Engine().independence_check(phi, SUITE + (bad,), sched)
+    assert not report.agreement_ok
+    assert report.entries[-1] == ("bad",
+                                  Engine().eval_enclosure(phi, bad, sched))
 
 
 def test_engine_keeps_no_long_spread_index():
