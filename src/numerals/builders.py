@@ -26,7 +26,7 @@ step family's params by reals.source_from.
 """
 
 
-from . import reals, sexpr
+from . import formulas, reals, sexpr
 from .dyadics import Dyadic, MAX_EXP, in_unit
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        PI, Rank, SIGMA, SupQ, register_generator)
@@ -53,11 +53,6 @@ def other_flavor(flavor):
 # ------------------------------------------------------------ dyadic numerals
 
 
-# (num, exp, flavor) of num/2^exp in lowest terms -> its one node; see below.
-_DYADICS = {(0, 0, EXISTS): InfQ(0, Atomic(0, 0)),
-            (0, 0, FORALL): SupQ(0, Atomic(0, 0))}
-
-
 def dyadic_numeral(r, flavor):
     """The finitary sentence of value r, for either quantifier flavor.
 
@@ -66,30 +61,24 @@ def dyadic_numeral(r, flavor):
     0 < r <= 1/2 halves. The chain from r down to 0 has at most 2k+1
     steps for denominator 2^k.
 
-    Numerals are hash-consed: the module table _DYADICS maps the ints
-    (num, exp, flavor) of r = num/2^exp to the single node of that numeral.
-    A request walks the chain r -> 2r or r -> 1-r on ints down to the first
-    key already in the table, then builds back up; each new Neg or Half
-    wraps the table node one step below it, so the numeral of r shares its
-    body with the numeral of 2r (or of 1-r). Each node's code is computed
-    as the node is made, from the code one step below, so neither building
-    nor printing recurses, whatever the depth.
+    The hash-cons table formulas.NODES keeps each numeral under the ints
+    (num, exp, flavor) of r = num/2^exp, so a repeated request is one
+    probe. A new one walks the chain r -> 2r or r -> 1-r on ints down to
+    the first key in the table, or to 0, then builds back up: a Neg or Half
+    wraps the node one step below, so the numeral of r shares its body
+    with that of 2r (or of 1-r), and nothing recurses.
 
-    The table holds one node per distinct key asked for, plus the keys on
-    their chains, which have smaller denominators and are mostly asked for
-    themselves. Family members repeat the same dyadics many times over: the
-    whole demo asks for about 1,150 numerals and leaves 559 entries.
-
-    A value whose exponent in lowest terms is above MAX_EXP is refused
-    before any node is built: each node of the chain holds its whole code,
-    so the chain of 1/2^k holds about k^2 characters.
+    An exponent in lowest terms above MAX_EXP is refused before any node
+    is built. The chain holds a node per step, so memory needs no bound;
+    the bound keeps out codes that `numerals eval` and `classify` cannot
+    read back, as both recurse per node and exit 3 from 1/2^987.
     """
     if flavor not in (EXISTS, FORALL):
         raise BuildError("flavor must be exists or forall")
     if not isinstance(r, Dyadic):
         raise BuildError("dyadic numerals need a Dyadic value, got %r" % (r,))
     key = (r.num, r.exp, flavor)
-    node = _DYADICS.get(key)
+    node = formulas.NODES.get(key)
     if node is not None:
         return node
     if r.exp > MAX_EXP:
@@ -98,15 +87,19 @@ def dyadic_numeral(r, flavor):
         raise BuildError("value %s outside [0,1]" % r)
     chain = []
     while node is None:
-        chain.append(key)
         num, exp, flavor = key
+        if not num:  # the base: inf respectively sup of d(x0, x0)
+            node = formulas.NODES[key] = \
+                (InfQ if flavor == EXISTS else SupQ)(0, Atomic(0, 0))
+            break
+        chain.append(key)
         # in lowest terms: 2r of an odd num/2^exp, exp >= 1, is num/2^(exp-1)
         key = ((1 << exp) - num, exp, other_flavor(flavor)) \
             if num << 1 > 1 << exp else (num, exp - 1, flavor)
-        node = _DYADICS.get(key)
+        node = formulas.NODES.get(key)
     for key in reversed(chain):
         node = Neg(node) if key[0] << 1 > 1 << key[1] else Half(node)
-        _DYADICS[key] = node
+        formulas.NODES[key] = node
     return node
 
 

@@ -119,7 +119,9 @@ def rational(text):
 
 
 MAX_SCALE = 4096  # largest k of a 2^k or 10^k that parse_dyadic builds
-MAX_EXP = 1024  # largest k of a/2^k in lowest terms in a space or a numeral
+# largest k of a/2^k in lowest terms: every numerator of a space carries k
+# bits, and eval and classify of a numeral's code exit 3 from 1/2^987
+MAX_EXP = 1024
 
 
 def parse_dyadic(text):

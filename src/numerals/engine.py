@@ -62,13 +62,11 @@ stored rows (their diagonal for d(x, x)) at the space's exponent, neg and
 half map the numerators or raise the exponent, dotminus zips its children
 spread onto the union of their variables at the larger exponent, and inf /
 sup reduce one axis; a closed node's table has one entry. The walk reads a
-finitary node's Dyadic value at an environment from its table, so
-bindings the node does not read cost nothing. At a non-empty environment
-only atomics and point quantifiers are read from tables: a finitary
-dotminus, neg or half there combines its children's values, as its table
-would range over every free variable for the one entry the caller reads.
-Tables are memoized on (formula code, space). Family generation is pure,
-so member formulas with equal codes share results.
+finitary node's value from its table, so bindings it does not read cost
+nothing, except at a non-empty environment an open dotminus, neg or half,
+whose table would range over every free variable for the one entry the
+caller reads: it combines its children's values. Tables are memoized on
+(node, space), walks on (node, space, env, tail); nodes are hash-consed.
 """
 
 from fractions import Fraction
@@ -181,7 +179,7 @@ class VerificationReport(IndependenceReport):
 
 class Engine:
     def __init__(self):
-        self._memo = {}  # keys hold their spaces, so no id is reused
+        self._memo = {}  # keys hold their nodes and spaces: no id is reused
         self._spreads = {}  # (variables, superset, size) -> table index map
         self.atomic_evals = 0
 
@@ -204,10 +202,11 @@ class Engine:
         bounds, the truncated formula's own value ((v, v, v) for a finitary
         node of value v) and the off-diagonal flag. No tail makes the walk
         exact, and a CInf / CSup an error."""
-        if phi.finitary and (not env or type(phi) in (Atomic, InfQ, SupQ)):
-            return _read(self._memo.get((phi.code, space))
+        if phi.finitary and (not env or not phi.free
+                             or type(phi) in (Atomic, InfQ, SupQ)):
+            return _read(self._memo.get((phi, space))
                          or self._table(phi, space), env, space)
-        key = (phi.code, space, env, tail)
+        key = (phi, space, env, tail)
         out = self._memo.get(key)
         if out is not None:
             return out
@@ -237,7 +236,7 @@ class Engine:
 
     def _table(self, phi, space):
         """Tabulate a finitary node on the whole space and memoize it under
-        (code, space) as (variables, exp, numerators, off): one int
+        (node, space) as (variables, exp, numerators, off): one int
         numerator per assignment of points to its free variables, in order
         of first free occurrence, row-major, each value numerator / 2**exp,
         and the off-diagonal flag. A closed node's table has one entry; a
@@ -246,7 +245,7 @@ class Engine:
         memo = self._memo
         kind = type(phi)
         if kind is Neg or kind is Half:  # most nodes: dyadic numeral chains
-            names, exp, values, off = memo.get((phi.body.code, space)) \
+            names, exp, values, off = memo.get((phi.body, space)) \
                 or self._table(phi.body, space)
             out = (names, exp + 1, values, off) if kind is Half \
                 else (names, exp, [(1 << exp) - v for v in values], off)
@@ -260,18 +259,15 @@ class Engine:
                 out = ((phi.left, phi.right), exp,
                        [d for row in rows for d in row], True)
         elif kind is DotMinus:
-            a = memo.get((phi.left.code, space)) \
-                or self._table(phi.left, space)
-            b = memo.get((phi.right.code, space)) \
-                or self._table(phi.right, space)
+            a = memo.get((phi.left, space)) or self._table(phi.left, space)
+            b = memo.get((phi.right, space)) or self._table(phi.right, space)
             exp = max(a[1], b[1])
             names = a[0] + tuple(v for v in b[0] if v not in a[0])
             out = (names, exp, [x - y if x > y else 0 for x, y in zip(
                 self._spread(a, exp, names, n),
                 self._spread(b, exp, names, n))], a[3] or b[3])
         else:  # InfQ / SupQ
-            body = memo.get((phi.body.code, space)) \
-                or self._table(phi.body, space)
+            body = memo.get((phi.body, space)) or self._table(phi.body, space)
             names, exp, values, off = body
             if phi.var not in names:  # vacuous
                 out = body
@@ -284,7 +280,7 @@ class Engine:
                        [op(values[b + i:b + block:stride])
                         for b in range(0, len(values), block)
                         for i in range(stride)], off)
-        memo[(phi.code, space)] = out
+        memo[(phi, space)] = out
         return out
 
     def _spread(self, table, exp, names, n):

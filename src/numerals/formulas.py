@@ -54,82 +54,90 @@ class ClassificationError(FormulaError):
 
 # ---------------------------------------------------------------- AST nodes
 #
-# Every node gets its code and whether it is finitary (no CInf or CSup below
-# it) as it is made, from its children's, so reading either never recurses.
-# A family gets its code as it is made too.
+# Nodes and families are hash-consed (Filliatre and Conchon, "Type-safe
+# modular hash-consing", 2006): each class is a record made through NODES,
+# keyed (class, *fields), so equal terms are one object, compared and hashed
+# by identity. numerals.builders keeps its dyadic numerals in NODES too,
+# keyed (num, exp, flavor). A node stores its free variables, from its
+# children's, or None with a CInf or CSup at or below it; no term stores
+# its code (code_of). NODES holds its terms strongly: weak values slowed
+# the walk, and the table's lifetime is ROADMAP item 11's.
+
+NODES = {}
 
 
-class _Node:
+class _HashConsed(type):
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        if cls.__annotations__:
+            record(cls)
+            del cls.__eq__, cls.__hash__
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        term = NODES.get(key)
+        if term is None:
+            term = NODES[key] = super().__call__(*fields)
+        return term
+
+
+class _Term(metaclass=_HashConsed):
+    code = property(lambda self: code_of(self))
+
     def __str__(self):
-        return self.code
-
-    def _made(self, code, finitary):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "finitary", finitary)
+        return code_of(self)
 
 
-@record
+class _Node(_Term):
+    def __post_init__(self):
+        kind = type(self)
+        if kind is Atomic:
+            free = frozenset((self.left, self.right))
+        elif kind is DotMinus:
+            a, b = self.left.free, self.right.free
+            free = None if a is None or b is None else a | b
+        else:
+            free = None if kind is CInf or kind is CSup else self.body.free
+            if free is not None and kind is not Neg and kind is not Half:
+                free = free - {self.var}
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "finitary", free is not None)
+
+
 class Atomic(_Node):
     left: int
     right: int
 
-    def __post_init__(self):
-        self._made("(dist x%d x%d)" % (self.left, self.right), True)
 
-
-@record
 class Neg(_Node):
     body: "Formula"
 
-    def __post_init__(self):
-        self._made("(neg %s)" % self.body.code, self.body.finitary)
 
-
-@record
 class DotMinus(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __post_init__(self):
-        self._made("(dotminus %s %s)" % (self.left.code, self.right.code),
-                   self.left.finitary and self.right.finitary)
 
-
-@record
 class Half(_Node):
     body: "Formula"
 
-    def __post_init__(self):
-        self._made("(half %s)" % self.body.code, self.body.finitary)
 
-
-@record
 class InfQ(_Node):
     var: int
     body: "Formula"
 
-    def __post_init__(self):
-        self._made("(inf x%d %s)" % (self.var, self.body.code), self.body.finitary)
 
-
-@record
 class SupQ(_Node):
     var: int
     body: "Formula"
 
-    def __post_init__(self):
-        self._made("(sup x%d %s)" % (self.var, self.body.code), self.body.finitary)
 
-
-@record
-class ExplicitFamily:
+class ExplicitFamily(_Term):
     members: tuple
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("explicit family needs at least one member")
-        object.__setattr__(self, "code", "(list %s)" % " ".join(
-            m.code for m in self.members))
 
     def member(self, n):
         if 0 <= n < len(self.members):
@@ -142,14 +150,9 @@ class ExplicitFamily:
         return len(self.members)
 
 
-@record
-class GeneratedFamily:
+class GeneratedFamily(_Term):
     generator: str
     params: object  # hashable, compared by value; str(params) is its code text
-
-    def __post_init__(self):
-        object.__setattr__(self, "code", "(gen %s %s)" % (
-            self.generator, sexpr.quote(str(self.params))))
 
     def member(self, n):
         if n < 0:
@@ -159,20 +162,12 @@ class GeneratedFamily:
     known_size = None
 
 
-@record
 class CInf(_Node):
     family: "FamilySpec"
 
-    def __post_init__(self):
-        self._made("(cinf %s)" % self.family.code, False)
 
-
-@record
 class CSup(_Node):
     family: "FamilySpec"
-
-    def __post_init__(self):
-        self._made("(csup %s)" % self.family.code, False)
 
 
 Formula = Atomic | Neg | DotMinus | Half | InfQ | SupQ | CInf | CSup
@@ -280,6 +275,29 @@ _HEADS = {
 }
 
 
+_HEAD_OF = {cls: head for head, (cls, _, _) in _HEADS.items()}
+_HEAD_OF.update({ExplicitFamily: "list", GeneratedFamily: "gen"})
+
+
+def code_of(term):
+    """The code of a formula or family, printed for output from a stack of
+    the parts still to write, so no depth recurses. A variable prints as
+    x<digits>, a member tuple as its members, a family's params quoted."""
+    parts, todo = [], [term]
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, str):
+            args = [getattr(item, name) for name in item._fields]
+            if type(item) is GeneratedFamily:
+                args[1] = sexpr.quote(str(args[1]))
+            todo.append(")")
+            for arg in reversed(args[0] if type(args[0]) is tuple else args):
+                todo += ("x%d" % arg if type(arg) is int else arg, " ")
+            item = "(" + _HEAD_OF[type(item)]
+        parts.append(item)
+    return "".join(parts)
+
+
 def parse(code):
     try:
         node = sexpr.read(code)
@@ -292,8 +310,8 @@ def parse(code):
 
 
 def free_vars(phi):
-    if isinstance(phi, Atomic):
-        return {phi.left, phi.right}
+    if phi.finitary:
+        return phi.free
     if isinstance(phi, (Neg, Half)):
         return free_vars(phi.body)
     if isinstance(phi, DotMinus):
@@ -302,10 +320,7 @@ def free_vars(phi):
         return free_vars(phi.body) - {phi.var}
     fam = phi.family
     if isinstance(fam, ExplicitFamily):
-        out = set()
-        for m in fam.members:
-            out |= free_vars(m)
-        return out
+        return set().union(*map(free_vars, fam.members))
     # members of a generated family share their free variables
     return free_vars(fam.member(0))
 
@@ -384,23 +399,17 @@ def classify(phi):
 
 
 def _classify(phi, memo):
-    if isinstance(phi, Atomic):
+    if phi.finitary:
         return Rank(FINITARY, ZERO_ORD)
     if isinstance(phi, Neg):
         r = _classify(phi.body, memo)
-        if r.flavor == FINITARY:
-            return r
         return Rank(_DUAL[r.flavor], r.level)
     if isinstance(phi, (Half, InfQ, SupQ)):
         return _classify(phi.body, memo)
     if isinstance(phi, DotMinus):
-        a = _classify(phi.left, memo)
-        b = _classify(phi.right, memo)
-        if a.flavor != FINITARY or b.flavor != FINITARY:
-            raise ClassificationError("dotminus over infinitary operands")
-        return Rank(FINITARY, ZERO_ORD)
+        _classify(phi.left, memo)  # an operand's own fault is reported first
+        _classify(phi.right, memo)
+        raise ClassificationError("dotminus over infinitary operands")
     if isinstance(phi, CInf):
         return _classify_family(phi.family, SIGMA, memo)
-    if isinstance(phi, CSup):
-        return _classify_family(phi.family, PI, memo)
-    raise TypeError("not a formula: %r" % (phi,))
+    return _classify_family(phi.family, PI, memo)

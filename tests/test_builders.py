@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from numerals import builders, reals, sexpr
+from numerals import formulas, reals, sexpr
 from numerals.acceptance import LEFT_CORPUS, RIGHT_CORPUS
 from numerals.builders import (EXISTS, FORALL, BuildError, NumeralRecipe,
                                StepGenerator, build_numeral, dyadic_numeral,
@@ -92,13 +92,13 @@ def test_dyadic_numeral_rejects():
 
 
 def test_dyadic_numeral_exponent_bound():
-    # each node of the chain holds its whole code, so the numeral of 1/2^k
-    # holds about k^2 characters: past MAX_EXP none is built at all
-    size = len(builders._DYADICS)
+    # past MAX_EXP no node is built at all: the codes of deeper chains are
+    # more than `numerals eval` and `classify` can read back
+    size = len(formulas.NODES)
     with pytest.raises(BuildError) as err:
         dyadic_numeral(Dyadic(1, MAX_EXP + 1), EXISTS)
     assert str(err.value) == "dyadic exponent 1025 is above 1024"
-    assert len(builders._DYADICS) == size
+    assert len(formulas.NODES) == size
 
 
 @settings(max_examples=60, deadline=None)

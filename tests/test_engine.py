@@ -1,3 +1,6 @@
+import importlib
+import json
+import os
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -6,8 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numerals import formulas
 from numerals.builders import (EXISTS, FORALL, build_numeral, dyadic_numeral,
                                parse_recipe)
+from numerals.cli import main
 from numerals.dyadics import (Dyadic, Enclosure, ONE, ZERO, dotminus,
                               from_fraction, neg)
 from numerals.engine import (Engine, EngineError, SandwichError,
@@ -17,9 +22,10 @@ from numerals.formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                                SIGMA, SupQ, parse, register_generator)
 from numerals.ordinals import from_int
 from numerals.reals import LEFT, LEVEL_ONE, RIGHT, CutEnumerator, parse_target
-from numerals.spaces import builtin_suite, from_entries
+from numerals.spaces import builtin_suite, from_entries, load_space
 
 F = Fraction
+TESTS = os.path.dirname(os.path.abspath(__file__))
 POINT, PAIR, PATH5 = builtin_suite()[:3]
 
 
@@ -137,8 +143,69 @@ def test_open_formula_at_an_assignment_reads_its_atoms():
         tracemalloc.stop()
     d = grid16.dist
     assert value == dotminus(dotminus(d[1][2], d[3][4]), d[5][1])
-    assert (phi.code, grid16) not in eng._memo
+    assert (phi, grid16) not in eng._memo
     assert elapsed < 0.01 and peak < 1 << 20
+
+
+def test_closed_finitary_node_is_read_from_its_table_at_any_binding():
+    # each member of the cut family is a closed dyadic numeral: under the
+    # point quantifier it is read from its one-entry table at every binding
+    # of x1, where walking it node by node left 196 memo entries
+    eng = Engine()
+    grid16 = builtin_suite()[3]
+    phi = parse('(sup x1 (cinf (gen dyadic-upper-cut "1/3")))')
+    assert eng.eval_enclosure(phi, grid16, TruncationSchedule.default(64)) \
+        == Enclosure(ZERO, Dyadic(11, 5))
+    assert len(eng._memo) <= 31
+
+
+# one recipe per level of the benchmark ladder, at a depth with a frozen row
+LADDER = [
+    ('(numeral right 1 (real builtin "sqrt-half"))', "256"),
+    ('(numeral right 2 (real sigma2-right geometric-above "1/3"))', "16"),
+    ('(numeral right 3 (real geometric right 3 "1/3"))', "8"),
+    ('(numeral right w (real leveled right w (members constant "1/2")))', "4"),
+    ('(numeral right w+1 (real constant "1/2" w+1))', "1"),
+    ('(numeral right w*2 (real leveled right w*2 (members constant "1/2")))',
+     "1"),
+    ('(numeral right w^2 (real leveled right w^2 (members constant "1/2")))',
+     "1"),
+]
+
+
+def test_walks_print_no_code(monkeypatch, capsys):
+    # memo keys are nodes, so with the code printer raising, verify of each
+    # ladder level prints its frozen structured report, and random-eval
+    # items (24 formulas) give the values of the bench's exact oracle
+    def refuse(term):
+        raise AssertionError("a code was printed")
+
+    with open(os.path.join(TESTS, "verify_surface.json"),
+              encoding="ascii") as table:
+        frozen = {tuple(argv): (code, out)
+                  for argv, code, out, _ in json.load(table)}
+    monkeypatch.setattr(formulas, "code_of", refuse)
+    for recipe, depth in LADDER:
+        argv = ("verify", recipe, "--depth", depth, "--format", "structured")
+        code = main(list(argv))
+        assert (code, capsys.readouterr().out) == frozen[argv]
+    monkeypatch.syspath_prepend(os.path.join(TESTS, os.pardir, "perfbench"))
+    randomeval = importlib.import_module("randomeval")
+    eng = Engine()
+    for item in randomeval.items(1, 4):
+        values = []
+        for space in map(load_space, item["spaces"]):
+            for form in item["formulas"]:
+                phi = parse(form["code"])
+                if form["depths"] is None:
+                    values.append(str(eng.eval_exact(phi, space)))
+                    continue
+                for depth in form["depths"]:
+                    sched = TruncationSchedule.uniform(depth)
+                    enc = eng.eval_enclosure(phi, space, sched)
+                    values.append("%s %s" % (enc.lo, enc.hi))
+                    values.append(str(eng.truncation_value(phi, space, sched)))
+        assert values == item["expected"]
 
 
 class _OutOfRange(Exception):

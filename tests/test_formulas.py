@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numerals.builders import build_numeral, dyadic_numeral
+from numerals import formulas
+from numerals.builders import build_numeral, dyadic_numeral, parse_recipe
 from numerals.dyadics import Dyadic
 from numerals.formulas import (Atomic, CInf, CSup, ClassificationError,
                                DotMinus, ExplicitFamily, ExhaustedFamilyError,
@@ -28,6 +30,19 @@ CODES = [
     "(csup (gen staged-approx \"(stage lagged-above \\\"2/7\\\" 5)\"))",
     "(cinf (gen successor-members "
     "\"(succ right 2 (real constant \\\"1/2\\\" 2))\"))",
+]
+
+# a recipe of each side at each level of the benchmark ladder
+RECIPES = [
+    '(numeral right 1 (real builtin "sqrt-half"))',
+    '(numeral left 1 (real builtin "1/3"))',
+    '(numeral right 2 (real sigma2-right geometric-above "1/3"))',
+    '(numeral left 2 (real sigma2-left lagged-below "2/3"))',
+    '(numeral right 3 (real geometric right 3 "1/3"))',
+    '(numeral right w (real leveled right w (members constant "1/2")))',
+    '(numeral left w+1 (real constant "1/2" w+1))',
+    '(numeral right w*2 (real leveled right w*2 (members constant "1/2")))',
+    '(numeral left w^2 (real leveled left w^2 (members geometric "1/3")))',
 ]
 
 
@@ -94,14 +109,43 @@ def test_parse_round_trips_every_head(phi):
 
 
 def test_deep_hand_built_chain_has_a_code():
-    # a node takes its code from its children's as it is made, so a chain
-    # built by hand, not parsed, prints without recursing
+    # the printer keeps an explicit stack, so a chain built by hand, not
+    # parsed, prints without recursing
     phi = InfQ(0, Atomic(0, 0))
     for _ in range(5000):
         phi = Neg(phi)
     assert phi.code == "(neg " * 5000 + "(inf x0 (dist x0 x0))" + ")" * 5000
     assert len(phi.code) == 30021
     assert str(phi) == phi.code and phi.finitary
+
+
+def test_deep_chain_holds_no_codes(monkeypatch):
+    # no node stores its code: a chain n deep takes O(n) memory, where one
+    # code per node took O(n^2), 75.8 MB at this depth; a fresh node table,
+    # so that the chain is made here and not found from an earlier test
+    monkeypatch.setattr(formulas, "NODES", {})
+    tracemalloc.start()
+    try:
+        phi = InfQ(0, Atomic(0, 0))
+        for _ in range(5000):
+            phi = Neg(phi)
+        code = phi.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == "(neg " * 5000 + "(inf x0 (dist x0 x0))" + ")" * 5000
+    assert len(code) == 30021
+    assert peak < 5 << 20
+
+
+def test_equal_nodes_are_one_object():
+    x = Atomic(0, 1)
+    assert Neg(x) is Neg(x)
+    for code in CODES:
+        assert parse(code) is parse(code)
+    for text in RECIPES:
+        recipe = parse_recipe(text)
+        assert parse(recipe.build().code) is recipe.build()
 
 
 def test_parse_builds_expected_tree():

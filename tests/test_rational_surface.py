@@ -89,7 +89,7 @@ def test_verify_table_covers_ladder_and_corpus():
 
 
 def test_cli_table_covers_recipes_suites_options_and_codes():
-    assert len(CLI_ROWS) == 117
+    assert len(CLI_ROWS) == 118
     for argv, code, out, err in CLI_ROWS:
         assert argv[0] in ("verify", "eval", "dyadic")
         assert not any(os.path.isabs(arg) for arg in argv)

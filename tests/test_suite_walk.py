@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from numerals import builders
+from numerals import formulas
 from numerals.builders import EXISTS, FORALL, dyadic_numeral, parse_recipe
 from numerals.cli import main
 from numerals.dyadics import Dyadic, Enclosure
@@ -78,6 +78,8 @@ def test_staged_family_scans_its_rows_once(counted, monkeypatch):
         return rows(self, n)
 
     monkeypatch.setattr(SequenceExtraction, "rows", counting)
+    # a fresh node table, so no family an earlier test made holds the scan
+    monkeypatch.setattr(formulas, "NODES", {})
     phi = parse('(csup (gen staged-approx '
                 '"(stage geometric-above \\"1/3\\" 11)"))')
     report = Engine().independence_check(phi, SUITE,
@@ -243,7 +245,7 @@ def test_off_diagonal_dyadic_base_fails_independence(monkeypatch, capsys):
     # zero numerals over d(x0, x1), the radius and the diameter, take a value
     # per space, and so does every numeral built on them: verify must walk
     # each space and see them disagree
-    monkeypatch.setattr(builders, "_DYADICS", {
+    monkeypatch.setattr(formulas, "NODES", {
         (0, 0, EXISTS): InfQ(0, SupQ(1, Atomic(0, 1))),
         (0, 0, FORALL): SupQ(0, SupQ(1, Atomic(0, 1)))})
     assert main(["verify", '(numeral right 1 (real builtin "1/3"))']) == 1
