@@ -56,17 +56,17 @@ estimate. Otherwise one scan of the prefix gives both.
   r_n; and successor members fall on the right and rise on the left, as
   their sources do.
 
-A finitary node is evaluated once per space, as a table over its own free
-variables, of int numerators at one exponent: an atomic is the space's
-stored rows (their diagonal for d(x, x)) at the space's exponent, neg and
-half map the numerators or raise the exponent, dotminus zips its children
-spread onto the union of their variables at the larger exponent, and inf /
-sup reduce one axis; a closed node's table has one entry. The walk reads a
-finitary node's value from its table, so bindings it does not read cost
-nothing, except at a non-empty environment an open dotminus, neg or half,
-whose table would range over every free variable for the one entry the
-caller reads: it combines its children's values. Tables are memoized on
-(node, space), walks on (node, space, env, tail); nodes are hash-consed.
+A finitary node's value at an assignment depends only on the points of
+its free variables. It is evaluated as a table over those the environment
+leaves open, with the bound ones fixed, of int numerators at one exponent:
+an atomic is the entries of the space's rows that its bound variables
+select (the diagonal for d(x, x)), neg and half map the numerators or raise
+the exponent, dotminus zips its children spread onto the union of their
+open variables at the larger exponent, and inf / sup reduce one axis. A
+child is tabulated under the bindings of its own free variables, and the
+walk reads a finitary node from its one-entry table with all of them bound.
+Tables are memoized on (node, space, the bindings it reads), walks of
+infinitary nodes on (node, space, env, tail); nodes are hash-consed.
 """
 
 from fractions import Fraction
@@ -126,28 +126,6 @@ def _bind(env, var, p):
     return tuple(out)
 
 
-def _lookup(env, var):
-    for v, p in env:
-        if v == var:
-            return p
-    raise EngineError("unbound variable x%d" % var)
-
-
-def _read(table, env, space):
-    """The walk's (v, v, v, off) of a finitary node at env from its table."""
-    names, exp, values, off = table
-    n = space.size
-    index = 0
-    for var in names:
-        p = _lookup(env, var)
-        if not 0 <= p < n:
-            raise EngineError("x%d = %s is not a point of %s"
-                              % (var, p, space))
-        index = index * n + p
-    v = Dyadic(values[index], exp)
-    return v, v, v, off
-
-
 @record
 class ConvergenceRow:
     depth: int
@@ -202,10 +180,18 @@ class Engine:
         bounds, the truncated formula's own value ((v, v, v) for a finitary
         node of value v) and the off-diagonal flag. No tail makes the walk
         exact, and a CInf / CSup an error."""
-        if phi.finitary and (not env or not phi.free
-                             or type(phi) in (Atomic, InfQ, SupQ)):
-            return _read(self._memo.get((phi, space))
-                         or self._table(phi, space), env, space)
+        if phi.finitary:  # bindings are checked in order of first occurrence
+            if phi.free:
+                points = dict(env)
+                for var in phi.free:
+                    if var not in points:
+                        raise EngineError("unbound variable x%d" % var)
+                    if not 0 <= points[var] < space.size:
+                        raise EngineError("x%d = %s is not a point of %s"
+                                          % (var, points[var], space))
+            _, exp, values, off = self._sub(phi, space, env)
+            v = Dyadic(values[0], exp)
+            return v, v, v, off
         key = (phi, space, env, tail)
         out = self._memo.get(key)
         if out is not None:
@@ -234,40 +220,51 @@ class Engine:
         self._memo[key] = out
         return out
 
-    def _table(self, phi, space):
-        """Tabulate a finitary node on the whole space and memoize it under
-        (node, space) as (variables, exp, numerators, off): one int
-        numerator per assignment of points to its free variables, in order
-        of first free occurrence, row-major, each value numerator / 2**exp,
-        and the off-diagonal flag. A closed node's table has one entry; a
-        memoized child is read with one probe, since a table is true."""
+    def _sub(self, phi, space, bindings):
+        """phi's table at its own free variables' bindings, with one probe."""
+        if bindings:
+            bindings = tuple(b for b in bindings if b[0] in phi.free)
+        return self._memo.get((phi, space, bindings)) \
+            or self._table(phi, space, bindings)
+
+    def _table(self, phi, space, bound):
+        """Tabulate a finitary node at bound, the points of some of its free
+        variables sorted by variable, and memoize it under (node, space,
+        bound) as (variables, exp, numerators, off): one int numerator per
+        assignment of points to the variables bound leaves open, in order of
+        first free occurrence, row-major, each value numerator / 2**exp, and
+        the off-diagonal flag. With every free variable bound it has one
+        entry."""
         n = space.size
         memo = self._memo
         kind = type(phi)
         if kind is Neg or kind is Half:  # most nodes: dyadic numeral chains
-            names, exp, values, off = memo.get((phi.body, space)) \
-                or self._table(phi.body, space)
+            names, exp, values, off = memo.get((phi.body, space, bound)) \
+                or self._table(phi.body, space, bound)
             out = (names, exp + 1, values, off) if kind is Half \
                 else (names, exp, [(1 << exp) - v for v in values], off)
         elif kind is Atomic:
-            exp, rows = space.exp, space.rows
+            at, rows = dict(bound), space.rows
+            left = [at[phi.left]] if phi.left in at else range(n)
             if phi.left == phi.right:
-                self.atomic_evals += n
-                out = ((phi.left,), exp, [rows[i][i] for i in range(n)], False)
+                values = [rows[i][i] for i in left]
+            elif phi.right in at:
+                values = [rows[i][at[phi.right]] for i in left]
             else:
-                self.atomic_evals += n * n
-                out = ((phi.left, phi.right), exp,
-                       [d for row in rows for d in row], True)
+                values = [d for i in left for d in rows[i]]
+            self.atomic_evals += len(values)
+            out = (tuple(v for v in phi.free if v not in at), space.exp,
+                   values, phi.left != phi.right)
         elif kind is DotMinus:
-            a = memo.get((phi.left, space)) or self._table(phi.left, space)
-            b = memo.get((phi.right, space)) or self._table(phi.right, space)
+            a = self._sub(phi.left, space, bound)
+            b = self._sub(phi.right, space, bound)
             exp = max(a[1], b[1])
             names = a[0] + tuple(v for v in b[0] if v not in a[0])
             out = (names, exp, [x - y if x > y else 0 for x, y in zip(
                 self._spread(a, exp, names, n),
                 self._spread(b, exp, names, n))], a[3] or b[3])
         else:  # InfQ / SupQ
-            body = memo.get((phi.body, space)) or self._table(phi.body, space)
+            body = self._sub(phi.body, space, bound)
             names, exp, values, off = body
             if phi.var not in names:  # vacuous
                 out = body
@@ -280,7 +277,7 @@ class Engine:
                        [op(values[b + i:b + block:stride])
                         for b in range(0, len(values), block)
                         for i in range(stride)], off)
-        memo[(phi, space)] = out
+        memo[(phi, space, bound)] = out
         return out
 
     def _spread(self, table, exp, names, n):

@@ -58,10 +58,11 @@ class ClassificationError(FormulaError):
 # modular hash-consing", 2006): each class is a record made through NODES,
 # keyed (class, *fields), so equal terms are one object, compared and hashed
 # by identity. numerals.builders keeps its dyadic numerals in NODES too,
-# keyed (num, exp, flavor). A node stores its free variables, from its
-# children's, or None with a CInf or CSup at or below it; no term stores
-# its code (code_of). NODES holds its terms strongly: weak values slowed
-# the walk, and the table's lifetime is ROADMAP item 11's.
+# keyed (num, exp, flavor). A node stores its free variables in order of
+# first free occurrence, from its children's, or None with a CInf or CSup
+# at or below it; no term stores its code (code_of). NODES holds its terms
+# strongly: weak values slowed the walk, and the table's lifetime is
+# ROADMAP item 11's.
 
 NODES = {}
 
@@ -92,14 +93,14 @@ class _Node(_Term):
     def __post_init__(self):
         kind = type(self)
         if kind is Atomic:
-            free = frozenset((self.left, self.right))
+            free = tuple(dict.fromkeys((self.left, self.right)))
         elif kind is DotMinus:
             a, b = self.left.free, self.right.free
-            free = None if a is None or b is None else a | b
+            free = None if None in (a, b) else tuple(dict.fromkeys(a + b))
         else:
             free = None if kind is CInf or kind is CSup else self.body.free
             if free is not None and kind is not Neg and kind is not Half:
-                free = free - {self.var}
+                free = tuple(v for v in free if v != self.var)
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "finitary", free is not None)
 
@@ -311,7 +312,7 @@ def parse(code):
 
 def free_vars(phi):
     if phi.finitary:
-        return phi.free
+        return frozenset(phi.free)
     if isinstance(phi, (Neg, Half)):
         return free_vars(phi.body)
     if isinstance(phi, DotMinus):
@@ -368,7 +369,7 @@ def _classify_family(family, flavor, memo):
             if lvl > top:
                 top = lvl
         return Rank(flavor, top + from_int(1))
-    key = (family.generator, family.params, flavor)
+    key = (family, flavor)
     rank = memo.get(key)
     if rank is not None:
         return rank
@@ -391,9 +392,9 @@ def classify(phi):
     flavor; half and the point quantifiers are rank-neutral. DotMinus is
     only supported over finitary operands.
 
-    A generated family is spot-checked once per (generator, params,
-    flavor) in one call, so the checks grow with the number of distinct
-    families, not 3 per nesting level.
+    A generated family is spot-checked once per (family, flavor) in one
+    call, so the checks grow with the number of distinct families, not 3
+    per nesting level.
     """
     return _classify(phi, {})
 

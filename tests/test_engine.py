@@ -126,9 +126,10 @@ def test_tables_read_only_free_variables():
 
 
 def test_open_formula_at_an_assignment_reads_its_atoms():
-    # a finitary dotminus at a caller's environment combines its children's
-    # values: its table over its five free variables had 16^5 entries on
-    # grid16, about 0.25 s and 52 MB, for the one entry the caller reads
+    # a finitary dotminus at a caller's environment is tabulated at the
+    # points it reads: one entry, from one entry of each atom; over its five
+    # free variables its table had 16^5 entries on grid16, about 0.25 s and
+    # 52 MB, for the one entry the caller reads
     grid16 = builtin_suite()[3]
     phi = parse("(dotminus (dotminus (dist x0 x1) (dist x2 x3)) (dist x4 x0))")
     env = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
@@ -143,8 +144,39 @@ def test_open_formula_at_an_assignment_reads_its_atoms():
         tracemalloc.stop()
     d = grid16.dist
     assert value == dotminus(dotminus(d[1][2], d[3][4]), d[5][1])
-    assert (phi, grid16) not in eng._memo
+    assert eng.atomic_evals == 3
     assert elapsed < 0.01 and peak < 1 << 20
+
+
+def test_quantifier_at_an_assignment_tabulates_its_open_variable():
+    # the inf's body is tabulated over x4 alone, the one variable the
+    # caller leaves open: 1 + 1 + 16 atom reads, where a table over all
+    # five free variables read 768 and built 16^5 entries, about 0.2 s
+    grid16 = builtin_suite()[3]
+    phi = parse("(inf x4 (dotminus (dotminus (dist x0 x1) (dist x2 x3))"
+                " (dist x4 x0)))")
+    env = {0: 1, 1: 2, 2: 3, 3: 4}
+    eng = Engine()
+    start = time.perf_counter()
+    value = eng.eval_exact(phi, grid16, env)
+    elapsed = time.perf_counter() - start
+    rows = [[d.as_fraction() for d in row] for row in grid16.dist]
+    assert value.as_fraction() == _reference(phi, rows, env)
+    assert eng.atomic_evals <= 18 and elapsed < 0.01
+
+
+def test_finitary_member_keys_only_the_bindings_it_reads():
+    # under x0 and x1 the member's (half (dist x1 x1)) reads x1 alone, so
+    # it keys one table per point of x1, where one per binding of both
+    # kept 256 memo entries
+    grid16 = builtin_suite()[3]
+    phi = parse("(inf x0 (sup x1 (cinf (list (dotminus (dist x0 x1)"
+                " (half (dist x1 x1))) (neg (dist x0 x0))))))")
+    eng = Engine()
+    assert eng.eval_enclosure(phi, grid16, TruncationSchedule.default(4)) \
+        == Enclosure(ZERO, Dyadic(3, 2))
+    node = parse("(half (dist x1 x1))")
+    assert sum(key[0] is node for key in eng._memo) <= 16
 
 
 def test_closed_finitary_node_is_read_from_its_table_at_any_binding():
