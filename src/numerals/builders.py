@@ -71,7 +71,8 @@ def dyadic_numeral(r, flavor):
     An exponent in lowest terms above MAX_EXP is refused before any node
     is built. The chain holds a node per step, so memory needs no bound;
     the bound keeps out codes that `numerals eval` and `classify` cannot
-    read back, as both recurse per node and exit 3 from 1/2^987.
+    read back, as both recurse per node and exit 3: from 1/2^985 under
+    `python -m numerals`, from 1/2^988 in a script that calls `cli.main`.
     """
     if flavor not in (EXISTS, FORALL):
         raise BuildError("flavor must be exists or forall")

@@ -120,7 +120,8 @@ def rational(text):
 
 MAX_SCALE = 4096  # largest k of a 2^k or 10^k that parse_dyadic builds
 # largest k of a/2^k in lowest terms: every numerator of a space carries k
-# bits, and eval and classify of a numeral's code exit 3 from 1/2^987
+# bits, and eval and classify of a numeral's code exit 3 from 1/2^985
+# (under `python -m numerals`; the limit moves with the launcher's frames)
 MAX_EXP = 1024
 
 

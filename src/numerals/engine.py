@@ -189,7 +189,7 @@ class Engine:
                     if not 0 <= points[var] < space.size:
                         raise EngineError("x%d = %s is not a point of %s"
                                           % (var, points[var], space))
-            _, exp, values, off = self._sub(phi, space, env)
+            _, exp, values, off = self._table(phi, space, env)
             v = Dyadic(values[0], exp)
             return v, v, v, off
         key = (phi, space, env, tail)
@@ -220,27 +220,24 @@ class Engine:
         self._memo[key] = out
         return out
 
-    def _sub(self, phi, space, bindings):
-        """phi's table at its own free variables' bindings, with one probe."""
-        if bindings:
-            bindings = tuple(b for b in bindings if b[0] in phi.free)
-        return self._memo.get((phi, space, bindings)) \
-            or self._table(phi, space, bindings)
-
     def _table(self, phi, space, bound):
-        """Tabulate a finitary node at bound, the points of some of its free
-        variables sorted by variable, and memoize it under (node, space,
-        bound) as (variables, exp, numerators, off): one int numerator per
-        assignment of points to the variables bound leaves open, in order of
-        first free occurrence, row-major, each value numerator / 2**exp, and
-        the off-diagonal flag. With every free variable bound it has one
-        entry."""
+        """The one read of a finitary node's table. It takes any bindings,
+        sorted by variable, and keys only those of phi's free variables: the
+        table is memoized under (node, space, those), tabulated on a miss, as
+        (variables, exp, numerators, off): one int numerator per assignment
+        of points to the free variables they leave open, in order of first
+        free occurrence, row-major, each value numerator / 2**exp, and the
+        off-diagonal flag. With every free variable bound it has one entry."""
+        if bound:
+            bound = tuple(b for b in bound if b[0] in phi.free)
+        key = (phi, space, bound)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
         n = space.size
-        memo = self._memo
         kind = type(phi)
         if kind is Neg or kind is Half:  # most nodes: dyadic numeral chains
-            names, exp, values, off = memo.get((phi.body, space, bound)) \
-                or self._table(phi.body, space, bound)
+            names, exp, values, off = self._table(phi.body, space, bound)
             out = (names, exp + 1, values, off) if kind is Half \
                 else (names, exp, [(1 << exp) - v for v in values], off)
         elif kind is Atomic:
@@ -256,15 +253,15 @@ class Engine:
             out = (tuple(v for v in phi.free if v not in at), space.exp,
                    values, phi.left != phi.right)
         elif kind is DotMinus:
-            a = self._sub(phi.left, space, bound)
-            b = self._sub(phi.right, space, bound)
+            a = self._table(phi.left, space, bound)
+            b = self._table(phi.right, space, bound)
             exp = max(a[1], b[1])
             names = a[0] + tuple(v for v in b[0] if v not in a[0])
             out = (names, exp, [x - y if x > y else 0 for x, y in zip(
                 self._spread(a, exp, names, n),
                 self._spread(b, exp, names, n))], a[3] or b[3])
         else:  # InfQ / SupQ
-            body = self._sub(phi.body, space, bound)
+            body = self._table(phi.body, space, bound)
             names, exp, values, off = body
             if phi.var not in names:  # vacuous
                 out = body
@@ -277,7 +274,7 @@ class Engine:
                        [op(values[b + i:b + block:stride])
                         for b in range(0, len(values), block)
                         for i in range(stride)], off)
-        memo[(phi, space, bound)] = out
+        self._memo[key] = out
         return out
 
     def _spread(self, table, exp, names, n):

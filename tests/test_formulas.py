@@ -273,6 +273,10 @@ def test_explicit_family_members():
         fam.member(2)
     with pytest.raises(ValueError):
         ExplicitFamily(())
+    # a generated family has no end, but no member before 0 either
+    gen = parse('(cinf (gen dyadic-upper-cut "1/3"))').family
+    with pytest.raises(ValueError, match="negative family index"):
+        gen.member(-1)
 
 
 def test_rank_str_and_duality():

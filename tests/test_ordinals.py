@@ -132,6 +132,8 @@ def test_fundamental_sequences():
     assert str(parse_ordinal("w^2*2+w*3").fundamental(2)) == "w^2*2+w*2+2"
     with pytest.raises(ValueError):
         parse_ordinal("w+1").fundamental(0)
+    with pytest.raises(ValueError, match="negative index"):
+        OMEGA.fundamental(-1)
 
 
 @given(st.integers(0, 30))
@@ -147,3 +149,5 @@ def test_finite_value():
     assert from_int(12).terms == ((0, 12),)
     assert ZERO_ORD.terms == ()
     assert OMEGA.terms == ((1, 1),)
+    with pytest.raises(ValueError, match="nonnegative"):
+        from_int(-1)

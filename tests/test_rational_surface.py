@@ -17,8 +17,9 @@ step params, cuts and dyadic literals: `verify` of malformed recipes, of
 bad --suite files (tests/suites) and of bad options, whose argparse exit is
 recorded as its exit code, `eval` of cut, staged-approx and step codes at
 several depths and of malformed staged-approx params, `dyadic` of 29
-literal forms, and `eval` over one 2-point space file per form of a dist
-entry (tests/suites/entry_*.txt).
+literal forms, `eval` over one 2-point space file per form of a dist
+entry (tests/suites/entry_*.txt), and `build` of real descriptors with the
+wrong arity or a member value that is not rational.
 
 Each row runs cli.main in process, from the repository root and with
 usage text wrapped at 80 columns, and must print the same bytes.
@@ -89,9 +90,9 @@ def test_verify_table_covers_ladder_and_corpus():
 
 
 def test_cli_table_covers_recipes_suites_options_and_codes():
-    assert len(CLI_ROWS) == 118
+    assert len(CLI_ROWS) == 122
     for argv, code, out, err in CLI_ROWS:
-        assert argv[0] in ("verify", "eval", "dyadic")
+        assert argv[0] in ("verify", "eval", "dyadic", "build")
         assert not any(os.path.isabs(arg) for arg in argv)
         assert ROOT not in out + err
         if "--suite" in argv:

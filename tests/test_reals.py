@@ -73,6 +73,8 @@ PREDICATES = ["geometric-above", "lagged-above", "geometric-below",
 
 def test_enumeration_prefix():
     assert [q_fraction(n) for n in range(25)] == PREFIX
+    with pytest.raises(ValueError, match="negative enumeration index"):
+        reals.q(-1)
 
 
 def test_enumeration_injective_prefix():

@@ -9,8 +9,9 @@ from hypothesis import given, seed, settings, strategies as st
 from numerals.dyadics import Dyadic, ONE, ZERO, from_fraction, parse_dyadic
 from numerals.spaces import (MAX_EXP, SpaceFormatError, SpaceValidationError,
                              ValidationReport, builtin_suite, from_entries,
-                             load_space, load_space_file, make_space,
-                             random_repaired_space, serialize_space, validate)
+                             FiniteMetricSpace, load_space, load_space_file,
+                             make_space, random_repaired_space,
+                             serialize_space, validate)
 
 H = Dyadic(1, 1)
 Q = Dyadic(1, 2)
@@ -60,6 +61,12 @@ def test_diagonal_and_range_violations():
     assert {"diagonal"} <= {v[0] for v in report.violations}
     big = from_entries("wide", 2, [ZERO, Dyadic(3, 1), ZERO])
     assert "range" in {v[0] for v in validate(big).violations}
+    # a space with no point, or rows that do not fit its size, is refused
+    # before any axiom is read
+    with pytest.raises(ValueError, match="at least one point"):
+        validate(FiniteMetricSpace("empty", 0, 0, ()))
+    with pytest.raises(ValueError, match="does not match size 2"):
+        validate(FiniteMetricSpace("short", 2, 0, ((0, 0), (0,))))
 
 
 def test_load_space_round_trip():
