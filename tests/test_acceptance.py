@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from numerals import acceptance
-from numerals.engine import Engine
+from numerals.dyadics import ONE, ZERO, Enclosure
+from numerals.engine import Engine, IndependenceReport
 from numerals.reals import RIGHT, sigma2_predicate
 
 from test_reals import limit_s
@@ -137,3 +138,41 @@ def test_runner_makes_an_engine_when_given_none():
     res = acceptance._criterion(10, "stub", 60.0)(check)()
     assert res.passed and res.detail == "ok"
     assert len(seen) == 1 and isinstance(seen[0], Engine)
+
+
+def _report(agree, lo_pair=ONE):
+    entries = (("point", Enclosure(ZERO, ZERO)),
+               ("pair-half", Enclosure(lo_pair, lo_pair)))
+    return IndependenceReport(entries, (("point", "pair-half", agree),), agree)
+
+
+@pytest.mark.parametrize("criterion, method, stub, line", [
+    (acceptance.criterion_1, "eval_exact", lambda *args: ONE,
+     "[FAIL] 1 dyadic exactness: exists numeral of 0 evaluated to 1 on point"),
+    (acceptance.criterion_2, "independence_check",
+     lambda *args: _report(False),
+     '[FAIL] 2 structure independence: (numeral right 1 (real builtin "1/3"))'
+     " disagrees on point vs pair-half"),
+    (acceptance.criterion_3, "sandwich",
+     lambda *args: Enclosure(ZERO, ONE),
+     "[FAIL] 3 sandwich convergence: 1/3 never reached width 2^-10, ended at"
+     " [0, 1]"),
+    (acceptance.criterion_5, "classification_check", lambda *args: False,
+     "[FAIL] 5 classification mapping: wrong rank for"
+     ' (numeral right 1 (real builtin "1/3"))'),
+    (acceptance.criterion_6, "convergence_rows",
+     lambda *args: ((), "went wrong"),
+     '[FAIL] 6 monotone truncation: (numeral right 1 (real builtin "1/3")):'
+     " went wrong"),
+    (acceptance.criterion_7, "independence_check",
+     lambda *args: _report(True),
+     "[FAIL] 7 negative control: diameter sentence passed independence"),
+    (acceptance.criterion_7, "independence_check",
+     lambda *args: _report(False, ZERO),
+     "[FAIL] 7 negative control: expected gap 1/2 between point and"
+     " pair-half, got 0"),
+], ids=["1", "2", "3", "5", "6", "7-agrees", "7-gap"])
+def test_criterion_reports_its_failure(criterion, method, stub, line):
+    # an engine whose one harness method the criterion calls answers wrong
+    stubbed = type("Stubbed", (Engine,), {method: stub})
+    assert criterion(stubbed()).line() == line

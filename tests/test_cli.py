@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import numerals
+from numerals import cli
 from numerals.cli import main
 from numerals.dyadics import MAX_EXP, MAX_SCALE, Dyadic
 from numerals.formulas import parse
@@ -316,15 +317,34 @@ def test_verify_takes_signed_seeds(capsys, seed):
     assert "structure seeded6" in out
 
 
-def test_cli_import_leaves_dataclasses_and_demo_out():
+_STARTUP = ("numerals.engine", "numerals.cli", "numerals.acceptance",
+            "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("probe, absent", [
+    ("import numerals.cli", ("dataclasses", "inspect", "numerals.acceptance")),
+    # the benchmark's setup probe: it builds and parses, and evaluates nothing
+    ("from numerals import builders, formulas, spaces", _STARTUP),
+    ("import numerals", _STARTUP + ("numerals.spaces",)),
+], ids=["cli", "setup-probe", "bare"])
+def test_cli_import_leaves_dataclasses_and_demo_out(probe, absent):
     # a fresh interpreter without site, so only numerals decides what loads
     src = os.path.dirname(os.path.dirname(numerals.__file__))
-    probe = ("import sys, numerals.cli; print(*sorted({'dataclasses', "
-             "'inspect', 'numerals.acceptance'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", probe],
+    check = "%s; import sys; print(*sorted(set(%r) & set(sys.modules)))" \
+        % (probe, absent)
+    done = subprocess.run([sys.executable, "-S", "-c", check],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._COMMANDS, "build", boom)
+    code, out, err = run(capsys, "build",
+                         '(numeral right 1 (real builtin "1/3"))')
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
 
 def test_verify_fails_tight_tolerance(capsys):
