@@ -8,10 +8,12 @@ their countable inf/sup nesting, and certifies their values by dyadic
 interval evaluation over finite metric spaces.
 
 `import numerals` loads `builders`, whose import registers the builtin
-generators, and what it imports: `formulas`, `reals`, `dyadics`,
-`ordinals`, `sexpr` and `records`. The evaluator `engine`, the metric
+generators, and what it imports: `formulas`, `dyadics`, `ordinals`, `sexpr`
+and `records`. The real sources `reals`, the evaluator `engine`, the metric
 spaces `spaces` and the names this package exports from them load on first
-access, so a process that only builds or parses never compiles them.
+access, so a process that only builds or parses never compiles the
+evaluator, and one that reads no real source, cut target or staged index
+never compiles `reals`.
 """
 
 from .builders import (EXISTS, FORALL, BuildError, NumeralRecipe,
@@ -21,8 +23,6 @@ from .formulas import (Atomic, CInf, CSup, DotMinus, ExplicitFamily,
                        FormulaError, GeneratedFamily, Half, InfQ, Neg, Rank,
                        SupQ, classify, parse, register_generator)
 from .ordinals import OMEGA, OrdinalCNF, parse_ordinal
-from .reals import (LEFT, RIGHT, RealSourceError, parse_target,
-                    sigma2_predicate)
 
 __all__ = [
     "EXISTS", "FORALL", "BuildError", "NumeralRecipe", "build_numeral",
@@ -44,14 +44,16 @@ __all__ = [
 _HOME = {name: home for home, names in (
     ("engine", ("Engine", "EngineError", "SandwichError",
                 "TruncationSchedule", "VerificationReport")),
+    ("reals", ("LEFT", "RIGHT", "RealSourceError", "parse_target",
+               "sigma2_predicate")),
     ("spaces", ("FiniteMetricSpace", "builtin_suite", "load_space_file",
                 "make_space", "serialize_space", "validate")),
 ) for name in (home,) + names}
 
 
 def __getattr__(name):
-    """Import the home module of an engine or spaces name (PEP 562) and
-    bind the name here, so later reads do not come back."""
+    """Import the home module of a reals, engine or spaces name (PEP 562)
+    and bind the name here, so later reads do not come back."""
     if name not in _HOME:
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name))

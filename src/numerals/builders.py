@@ -23,19 +23,26 @@ Params are handed over as values; the reader registered with each name makes
 the same value from the text of a code. Each text is read by the module that
 writes it: staged-approx params by reals.read_stage and the descriptor in a
 step family's params by reals.source_from.
+
+`reals` loads on first use: the readers of cut targets, staged indices and
+recipes, and build_numeral, reach it through the package as numerals.reals,
+so a process that parses and evaluates formula codes with no gen family
+never compiles it.
 """
 
+import numerals
 
-from . import formulas, reals, sexpr
-from .dyadics import Dyadic, MAX_EXP, in_unit
+from . import formulas, sexpr
+from .dyadics import Dyadic, LEFT, MAX_EXP, RIGHT, in_unit
 from .formulas import (Atomic, CInf, CSup, GeneratedFamily, Half, InfQ, Neg,
                        PI, Rank, SIGMA, SupQ, register_generator)
-from .ordinals import OrdinalCNF, parse_ordinal
-from .reals import LEFT, RIGHT, LEVEL_ONE
+from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .records import record
 
 EXISTS = "exists"
 FORALL = "forall"
+
+LEVEL_ONE = from_int(1)
 
 
 class BuildError(Exception):
@@ -129,7 +136,8 @@ class LevelOneGenerator:
 
 def read_cut(side):
     """The reader of a cut family's params on the given side."""
-    return lambda text: reals.CutEnumerator(reals.parse_target(text), side)
+    return lambda text: numerals.reals.CutEnumerator(
+        numerals.reals.parse_target(text), side)
 
 
 # ----------------------------------------------------- successor and limit
@@ -146,7 +154,7 @@ def read_step(head, text):
     if recipe.source.level != recipe.level:
         raise BuildError("source declares level %s, %s step says %s"
                          % (recipe.source.level, step, recipe.level))
-    reals.check_step(recipe.source, recipe.side, head == "limit")
+    numerals.reals.check_step(recipe.source, recipe.side, head == "limit")
     return recipe
 
 
@@ -188,6 +196,7 @@ def build_numeral(side, level, source):
                          % (source.level, level))
     if level.is_zero():
         raise BuildError("numerals start at level 1")
+    reals = numerals.reals
     constant = isinstance(source, reals.RationalSource) \
         and source.side is None and source.scheme == "constant"
     if level == LEVEL_ONE:
@@ -251,7 +260,7 @@ def _read_recipe(node, head, usage):
         level = parse_ordinal(str(node[2]))
     except ValueError as err:
         raise BuildError(str(err)) from None
-    return NumeralRecipe(side, level, reals.source_from(node[3]))
+    return NumeralRecipe(side, level, numerals.reals.source_from(node[3]))
 
 
 def parse_recipe(text):
@@ -265,7 +274,8 @@ def parse_recipe(text):
 
 register_generator("dyadic-upper-cut", LevelOneGenerator(), read_cut(RIGHT))
 register_generator("dyadic-lower-cut", LevelOneGenerator(), read_cut(LEFT))
-register_generator("staged-approx", LevelOneGenerator(), reals.read_stage)
+register_generator("staged-approx", LevelOneGenerator(),
+                   lambda text: numerals.reals.read_stage(text))
 register_generator("successor-members", StepGenerator(),
                    lambda text: read_step("succ", text))
 register_generator("limit-members", StepGenerator(),

@@ -14,12 +14,12 @@ from .builders import BuildError, dyadic_numeral, parse_recipe
 from .dyadics import natural, parse_dyadic
 from .engine import Engine, EngineError, TruncationSchedule
 from .formulas import FormulaError, classify, parse
-from .reals import RealSourceError
 from .sexpr import SexprError, quote
 from .spaces import (SpaceFormatError, SpaceValidationError, builtin_suite,
                      load_space_file, random_repaired_space)
 
-_USAGE_ERRORS = (BuildError, FormulaError, RealSourceError, SpaceFormatError,
+# ValueError covers reals.RealSourceError, so this module need not load reals
+_USAGE_ERRORS = (BuildError, FormulaError, SpaceFormatError,
                  SpaceValidationError, SexprError, EngineError, ValueError,
                  OSError)
 

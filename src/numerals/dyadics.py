@@ -88,6 +88,11 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 
+# The two sides of a real's cut in the dyadics: the members of a right
+# numeral come from the dyadics above the real, of a left one from below
+RIGHT = "right"
+LEFT = "left"
+
 
 def from_fraction(f):
     """Fraction -> Dyadic, rejecting non-dyadic denominators."""

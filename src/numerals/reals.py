@@ -26,19 +26,18 @@ from functools import cached_property
 from itertools import count, islice
 
 from . import sexpr
-from .dyadics import Dyadic, ONE, ZERO, rational
+from .dyadics import Dyadic, LEFT, ONE, RIGHT, ZERO, rational
 from .ordinals import OrdinalCNF, from_int, parse_ordinal
 from .records import record
-
-RIGHT = "right"
-LEFT = "left"
 
 LEVEL_ONE = from_int(1)
 LEVEL_TWO = from_int(2)
 
 
-class RealSourceError(Exception):
-    pass
+class RealSourceError(ValueError):
+    """A malformed or out-of-range real source, cut target or stage index.
+    As a ValueError, the command line reports it as a usage error without
+    importing this module."""
 
 
 def _sign(d):

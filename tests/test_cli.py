@@ -11,7 +11,7 @@ from numerals import cli
 from numerals.cli import main
 from numerals.dyadics import MAX_EXP, MAX_SCALE, Dyadic
 from numerals.formulas import parse
-from numerals.reals import MAX_STAGE_INDEX
+from numerals.reals import MAX_STAGE_INDEX, RealSourceError
 
 from test_builders import MALFORMED_IDS, MALFORMED_PARAMS
 
@@ -318,11 +318,12 @@ def test_verify_takes_signed_seeds(capsys, seed):
 
 
 _STARTUP = ("numerals.engine", "numerals.cli", "numerals.acceptance",
-            "dataclasses", "inspect")
+            "numerals.reals", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("probe, absent", [
-    ("import numerals.cli", ("dataclasses", "inspect", "numerals.acceptance")),
+    ("import numerals.cli", ("dataclasses", "inspect", "numerals.acceptance",
+                             "numerals.reals")),
     # the benchmark's setup probe: it builds and parses, and evaluates nothing
     ("from numerals import builders, formulas, spaces", _STARTUP),
     ("import numerals", _STARTUP + ("numerals.spaces",)),
@@ -336,6 +337,56 @@ def test_cli_import_leaves_dataclasses_and_demo_out(probe, absent):
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+# Each command in turn in one fresh -S interpreter, printing after each
+# whether numerals.reals is loaded yet
+_REALS_PROBE = """
+import sys
+from numerals import cli
+for argv in %r:
+    cli.main(argv)
+    print("numerals.reals" in sys.modules)
+"""
+
+
+def test_gen_free_commands_leave_reals_out():
+    src = os.path.dirname(os.path.dirname(numerals.__file__))
+    commands = [
+        ["eval", "(sup x0 (dist x0 x0))"],
+        ["eval", "(cinf (list (inf x0 (dist x0 x0))"
+                 " (half (sup x0 (dist x0 x0)))))"],
+        ["classify", "(csup (list (inf x0 (dist x0 x0))))"],
+        ["classify", "--format", "structured", "(sup x0 (dist x0 x0))"],
+        ["dyadic", "3/4", "exists"],
+        ["eval", "--format", "structured",
+         "(neg (half (half (neg (inf x0 (dist x0 x0))))))"],
+        # a gen family reads its params through reals
+        ["eval", UPPER_THIRD],
+    ]
+    probe = _REALS_PROBE % commands
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "[0, 0] width 0", "False",
+        "[0, 0] width 0", "False",
+        "Pi 1", "False",
+        '(rank "Finitary")', "False",
+        "(neg (half (half (neg (inf x0 (dist x0 x0))))))", "False",
+        "(enclosure 3/4 3/4)", "False",
+        "[0, 43/128] width 43/128", "True",
+    ]
+    assert done.stderr == ""
+
+
+def test_real_source_error_exits_2(capsys, monkeypatch):
+    def refuse(args):
+        raise RealSourceError("no such real")
+    monkeypatch.setitem(cli._COMMANDS, "build", refuse)
+    code, out, err = run(capsys, "build",
+                         '(numeral right 1 (real builtin "1/3"))')
+    assert (code, out, err) == (2, "", "error: no such real\n")
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -6,7 +6,7 @@ exports. The second holds each text format to one owner: a module reads
 another's format through that module's public reader.
 
 Last, each name the package exports is its home module's object, also for
-the engine and spaces names that the package loads on first access.
+the reals, engine and spaces names that the package loads on first access.
 """
 
 import ast
@@ -104,15 +104,20 @@ HOMES = {
                "make_space", "serialize_space", "validate"),
 }
 
-# Run after a bare `import numerals` in a fresh interpreter: prints engine
-# or spaces if the package loaded it, each lazy name or submodule the
+# Run after a bare `import numerals` in a fresh interpreter: prints reals,
+# engine or spaces if the package loaded it, each lazy name or submodule the
 # package does not serve as its home module's object, dir() if it leaves out
 # the loaded submodules, and each export that is not its home module's
 # object, that `import *` leaves unbound or that dir() leaves out
 EXPORTS_PROBE = """
 import importlib, sys, numerals
-if {"numerals.engine", "numerals.spaces"} & set(sys.modules):
+lazy = {"numerals.engine", "numerals.reals", "numerals.spaces"}
+if lazy & set(sys.modules):
     print("loaded with the package")
+if numerals.reals is not sys.modules["numerals.reals"]:
+    print("submodule reals")
+if numerals.RealSourceError is not numerals.reals.RealSourceError:
+    print("lazy name RealSourceError")
 if numerals.Engine is not sys.modules["numerals.engine"].Engine:
     print("lazy name Engine")
 if numerals.engine is not sys.modules["numerals.engine"]:
@@ -121,7 +126,8 @@ if numerals.spaces is not sys.modules["numerals.spaces"]:
     print("submodule spaces")
 if numerals.spaces.validate is not numerals.validate:
     print("lazy name validate")
-if not {"builders", "formulas", "engine", "spaces"} <= set(dir(numerals)):
+submodules = {"builders", "formulas", "engine", "reals", "spaces"}
+if not submodules <= set(dir(numerals)):
     print("dir submodules")
 star = {}
 exec("from numerals import *", star)
